@@ -25,9 +25,7 @@ from .measures import (  # noqa: F401
 from .numerics import (  # noqa: F401
     BetaParams,
     DirichletParams,
-    Quadrature,
     QuadratureResult,
-    adaptive_simpson,
     dirichlet_sample,
     make_generator,
 )

@@ -17,9 +17,23 @@ density, which picks up the Jacobian d xi / d a.
 
 Integrands here have square-root endpoint behavior (the Jacobian blows up
 where the two pi roots merge, and Beta densities with shape below one blow
-up at 0). Every integration below substitutes u = end -/+ s**2 at both
-ends of the interval, which turns each x**(-1/2)-type endpoint into a
-bounded, smooth integrand for all shape parameters >= 1/2.
+up at 0). Every integral below substitutes u = end -/+ s**2 on each half of
+the interval, which turns each x**(-1/2)-type endpoint into a bounded,
+smooth integrand for all shape parameters >= 1/2.
+
+In s, each half is cut into panels at breakpoints placed where the
+integrand concentrates: the can't-solve Beta mean +/- k sd, and the u at
+which xi(a, u) meets the conditional Beta mean +/- k sd, for k up to 12.
+At large counts both peaks are far narrower than the interval, so a rule
+that does not know where they are can step over them and read ~0.
+Breakpoints are clipped to the interval; panels of zero width are dropped.
+Each panel gets a fixed 21-point Gauss-Kronrod rule with its embedded
+10-point Gauss rule; the Kronrod sum is the value and the gap between the
+two sums, added over panels, is the error estimate (heuristic and
+conservative: it measures the Gauss rule's error). The nodes and weights
+are QUADPACK's qk21 table, so nothing is computed at import. The density
+and the CDF at many values of a are evaluated in one batch, in chunks of
+32 values of a, so the work is a few numpy passes over arrays of a few MB.
 
 The total-variation measure is piecewise linear in pi and not treated
 here; its pushforward is summarized by Monte Carlo elsewhere.
@@ -29,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,13 +50,14 @@ from .exceptions import DomainError, SingularPoint
 from .measures import MeasureKind
 from .numerics import (
     BetaParams,
-    Quadrature,
+    DirichletParams,
     QuadratureResult,
-    adaptive_simpson,
-    beta_pdf,
+    beta_moment,
     beta_pdf_pair,
+    beta_variance,
     regularized_incomplete_beta,
 )
+from .posterior_analytics import posterior_moments
 
 __all__ = [
     "BinaryCounts",
@@ -56,17 +70,16 @@ __all__ = [
     "density_integral",
 ]
 
-# Inset (in the substituted variable s, where u = endpoint -/+ s**2) that
-# keeps evaluations off the exact endpoints; the truncated mass is O(1e-8)
-# because the transformed integrand is bounded there.
-_ENDPOINT_INSET = 1e-8
-
 # Radicand rounding noise tolerated before declaring a domain violation.
 _RADICAND_SLACK = 1e-9
 
 _JACOBIAN_FLOOR = 1e-300
 
 _CURVE_EDGE = 1e-6
+
+# Half of a density curve's points cover the closed-form mean +/- this many
+# posterior standard deviations.
+_CURVE_BULK_SD = 8.0
 
 
 @dataclass(frozen=True)
@@ -157,34 +170,6 @@ def lower_bound(a: float, measure: MeasureKind) -> float:
     raise DomainError("lower_bound is defined for the quadratic measures only")
 
 
-def _integrate_with_substitution(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    quadrature: Quadrature,
-) -> QuadratureResult:
-    """Integrate f over [lo, hi], substituting u = end -/+ s**2 at each end."""
-    if hi - lo <= 2.0 * _ENDPOINT_INSET**2:
-        return QuadratureResult(0.0, 0.0, False, 0)
-    mid = 0.5 * (lo + hi)
-    half = Quadrature(tol=0.5 * quadrature.tol, max_depth=quadrature.max_depth)
-
-    def from_lo(s):
-        return f(lo + s * s) * (2.0 * s)
-
-    def from_hi(s):
-        return f(hi - s * s) * (2.0 * s)
-
-    left = adaptive_simpson(from_lo, _ENDPOINT_INSET, math.sqrt(mid - lo), half)
-    right = adaptive_simpson(from_hi, _ENDPOINT_INSET, math.sqrt(hi - mid), half)
-    return QuadratureResult(
-        value=left.value + right.value,
-        error_estimate=left.error_estimate + right.error_estimate,
-        depth_exceeded=left.depth_exceeded or right.depth_exceeded,
-        n_evaluations=left.n_evaluations + right.n_evaluations,
-    )
-
-
 def _beta_params(counts: BinaryCounts, prior_beta: float) -> tuple[BetaParams, BetaParams]:
     """(conditional-vector Beta, can't-solve Beta) for the posterior."""
     if prior_beta <= 0.0:
@@ -194,12 +179,164 @@ def _beta_params(counts: BinaryCounts, prior_beta: float) -> tuple[BetaParams, B
     return cond, cs
 
 
+# The 10-point Gauss / 21-point Kronrod pair on [-1, 1] (QUADPACK's qk21
+# table): nonnegative abscissae from the outside in, their Kronrod weights,
+# and their Gauss weights (zero at the abscissae Kronrod added).
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077589672629580, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+])
+
+
+def _mirror(half: np.ndarray, sign: float) -> np.ndarray:
+    return np.concatenate([sign * half[:-1], half[::-1]])
+
+
+# One rule per panel, over ascending nodes: the Kronrod sum is the value,
+# its gap to the embedded Gauss sum the error estimate.
+_NODES = _mirror(_XGK, -1.0)
+_KRONROD_WEIGHTS = _mirror(_WGK, 1.0)
+_GAUSS_WEIGHTS = _mirror(_WG, 1.0)
+
+# Breakpoints sit at these multiples of a standard deviation around the
+# can't-solve Beta mean and around the conditional Beta mean (mapped to u),
+# so every panel sees at most a few standard deviations of either peak.
+_BULK_OFFSETS = np.array([0.0, -1.5, 1.5, -3.0, 3.0, -5.0, 5.0, -8.0, 8.0, -12.0, 12.0])
+
+# Values of a evaluated together; keeps the node arrays to a few MB.
+_CHUNK = 32
+
+
+def _panels(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool):
+    """Integration panels in s for each a, over both halves of [lo, a].
+
+    Returns (owner, base, sign, center, half_width) per panel of positive
+    width; on the panel, u = base + sign * s**2.
+    """
+    x = np.clip(beta_moment(cond, 1) + _BULK_OFFSETS * math.sqrt(beta_variance(cond)), 0.0, 1.0)
+    spread = (1.0 - 2.0 * x) ** 2
+    one_minus_a = (1.0 - a)[:, None]
+    # The u at which xi(a, u) reaches each x; x = 1/2 on the modified
+    # measure maps to -inf, which the clipping below moves onto lo.
+    with np.errstate(divide="ignore"):
+        u_cond = 1.0 - (2.0 * one_minus_a / (1.0 + spread) if is_new else one_minus_a / spread)
+    u_cs = np.broadcast_to(beta_moment(cs, 1) + _BULK_OFFSETS * math.sqrt(beta_variance(cs)), u_cond.shape)
+    breaks = np.concatenate([u_cs, u_cond], axis=1)
+    mid = 0.5 * (lo + a)
+    zero = np.zeros((a.size, 1))
+    left = np.sort(np.sqrt(np.clip(breaks, lo[:, None], mid[:, None]) - lo[:, None]), axis=1)
+    right = np.sort(np.sqrt(a[:, None] - np.clip(breaks, mid[:, None], a[:, None])), axis=1)
+    left = np.concatenate([zero, left, np.sqrt(mid - lo)[:, None]], axis=1)
+    right = np.concatenate([zero, right, np.sqrt(a - mid)[:, None]], axis=1)
+    edges = np.stack([left, right], axis=1)  # (n, 2 halves, n_breaks + 2)
+    half_width = 0.5 * np.diff(edges, axis=2)
+    center = edges[:, :, :-1] + half_width
+    shape = half_width.shape
+    owner = np.broadcast_to(np.arange(a.size)[:, None, None], shape)
+    base = np.broadcast_to(np.stack([lo, a], axis=1)[:, :, None], shape)
+    sign = np.broadcast_to(np.array([1.0, -1.0])[None, :, None], shape)
+    live = half_width > 0.0
+    return owner[live], base[live], sign[live], center[live], half_width[live]
+
+
+def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool):
+    """Per-a integral over u in [lo, a] of the density (or CDF) integrand.
+
+    Each half of the interval is written in s with u = lo + s**2 or
+    u = a - s**2, and every piece is built cancellation-free from s, so
+    1 - u never collapses onto 1 - a and the root xi never onto 0. For the
+    modified measure the density's divergent (1-a)**(-1/2) factor is left
+    to the caller. Returns (values, error estimates, evaluations).
+    """
+    owner, base, sign, center, half_width = _panels(a, lo, cond, cs, is_new)
+    s = center[:, None] + half_width[:, None] * _NODES
+    s2 = s * s
+    a_node = a[owner][:, None]
+    base = base[:, None]
+    step = sign[:, None] * s2
+    u = base + step
+    w = (1.0 - base) - step  # 1 - u
+    gap = (a_node - base) - step  # a - u
+    if is_new:
+        # 2(1-a) - (1-u); floored so rounding noise in the first term, which
+        # vanishes at a root-merging lower end, cannot blow up the Jacobian.
+        num = np.maximum((2.0 * (1.0 - a_node) - (1.0 - base)) + step, 0.25 * s2)
+        one_minus_r = 2.0 * gap / w
+    else:
+        num = np.broadcast_to(1.0 - a_node, s.shape)
+        one_minus_r = gap / w
+    sqrt_r = np.sqrt(np.minimum(num / w, 1.0))
+    root = one_minus_r / (2.0 * (1.0 + sqrt_r))
+    if cdf:
+        # P(pi <= xi) + P(pi >= 1 - xi), both as lower tails at xi.
+        swapped = BetaParams(cond.beta, cond.alpha)
+        inner = regularized_incomplete_beta(cond, root) + regularized_incomplete_beta(swapped, root)
+    else:
+        co_root = 0.5 * (1.0 + sqrt_r)
+        jacobian = 0.5 / np.sqrt(w * num) if is_new else 0.25 / np.sqrt(w)
+        inner = (beta_pdf_pair(cond, co_root, root) + beta_pdf_pair(cond, root, co_root)) * jacobian
+    f = (2.0 * s) * beta_pdf_pair(cs, u, w) * inner
+    kronrod = (f @ _KRONROD_WEIGHTS) * half_width
+    gauss = (f @ _GAUSS_WEIGHTS) * half_width
+    values = np.bincount(owner, weights=kronrod, minlength=a.size)
+    errors = np.bincount(owner, weights=np.abs(kronrod - gauss), minlength=a.size)
+    return values, errors, f.size
+
+
+def _evaluate(a, counts: BinaryCounts, prior_beta: float, measure: MeasureKind, cdf: bool):
+    """Density (or CDF) at every a in (0, 1), in chunks of _CHUNK values.
+
+    Returns (values, error estimates, integrand evaluations).
+    """
+    if measure not in (MeasureKind.NEW, MeasureKind.MODIFIED):
+        raise DomainError("the exact binary posterior covers the quadratic measures only")
+    cond, cs = _beta_params(counts, prior_beta)
+    is_new = measure is MeasureKind.NEW
+    a = np.asarray(a, dtype=float)
+    values = np.empty_like(a)
+    errors = np.empty_like(a)
+    evaluations = 0
+    for start in range(0, a.size, _CHUNK):
+        part = a[start : start + _CHUNK]
+        lo = np.maximum(0.0, 2.0 * part - 1.0) if is_new else np.zeros_like(part)
+        value, error, count = _integrate(part, lo, cond, cs, is_new, cdf)
+        if cdf:
+            # Below lo every conditional vector scores at most a.
+            value = value + regularized_incomplete_beta(cs, lo)
+        elif not is_new:
+            scale = 1.0 / np.sqrt(1.0 - part)
+            value, error = value * scale, error * scale
+        values[start : start + _CHUNK] = value
+        errors[start : start + _CHUNK] = error
+        evaluations += count
+    return values, errors, evaluations
+
+
 def posterior_density_binary(
     a: float,
     counts: BinaryCounts,
     prior_beta: float = 1.0,
     measure: MeasureKind = MeasureKind.NEW,
-    quadrature: Quadrature | None = None,
 ) -> float:
     """Density of the posterior ambiguity at a, for 0 < a < 1.
 
@@ -210,71 +347,10 @@ def posterior_density_binary(
     between lower_bound(a) and a, where f is the conditional-vector Beta
     density and f_cs the can't-solve Beta density.
     """
-    if quadrature is None:
-        quadrature = Quadrature()
     if not 0.0 < a < 1.0:
         raise DomainError(f"a must lie in (0, 1), got {a!r}")
-    cond, cs = _beta_params(counts, prior_beta)
-    is_new = measure is MeasureKind.NEW
-    lo = lower_bound(a, measure)
-    if a - lo <= 2.0 * _ENDPOINT_INSET**2:
-        return 0.0
-    one_minus_a = 1.0 - a
-    mid = 0.5 * (lo + a)
-    half = Quadrature(tol=0.5 * quadrature.tol, max_depth=quadrature.max_depth)
-    # Radicand numerator at the lower endpoint; exactly zero in real
-    # arithmetic when the endpoint is a root-merging point (lo > 0), so the
-    # float value only carries rounding noise there.
-    c_lo = 2.0 * one_minus_a - (1.0 - lo)
-
-    # Everything is written in the substituted variable s (u = end -/+ s^2)
-    # with the radicand r, its complement, and both pi roots built from
-    # cancellation-free pieces. In particular 1 - u never collapses onto
-    # 1 - a, and xi never collapses onto 0, however close s is to zero.
-    def make_integrand(from_hi: bool):
-        def transformed(s):
-            s2 = s * s
-            if from_hi:
-                u = a - s2
-                w = one_minus_a + s2  # 1 - u
-                gap = s2  # a - u
-                num = one_minus_a - s2 if is_new else one_minus_a
-            else:
-                u = lo + s2
-                w = (1.0 - lo) - s2
-                gap = (a - lo) - s2
-                num = c_lo + s2 if is_new else one_minus_a
-            if is_new:
-                # num = 2(1-a) - (1-u); noise floor keeps the Jacobian's
-                # integrable endpoint singularity from amplifying rounding
-                # error in c_lo into an overflow.
-                num = np.maximum(num, 0.25 * s2)
-                jacobian = 1.0 / (2.0 * np.sqrt(w * num))
-                one_minus_r = 2.0 * gap / w
-            else:
-                jacobian = 0.25 / np.sqrt(w)
-                one_minus_r = gap / w
-            sqrt_r = np.sqrt(np.minimum(num / w, 1.0))
-            root = one_minus_r / (2.0 * (1.0 + sqrt_r))
-            co_root = 0.5 * (1.0 + sqrt_r)
-            spikes = beta_pdf_pair(cond, co_root, root) + beta_pdf_pair(
-                cond, root, co_root
-            )
-            return (2.0 * s) * beta_pdf(cs, u) * spikes * jacobian
-
-        return transformed
-
-    left = adaptive_simpson(
-        make_integrand(False), _ENDPOINT_INSET, math.sqrt(mid - lo), half
-    )
-    right = adaptive_simpson(
-        make_integrand(True), _ENDPOINT_INSET, math.sqrt(a - mid), half
-    )
-    # The modified-measure Jacobian factors as (1-a)^(-1/2) / (4 sqrt(1-u));
-    # the divergent factor stays outside the quadrature so an absolute
-    # tolerance keeps making sense arbitrarily close to a = 1.
-    scale = 1.0 if is_new else 1.0 / math.sqrt(one_minus_a)
-    return max(0.0, scale * (left.value + right.value))
+    values, _, _ = _evaluate(np.array([a]), counts, prior_beta, measure, cdf=False)
+    return max(0.0, float(values[0]))
 
 
 def posterior_cdf_binary(
@@ -282,7 +358,6 @@ def posterior_cdf_binary(
     counts: BinaryCounts,
     prior_beta: float = 1.0,
     measure: MeasureKind = MeasureKind.NEW,
-    quadrature: Quadrature | None = None,
 ) -> float:
     """P(ambiguity <= a) under the posterior, for 0 <= a <= 1.
 
@@ -295,32 +370,36 @@ def posterior_cdf_binary(
     g the lower bound (the boundary term is zero unless g(a) > 0, which
     happens only for the quadratic-entropy measure past a = 1/2).
     """
-    if quadrature is None:
-        quadrature = Quadrature()
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"a must lie in [0, 1], got {a!r}")
     if a == 0.0:
         return 0.0
     if a == 1.0:
         return 1.0
+    values, _, _ = _evaluate(np.array([a]), counts, prior_beta, measure, cdf=True)
+    return min(1.0, max(0.0, float(values[0])))
+
+
+def _curve_grid(counts: BinaryCounts, prior_beta: float, measure: MeasureKind, n_points: int):
+    """n_points increasing values in (0, 1), half of them on the posterior bulk.
+
+    Points are spread with density proportional to one uniform share over
+    [_CURVE_EDGE, 1 - _CURVE_EDGE] plus one uniform share over the closed-
+    form mean +/- _CURVE_BULK_SD standard deviations; for the new measure
+    the point nearest 1/2 moves onto the kink.
+    """
     cond, cs = _beta_params(counts, prior_beta)
-    g = lower_bound(a, measure)
-
-    base = 0.0
-    if g > 0.0:
-        base = regularized_incomplete_beta(BetaParams(cs.alpha, cs.beta), g)
-
-    def integrand(u):
-        root = xi(a, u, measure)
-        tails = (
-            regularized_incomplete_beta(cond, root)
-            + 1.0
-            - regularized_incomplete_beta(cond, 1.0 - root)
-        )
-        return beta_pdf(cs, u) * tails
-
-    result = _integrate_with_substitution(integrand, g, a, quadrature)
-    return min(1.0, max(0.0, base + result.value))
+    moments = posterior_moments(DirichletParams(proper=(cond.alpha, cond.beta), cs=cs.alpha), measure)
+    first, last = _CURVE_EDGE, 1.0 - _CURVE_EDGE
+    bulk = np.clip(moments.mean + _CURVE_BULK_SD * moments.sd * np.array([-1.0, 1.0]), first, last)
+    knots = np.array([first, bulk[0], bulk[1], last])
+    # Share of the points at or below each knot: half spread evenly over
+    # the whole range, half over the bulk.
+    share = 0.5 * (knots - first) / (last - first) + np.array([0.0, 0.0, 0.5, 0.5])
+    grid = np.interp(np.linspace(0.0, 1.0, n_points), share, knots)
+    if measure is MeasureKind.NEW:
+        grid[np.argmin(np.abs(grid - 0.5))] = 0.5
+    return grid
 
 
 def density_curve(
@@ -328,30 +407,22 @@ def density_curve(
     prior_beta: float = 1.0,
     measure: MeasureKind = MeasureKind.NEW,
     n_points: int = 512,
-    quadrature: Quadrature | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate the density on an open grid over (0, 1).
 
-    The quadratic-entropy density has a kink at a = 1/2 (where the lower
-    integration bound leaves zero), so for that measure the grid is built
-    from two halves meeting exactly at the kink.
+    The grid is not uniform: about half of its points cover the posterior
+    bulk (closed-form mean +/- 8 sd), the rest spread evenly over
+    [1e-6, 1 - 1e-6]. The quadratic-entropy density has a kink at a = 1/2
+    (where the lower integration bound leaves zero), so for that measure
+    the grid contains 1/2 exactly. The modified-measure density diverges
+    like (1 - a)**(-1/2), so a trapezoid rule over the table overstates the
+    mass of the last cells; density_integral integrates it properly.
     """
     if n_points < 3:
         raise DomainError("n_points must be at least 3")
-    if measure is MeasureKind.NEW:
-        n_left = n_points // 2
-        grid = np.concatenate(
-            [
-                np.linspace(_CURVE_EDGE, 0.5, n_left, endpoint=False),
-                np.linspace(0.5, 1.0 - _CURVE_EDGE, n_points - n_left),
-            ]
-        )
-    else:
-        grid = np.linspace(_CURVE_EDGE, 1.0 - _CURVE_EDGE, n_points)
-    values = np.array(
-        [posterior_density_binary(a, counts, prior_beta, measure, quadrature) for a in grid]
-    )
-    return grid, values
+    grid = _curve_grid(counts, prior_beta, measure, n_points)
+    values, _, _ = _evaluate(grid, counts, prior_beta, measure, cdf=False)
+    return grid, np.maximum(values, 0.0)
 
 
 def density_integral(
@@ -360,49 +431,41 @@ def density_integral(
     measure: MeasureKind = MeasureKind.NEW,
     moment: int = 0,
     n_nodes: int = 96,
-    quadrature: Quadrature | None = None,
 ) -> QuadratureResult:
     """integral of a**moment times the density over (0, 1).
 
     Moment 0 is the normalization check, moment 1 the posterior mean of
     the measure. The outer integral splits at the kink and substitutes
     a = end -/+ s^2 toward each endpoint (taming the modified-measure
-    (1-a)**(-1/2) divergence), then applies a fixed Gauss-Legendre rule
-    per piece: each outer point runs a full adaptive inner quadrature, so
-    the outer integrand carries that quadrature's noise, and a fixed rule
-    on the smooth substituted integrand is far more robust against it
-    than nested adaptivity. Accuracy is set by n_nodes; the default is
+    (1-a)**(-1/2) divergence), then applies a fixed n_nodes-point
+    Gauss-Legendre rule per piece, with the density at all outer nodes
+    taken in one batched call. Accuracy is set by n_nodes; the default is
     comfortably beyond 1e-5 on realistic count patterns, which is what
     normalization and mean checks need.
 
-    The error_estimate field reflects only the accumulated inner
-    tolerances, not the outer rule; depth_exceeded is always False.
+    error_estimate is the outer rule's weighted sum of the inner
+    Gauss-Kronrod error estimates; it does not cover the outer rule's own
+    error. depth_exceeded is always False (every rule here is fixed).
     """
     if moment < 0 or moment != int(moment):
         raise DomainError(f"moment must be a nonnegative integer, got {moment!r}")
     if n_nodes < 2:
         raise DomainError("n_nodes must be at least 2")
-    inner = quadrature if quadrature is not None else Quadrature()
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-
-    total = 0.0
-    inner_error = 0.0
-    n_evaluations = 0
+    points, outer = [], []
     for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
         mid = 0.5 * (lo + hi)
         for start, length, sign in ((lo, mid - lo, 1.0), (hi, hi - mid, -1.0)):
             s_hi = math.sqrt(length)
             s = 0.5 * s_hi * (nodes + 1.0)
-            w_s = 0.5 * s_hi * weights
-            for s_i, w_i in zip(s, w_s):
-                a = start + sign * s_i * s_i
-                value = posterior_density_binary(a, counts, prior_beta, measure, inner)
-                total += w_i * 2.0 * s_i * a**moment * value
-                inner_error += w_i * 2.0 * s_i * a**moment * inner.tol
-                n_evaluations += 1
+            a = start + sign * s * s
+            points.append(a)
+            outer.append(0.5 * s_hi * weights * 2.0 * s * a**moment)
+    values, errors, evaluations = _evaluate(np.concatenate(points), counts, prior_beta, measure, cdf=False)
+    outer = np.concatenate(outer)
     return QuadratureResult(
-        value=total,
-        error_estimate=inner_error,
+        value=float(outer @ values),
+        error_estimate=float(outer @ errors),
         depth_exceeded=False,
-        n_evaluations=n_evaluations,
+        n_evaluations=evaluations,
     )

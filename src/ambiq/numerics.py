@@ -1,4 +1,4 @@
-"""Special functions, Beta/Dirichlet moments, Dirichlet sampling, quadrature.
+"""Special functions, Beta/Dirichlet moments, Dirichlet sampling.
 
 Everything downstream (closed-form posterior moments, the analytic binary
 density, Monte-Carlo summaries) is built on the primitives in this module.
@@ -14,20 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exceptions import (
-    DomainError,
-    InternalConsistencyError,
-    NonFiniteIntegrand,
-)
+from .exceptions import DomainError, InternalConsistencyError
 
 __all__ = [
     "BetaParams",
     "DirichletParams",
-    "Quadrature",
     "QuadratureResult",
     "ln_gamma",
     "digamma",
@@ -39,7 +34,6 @@ __all__ = [
     "dirichlet_mixed_moment",
     "make_generator",
     "dirichlet_sample",
-    "adaptive_simpson",
 ]
 
 
@@ -108,29 +102,14 @@ class DirichletParams:
 
 
 @dataclass(frozen=True)
-class Quadrature:
-    """Adaptive-quadrature settings: absolute tolerance and recursion cap."""
-
-    tol: float = 1e-8
-    max_depth: int = 50
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError(f"tol must be > 0; got {self.tol}")
-        if not self.max_depth >= 1:
-            raise DomainError(f"max_depth must be >= 1; got {self.max_depth}")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Integral estimate with its error bookkeeping.
 
     Attributes:
         value: the integral estimate.
-        error_estimate: sum of per-segment Richardson error terms (heuristic
-            upper bound on the true error for smooth integrands).
-        depth_exceeded: True when some segment hit the recursion cap before
-            meeting its tolerance; the estimate is still returned.
+        error_estimate: heuristic bound on the absolute error of value.
+        depth_exceeded: True when an adaptive rule hit its recursion cap
+            before meeting its tolerance; the estimate is still returned.
         n_evaluations: number of integrand evaluations.
     """
 
@@ -287,11 +266,17 @@ def _betainc_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     modified Lentz algorithm, vectorized over x.
 
     Valid (fast-converging) for x < (a+1)/(a+b+2); callers apply the
-    symmetry transform outside that range.
+    symmetry transform outside that range. Each element stops at the
+    first iteration whose factor lies within _BETAINC_EPS of one; later
+    iterations carry only the elements still running, so converged values
+    are frozen rather than left to jitter by a few ulps while the rest of
+    a large batch converges.
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    out = np.empty_like(x)
+    active = np.arange(x.size)
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
     np.copyto(d, _BETAINC_TINY, where=np.abs(d) < _BETAINC_TINY)
@@ -314,8 +299,13 @@ def _betainc_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if np.all(np.abs(delta - 1.0) < _BETAINC_EPS):
-            return h
+        done = np.abs(delta - 1.0) < _BETAINC_EPS
+        if np.any(done):
+            out[active[done]] = h[done]
+            running = ~done
+            if not np.any(running):
+                return out
+            active, x, c, d, h = active[running], x[running], c[running], d[running], h[running]
     raise InternalConsistencyError(
         f"incomplete-beta continued fraction failed to converge for a={a}, b={b}"
     )
@@ -482,105 +472,3 @@ def dirichlet_sample(
     if count < 1:
         raise DomainError(f"count must be >= 1; got {count}")
     return _dirichlet_draws(params, int(count), make_generator(seed))
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    quadrature: Quadrature | None = None,
-) -> QuadratureResult:
-    """Adaptive Simpson integration of f over [a, b].
-
-    The integrand must map a float ndarray to an elementwise float ndarray;
-    segment refinement is breadth-first so each iteration evaluates f once on
-    the batch of new midpoints. A segment is accepted when its two-panel
-    refinement changes the estimate by at most 15 * local tolerance (the
-    classical Richardson criterion), and the extrapolated correction is kept.
-    Segments still failing at max_depth are accepted with the
-    depth_exceeded flag set on the result.
-
-    Raises:
-        NonFiniteIntegrand: if f returns NaN or infinity anywhere.
-        DomainError: if b < a.
-    """
-    q = quadrature if quadrature is not None else Quadrature()
-    a = float(a)
-    b = float(b)
-    if b < a:
-        raise DomainError(f"integration limits must satisfy a <= b; got {a} > {b}")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, False, 0)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise NonFiniteIntegrand(
-                f"integrand returned shape {y.shape} for input shape {x.shape}"
-            )
-        if not np.all(np.isfinite(y)):
-            bad = x[~np.isfinite(y)][0]
-            raise NonFiniteIntegrand(f"integrand not finite at x={bad!r}")
-        return y
-
-    first = evaluate(np.array([a, 0.5 * (a + b), b]))
-    n_eval = 3
-    # Per-segment state: left endpoint, width, f(left), f(mid), f(right),
-    # local tolerance, depth.
-    left = np.array([a])
-    width = np.array([b - a])
-    fl = first[:1]
-    fm = first[1:2]
-    fr = first[2:]
-    tol = np.array([q.tol])
-    depth = np.array([0])
-
-    total = 0.0
-    err_total = 0.0
-    depth_exceeded = False
-
-    while left.size:
-        lm = left + 0.25 * width
-        rm = left + 0.75 * width
-        fnew = evaluate(np.concatenate([lm, rm]))
-        n_eval += fnew.size
-        flm = fnew[: left.size]
-        frm = fnew[left.size :]
-
-        s_whole = width / 6.0 * (fl + 4.0 * fm + fr)
-        s_left = width / 12.0 * (fl + 4.0 * flm + fm)
-        s_right = width / 12.0 * (fm + 4.0 * frm + fr)
-        delta = s_left + s_right - s_whole
-
-        converged = np.abs(delta) <= 15.0 * tol
-        at_cap = depth >= q.max_depth
-        accept = converged | at_cap
-        if np.any(accept):
-            total += float(np.sum(s_left[accept] + s_right[accept] + delta[accept] / 15.0))
-            err_total += float(np.sum(np.abs(delta[accept]) / 15.0))
-            if np.any(at_cap & ~converged):
-                depth_exceeded = True
-
-        split = ~accept
-        if not np.any(split):
-            break
-        half = 0.5 * width[split]
-        half_tol = 0.5 * tol[split]
-        child_depth = depth[split] + 1
-        # Each split segment becomes a left child [l, m] and a right child
-        # [m, r]; the quarter-point values become the children's midpoints.
-        left = np.concatenate([left[split], left[split] + half])
-        width = np.concatenate([half, half])
-        new_fl = np.concatenate([fl[split], fm[split]])
-        new_fm = np.concatenate([flm[split], frm[split]])
-        new_fr = np.concatenate([fm[split], fr[split]])
-        fl, fm, fr = new_fl, new_fm, new_fr
-        tol = np.concatenate([half_tol, half_tol])
-        depth = np.concatenate([child_depth, child_depth])
-
-    return QuadratureResult(total, err_total, depth_exceeded, n_eval)

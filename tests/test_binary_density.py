@@ -7,7 +7,11 @@ with the density and with an empirical CDF), and tail behavior near a = 1.
 The reference density here is deliberately naive: scipy beta pdfs and scipy
 quadrature glued to the public xi/xi_partial_a inversion. It shares no
 integration code with the production path, so agreement checks the whole
-change-of-variables pipeline, not one implementation against itself.
+change-of-variables pipeline, not one implementation against itself. The
+reference CDF is the adaptive Simpson route the package used before its
+fixed Gauss-Kronrod rule; it converges at small counts only. At counts
+where it does not, the CDF and the density curve are checked against
+Monte Carlo quantiles of seeded numpy Dirichlet draws.
 """
 
 import math
@@ -18,6 +22,9 @@ import scipy.integrate
 import scipy.stats
 
 from ambiq.binary_density import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_WEIGHTS,
+    _NODES,
     BinaryCounts,
     density_curve,
     density_integral,
@@ -28,9 +35,40 @@ from ambiq.binary_density import (
     xi_partial_a,
 )
 from ambiq.exceptions import DomainError
-from ambiq.measures import MeasureKind, ProbabilityVector, ambiguity
-from ambiq.numerics import DirichletParams, Quadrature, make_generator
+from ambiq.measures import MeasureKind, ProbabilityVector, ambiguity, ambiguity_array
+from ambiq.numerics import (
+    BetaParams,
+    DirichletParams,
+    beta_pdf,
+    make_generator,
+    regularized_incomplete_beta,
+)
 from ambiq.posterior_analytics import expected_amb, expected_amb_modified
+from quadrature_oracle import Quadrature, adaptive_simpson
+
+# Count vectors of acceptance criterion 05.
+SMALL_COUNTS = [
+    BinaryCounts(0, 0, 0),
+    BinaryCounts(1, 0, 0),
+    BinaryCounts(2, 2, 0),
+    BinaryCounts(4, 1, 0),
+    BinaryCounts(3, 2, 1),
+    BinaryCounts(10, 1, 1),
+    BinaryCounts(5, 5, 2),
+    BinaryCounts(8, 0, 3),
+    BinaryCounts(12, 3, 2),
+    BinaryCounts(30, 0, 0),
+]
+
+# Count vectors whose posterior peak is narrow enough that a quadrature
+# blind to where the integrand concentrates reads CDF and density ~0 there.
+LARGE_COUNTS = [
+    BinaryCounts(3000, 2000, 500),
+    BinaryCounts(6000, 4000, 1000),
+    BinaryCounts(285, 1032, 1),
+    BinaryCounts(260, 204, 298),
+]
+LEVELS = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
 
 
 def reference_density(a, counts, beta, measure):
@@ -58,6 +96,41 @@ def reference_density(a, counts, beta, measure):
         lambda s: 2 * s * integrand(a - s * s), eps, math.sqrt(a - mid), limit=300
     )
     return left + right
+
+
+def simpson_cdf(a, counts, beta, measure):
+    """The CDF by adaptive Simpson on u = end -/+ s**2 over both halves of
+    [lower_bound(a), a], with per-half absolute tolerance 5e-9."""
+    cond = BetaParams(counts.n_plus + beta, counts.n_minus + beta)
+    cs = BetaParams(counts.n_cs + beta, counts.n_plus + counts.n_minus + 2 * beta)
+    lo = lower_bound(a, measure)
+
+    def integrand(u):
+        root = xi(a, u, measure)
+        tails = (
+            regularized_incomplete_beta(cond, root)
+            + 1.0
+            - regularized_incomplete_beta(cond, 1.0 - root)
+        )
+        return beta_pdf(cs, u) * tails
+
+    mid = 0.5 * (lo + a)
+    half = Quadrature(tol=5e-9)
+    left = adaptive_simpson(
+        lambda s: integrand(lo + s * s) * 2 * s, 1e-8, math.sqrt(mid - lo), half
+    )
+    right = adaptive_simpson(
+        lambda s: integrand(a - s * s) * 2 * s, 1e-8, math.sqrt(a - mid), half
+    )
+    return regularized_incomplete_beta(cs, lo) + left.value + right.value
+
+
+def mc_quantiles(counts, measure, seed):
+    """Quantiles at LEVELS of 200k posterior draws (numpy PCG64, prior 1)."""
+    rng = np.random.default_rng(seed)
+    alpha = [counts.n_plus + 1.0, counts.n_minus + 1.0, counts.n_cs + 1.0]
+    draws = rng.dirichlet(alpha, size=200_000)
+    return np.quantile(ambiguity_array(draws[:, :2], draws[:, 2], measure), LEVELS)
 
 
 def mixture_vector(a, u, measure):
@@ -162,11 +235,8 @@ class TestNormalization:
 class TestAgainstReferenceRoute:
     @pytest.mark.parametrize(
         "counts,beta",
-        [
-            (BinaryCounts(3, 2, 1), 1.0),
-            (BinaryCounts(0, 0, 0), 0.5),
-            (BinaryCounts(12, 3, 2), 2.0),
-        ],
+        [(counts, 1.0) for counts in SMALL_COUNTS]
+        + [(BinaryCounts(0, 0, 0), 0.5), (BinaryCounts(12, 3, 2), 2.0)],
     )
     @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
     def test_density_agrees(self, counts, beta, measure):
@@ -195,16 +265,6 @@ class TestDensityEdges:
             ]
             assert all(v >= 0.0 for v in values)
             assert all(math.isfinite(v) for v in values)
-
-    def test_quadrature_override_threads_through(self):
-        counts = BinaryCounts(3, 2, 1)
-        loose = posterior_density_binary(
-            0.4, counts, quadrature=Quadrature(tol=1e-4, max_depth=30)
-        )
-        tight = posterior_density_binary(
-            0.4, counts, quadrature=Quadrature(tol=1e-10, max_depth=50)
-        )
-        assert loose == pytest.approx(tight, rel=1e-3)
 
 
 class TestTailBehavior:
@@ -274,6 +334,53 @@ class TestCdf:
                 )
 
 
+class TestPanelRule:
+    def test_gauss_part_is_the_10_point_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        used = _GAUSS_WEIGHTS > 0.0
+        np.testing.assert_allclose(_NODES[used], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_GAUSS_WEIGHTS[used], weights, rtol=0, atol=1e-15)
+
+    def test_kronrod_rule_exact_through_degree_31(self):
+        # The Kronrod extension of the Gauss nodes is unique, so exactness
+        # through degree 3n + 1 = 31 pins down the whole table.
+        assert np.all(np.diff(_NODES) > 0.0)
+        for degree in range(32):
+            exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+            assert _KRONROD_WEIGHTS @ _NODES**degree == pytest.approx(exact, abs=1e-14)
+
+
+class TestAgainstAdaptiveRoute:
+    @pytest.mark.parametrize("counts", SMALL_COUNTS)
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_cdf_agrees(self, counts, measure):
+        for a in (0.02, 0.2, 0.45, 0.5, 0.55, 0.8, 0.98):
+            mine = posterior_cdf_binary(a, counts, measure=measure)
+            assert mine == pytest.approx(simpson_cdf(a, counts, 1.0, measure), abs=1e-7)
+
+
+class TestLargeCounts:
+    @pytest.mark.parametrize("counts", LARGE_COUNTS)
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_cdf_at_mc_quantiles(self, counts, measure):
+        # 200k draws put the ECDF standard error at most 0.0012; 0.005 is
+        # about four of them.
+        quantiles = mc_quantiles(counts, measure, seed=counts.total)
+        cdf = [posterior_cdf_binary(float(a), counts, measure=measure) for a in quantiles]
+        np.testing.assert_allclose(cdf, LEVELS, atol=0.005)
+
+    @pytest.mark.parametrize("counts", LARGE_COUNTS)
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_curve_mass_between_mc_quantiles(self, counts, measure):
+        quantiles = mc_quantiles(counts, measure, seed=counts.total + 1)
+        grid, values = density_curve(counts, measure=measure)
+        cumulative = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))]
+        )
+        mass = np.diff(np.interp(quantiles, grid, cumulative))
+        np.testing.assert_allclose(mass, np.diff(LEVELS), atol=0.01)
+
+
 class TestDensityCurve:
     def test_shapes_and_grid(self):
         counts = BinaryCounts(2, 1, 1)
@@ -286,6 +393,16 @@ class TestDensityCurve:
     def test_new_grid_contains_kink(self):
         grid, _ = density_curve(BinaryCounts(1, 1, 0), n_points=64)
         assert 0.5 in grid
+
+    def test_half_the_points_cover_the_bulk(self):
+        counts = BinaryCounts(3000, 2000, 500)
+        posterior = DirichletParams(proper=(3001.0, 2001.0), cs=501.0)
+        mean = expected_amb(posterior)
+        grid, _ = density_curve(counts, n_points=512)
+        assert 0.0 < grid[0] and grid[-1] < 1.0
+        assert 0.5 in grid
+        near = np.abs(grid - mean) < 0.05
+        assert np.count_nonzero(near) >= 256
 
     def test_deterministic(self):
         counts = BinaryCounts(2, 1, 1)

@@ -1,6 +1,6 @@
 """Numerics layer: special functions against scipy oracles, Beta/Dirichlet
 moment helpers against closed forms, the Philox generator contract, the
-gamma-method Dirichlet sampler, and adaptive Simpson quadrature.
+gamma-method Dirichlet sampler, and the incomplete-beta batch stop rule.
 
 scipy appears only here and in sibling test modules as an independent
 oracle; the package itself never imports it.
@@ -17,9 +17,6 @@ from ambiq.exceptions import DomainError
 from ambiq.numerics import (
     BetaParams,
     DirichletParams,
-    Quadrature,
-    QuadratureResult,
-    adaptive_simpson,
     beta_mixed_expectation,
     beta_moment,
     beta_pdf,
@@ -150,6 +147,18 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(BetaParams(1.0, 1.0), xs), xs, atol=1e-15
         )
 
+    def test_large_batch_converges_like_its_elements(self):
+        # An element must stop at its own convergence: left iterating, it
+        # jitters by a few ulps, and a large batch then never meets the stop
+        # rule in one iteration although each element converges alone.
+        params = BetaParams(20001.0, 5001.0)
+        xs = np.linspace(0.75, 0.85, 200_001)
+        batch = regularized_incomplete_beta(params, xs)
+        for i in (0, 51_234, 100_000, 149_999, 200_000):
+            alone = regularized_incomplete_beta(params, float(xs[i]))
+            assert batch[i] == pytest.approx(alone, rel=1e-14, abs=1e-300)
+        np.testing.assert_allclose(batch, scipy.special.betainc(20001.0, 5001.0, xs), atol=1e-10)
+
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):
             regularized_incomplete_beta(BetaParams(1.0, 1.0), -0.1)
@@ -242,12 +251,6 @@ class TestParamValidation:
         params = DirichletParams(proper=(1.0, 2.0), cs=9.0)
         np.testing.assert_array_equal(params.as_array(), [1.0, 2.0, 9.0])
 
-    def test_quadrature_validation(self):
-        with pytest.raises(DomainError):
-            Quadrature(tol=0.0)
-        with pytest.raises(DomainError):
-            Quadrature(max_depth=0)
-
 
 class TestGenerator:
     def test_same_seed_same_stream_identical(self):
@@ -301,54 +304,3 @@ class TestDirichletSample:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(DomainError):
             dirichlet_sample(DirichletParams.symmetric(2, 1.0), 0, seed=0)
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        # Simpson with Richardson is exact through degree 5.
-        result = adaptive_simpson(lambda x: x**5 - 2 * x**3 + x, 0.0, 2.0)
-        exact = 2.0**6 / 6 - 2 * 2.0**4 / 4 + 2.0**2 / 2
-        assert result.value == pytest.approx(exact, abs=1e-12)
-
-    def test_transcendental(self):
-        result = adaptive_simpson(np.sin, 0.0, math.pi)
-        assert result.value == pytest.approx(2.0, abs=1e-10)
-        assert not result.depth_exceeded
-        assert result.error_estimate <= 1e-8
-
-    def test_sharp_peak(self):
-        # Narrow Gaussian bump: forces real refinement.
-        def f(x):
-            return np.exp(-((x - 0.5) ** 2) / 2e-6)
-
-        result = adaptive_simpson(f, 0.0, 1.0, Quadrature(tol=1e-10))
-        exact = math.sqrt(2e-6 * math.pi)  # erf mass outside [0,1] is negligible
-        assert result.value == pytest.approx(exact, rel=1e-7)
-        assert result.n_evaluations > 100
-
-    def test_tolerance_controls_effort(self):
-        loose = adaptive_simpson(np.sin, 0.0, math.pi, Quadrature(tol=1e-3))
-        tight = adaptive_simpson(np.sin, 0.0, math.pi, Quadrature(tol=1e-12))
-        assert tight.n_evaluations > loose.n_evaluations
-
-    def test_depth_cap_flagged_not_raised(self):
-        # A discontinuity can never meet a tiny tolerance; the flag must be
-        # set while a finite estimate is still returned.
-        def step(x):
-            return np.where(x < 1.0 / 3.0, 0.0, 1.0)
-
-        result = adaptive_simpson(step, 0.0, 1.0, Quadrature(tol=1e-14, max_depth=8))
-        assert result.depth_exceeded
-        assert result.value == pytest.approx(2.0 / 3.0, abs=1e-2)
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(DomainError):
-            adaptive_simpson(np.sin, 1.0, 0.0)
-
-    def test_empty_interval(self):
-        result = adaptive_simpson(np.sin, 0.5, 0.5)
-        assert result == QuadratureResult(0.0, 0.0, False, 0)
-
-    def test_float_conversion(self):
-        result = adaptive_simpson(lambda x: np.ones_like(x), 0.0, 3.0)
-        assert float(result) == pytest.approx(3.0, abs=1e-12)
