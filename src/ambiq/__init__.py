@@ -11,14 +11,12 @@ summaries, and an exact posterior density for binary tasks.
 from .exceptions import *  # noqa: F401,F403
 from .measures import (  # noqa: F401
     CategorySchema,
-    ConditionalVector,
     MeasureKind,
     ProbabilityVector,
     ambiguity,
     ambiguity_modified,
     ambiguity_new,
     ambiguity_old,
-    conditional_vector,
     modified_from_new,
     normalized_entropy,
 )
@@ -44,9 +42,13 @@ from .posterior_analytics import (  # noqa: F401
 )
 from .posterior_sampling import (  # noqa: F401
     DensityEstimate,
+    MeasureSummary,
     PosteriorSummary,
     density_with_uncertainty,
     histogram_mode,
+    posterior_mean_sd,
+    posterior_summaries,
+    posterior_summary,
     sample_transformed,
     summarize,
 )
@@ -58,7 +60,6 @@ from .binary_density import (  # noqa: F401
     posterior_cdf_binary,
     posterior_density_binary,
     xi,
-    xi_partial_a,
 )
 from .frequentist import (  # noqa: F401
     BiasSeries,

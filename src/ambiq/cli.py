@@ -53,6 +53,7 @@ from .posterior_analytics import posterior_moments, posterior_update
 from .posterior_sampling import (
     density_with_uncertainty,
     histogram_mode,
+    posterior_mean_sd,
     sample_transformed,
     summarize,
 )
@@ -367,12 +368,7 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
         rng = make_generator(seed, (index,))
         proper, cs = _dirichlet_draws(prior, args.mc_samples, rng)
         values = ambiguity_array(proper, cs, measure)
-        if measure is MeasureKind.OLD:
-            mean = float(values.mean())
-            sd = float(values.std())
-        else:
-            moments = posterior_moments(prior, measure)
-            mean, sd = moments.mean, moments.sd
+        mean, sd = posterior_mean_sd(prior, measure, values)
         per_beta.append(
             {"beta": beta, "mean": mean, "sd": sd, "mode": histogram_mode(values)}
         )

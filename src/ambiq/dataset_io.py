@@ -18,21 +18,17 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exceptions import (
     DataFileError,
     DomainError,
     EmptyFile,
     MalformedRow,
     MissingField,
-    TooFewSamples,
     UnknownLabel,
 )
-from .frequentist import CountVector, plugin_estimate
-from .measures import CategorySchema, MeasureKind, ambiguity_array
-from .numerics import DirichletParams, _dirichlet_draws, make_generator
-from .posterior_analytics import expected_amb, expected_amb_modified, posterior_update
+from .frequentist import CountVector
+from .measures import CategorySchema, MeasureKind
+from .posterior_sampling import posterior_summaries
 
 __all__ = [
     "AnnotationRecord",
@@ -47,7 +43,6 @@ __all__ = [
 
 _FORMATS = ("jsonl", "csv")
 _RANK_KEYS = ("plugin", "posterior_mean")
-_MIN_MC_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -243,66 +238,39 @@ def score_items(
 ) -> list[ItemReport]:
     """Score every item: plug-in point estimates plus posterior summaries.
 
-    Posterior means are closed-form where available and Monte Carlo for
-    total variation; spreads and equal-tailed intervals always come from
-    one MC sample per item, shared across measures. Item i (in item_id
-    order) draws from the stream (seed, spawn i), so results depend only
-    on (input, seed), never on scoring order.
+    Each item gets posterior_summary of its count vector, computed once
+    per distinct vector by posterior_summaries: means and sds are exact
+    for the quadratic measures and Monte Carlo for total variation, and
+    equal-tailed intervals come from one MC sample per count vector,
+    shared across measures. That sample is drawn from the stream
+    (seed, (C, *proper, cs)), keyed on the counts, so items with equal
+    counts get equal reports, and a report depends only on the item's
+    counts and the scoring settings, never on the other items or the
+    scoring order.
 
     Raises:
         TooFewSamples: mc_samples below 1000.
+        DomainError: credible_mass outside (0, 1), a nonpositive prior, or
+            no measures.
     """
-    if mc_samples < _MIN_MC_SAMPLES:
-        raise TooFewSamples(f"mc_samples must be at least {_MIN_MC_SAMPLES}")
-    if not 0.0 < credible_mass < 1.0:
-        raise DomainError(f"credible mass {credible_mass!r} outside (0, 1)")
-    if prior_beta <= 0.0:
-        raise DomainError(f"prior concentration must be positive, got {prior_beta!r}")
-    measures = tuple(measures)
-    if not measures:
-        raise DomainError("need at least one measure")
-    tail = 0.5 * (1.0 - credible_mass)
-
+    summaries = posterior_summaries(
+        items.values(), prior_beta, measures, mc_samples, credible_mass, seed
+    )
     reports = []
-    for index, (item_id, counts) in enumerate(sorted(items.items())):
-        posterior = posterior_update(
-            DirichletParams.symmetric(counts.n_proper, prior_beta), counts
-        )
-        rng = make_generator(seed, (index,))
-        proper, cs = _dirichlet_draws(posterior, mc_samples, rng)
-        n_total = counts.total
-
-        plugin: dict[str, float | None] = {}
-        mean: dict[str, float] = {}
-        sd: dict[str, float] = {}
-        lo: dict[str, float] = {}
-        hi: dict[str, float] = {}
-        for measure in measures:
-            name = measure.value
-            values = ambiguity_array(proper, cs, measure)
-            plugin[name] = None if n_total == 0 else plugin_estimate(counts, measure)
-            if measure is MeasureKind.NEW:
-                mean[name] = expected_amb(posterior)
-            elif measure is MeasureKind.MODIFIED:
-                mean[name] = expected_amb_modified(posterior)
-            else:
-                mean[name] = float(values.mean())
-            sd[name] = float(values.std())
-            q_lo, q_hi = np.quantile(values, [tail, 1.0 - tail])
-            lo[name], hi[name] = float(q_lo), float(q_hi)
-
+    for item_id, counts in sorted(items.items()):
+        summary = summaries[counts]
         reports.append(
             ItemReport(
                 item_id=item_id,
                 counts=counts,
-                n_total=n_total,
-                prior_only=n_total == 0,
+                n_total=counts.total,
+                prior_only=counts.total == 0,
                 credible_mass=credible_mass,
-                plugin=plugin,
-                posterior_mean=mean,
-                posterior_sd=sd,
-                credible_lo=lo,
-                credible_hi=hi,
+                plugin={name: s.plugin for name, s in summary.items()},
+                posterior_mean={name: s.mean for name, s in summary.items()},
+                posterior_sd={name: s.sd for name, s in summary.items()},
+                credible_lo={name: s.credible_lo for name, s in summary.items()},
+                credible_hi={name: s.credible_hi for name, s in summary.items()},
             )
         )
     return reports

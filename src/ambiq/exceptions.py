@@ -9,11 +9,8 @@ __all__ = [
     "AmbiqError",
     "DomainError",
     "ShapeMismatch",
-    "DegenerateCsMass",
     "SingleCategoryUnsupported",
     "NonFiniteIntegrand",
-    "SingularPoint",
-    "DepthExceeded",
     "EmptySample",
     "TooFewSamples",
     "TooLarge",
@@ -38,12 +35,6 @@ class ShapeMismatch(AmbiqError, ValueError):
     """Two structured values that must share a category layout do not."""
 
 
-class DegenerateCsMass(AmbiqError, ValueError):
-    """The can't-solve probability is (numerically) 1, so the conditional
-    vector over proper categories does not exist. Callers that can handle
-    total unsolvability must special-case before conditioning."""
-
-
 class SingleCategoryUnsupported(AmbiqError, ValueError):
     """The operation needs at least two categories (a C/(C-1) or ln M
     normalization is undefined at C = 1 or M = 1)."""
@@ -51,19 +42,6 @@ class SingleCategoryUnsupported(AmbiqError, ValueError):
 
 class NonFiniteIntegrand(AmbiqError, ArithmeticError):
     """The integrand returned NaN or infinity inside the integration range."""
-
-
-class SingularPoint(AmbiqError, ArithmeticError):
-    """Evaluation requested exactly at a point where the expression is
-    singular (denominator underflows)."""
-
-
-class DepthExceeded(AmbiqError, ArithmeticError):
-    """Adaptive refinement hit its recursion cap.
-
-    Not raised by quadrature itself (which returns the estimate with a
-    warning flag); available for callers that want to escalate the flag.
-    """
 
 
 class EmptySample(AmbiqError, ValueError):

@@ -31,8 +31,8 @@ from .measures import (
     ambiguity_new,
 )
 from .numerics import DirichletParams, _dirichlet_draws, ln_gamma, make_generator
-from .posterior_analytics import expected_amb, expected_amb_modified, posterior_update
-from .posterior_sampling import histogram_mode
+from .posterior_analytics import posterior_update
+from .posterior_sampling import histogram_mode, posterior_mean_sd
 
 __all__ = [
     "CountVector",
@@ -211,14 +211,6 @@ def _posterior_for(counts: CountVector, prior_beta: float) -> DirichletParams:
     return posterior_update(prior, counts)
 
 
-def _bayes_mean(post: DirichletParams, measure: MeasureKind, values) -> float:
-    if measure is MeasureKind.NEW:
-        return expected_amb(post)
-    if measure is MeasureKind.MODIFIED:
-        return expected_amb_modified(post)
-    return float(np.mean(values))
-
-
 def bayes_point_estimates(
     counts: CountVector,
     prior_beta: float = 1.0,
@@ -238,7 +230,8 @@ def bayes_point_estimates(
     rng = make_generator(seed)
     proper, cs = _dirichlet_draws(post, mc_samples, rng)
     values = ambiguity_array(proper, cs, measure)
-    return _bayes_mean(post, measure, values), histogram_mode(values)
+    mean, _ = posterior_mean_sd(post, measure, values)
+    return mean, histogram_mode(values)
 
 
 def _estimator_label(name: str, prior_beta: float) -> str:
@@ -320,7 +313,7 @@ def bias_curve(
                 cv = _row_counts(row, n_cat)
                 post = _posterior_for(cv, prior_beta)
                 if name == "bayes_mean" and measure is not MeasureKind.OLD:
-                    estimates[r] = _bayes_mean(post, measure, None)
+                    estimates[r], _ = posterior_mean_sd(post, measure)
                 else:
                     sub = make_generator(seed, (n_index, r))
                     proper, cs = _dirichlet_draws(post, mc_samples_mode, sub)

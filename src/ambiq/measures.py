@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import (
-    DegenerateCsMass,
     DomainError,
     InternalConsistencyError,
     SingleCategoryUnsupported,
@@ -42,9 +41,7 @@ __all__ = [
     "SIMPLEX_TOLERANCE",
     "CategorySchema",
     "ProbabilityVector",
-    "ConditionalVector",
     "MeasureKind",
-    "conditional_vector",
     "ambiguity_new",
     "ambiguity_modified",
     "modified_from_new",
@@ -154,48 +151,6 @@ class ProbabilityVector:
     def is_degenerate(self) -> bool:
         """True when effectively all mass sits on can't-solve."""
         return self.cs >= DEGENERACY_THRESHOLD
-
-
-@dataclass(frozen=True)
-class ConditionalVector:
-    """Distribution over proper categories after removing can't-solve mass.
-
-    Construct via :func:`conditional_vector`; direct construction still
-    validates the simplex constraint.
-    """
-
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if len(self.p) < 1:
-            raise DomainError("need at least one proper category")
-        _check_simplex(self.p, "conditional vector")
-
-    @property
-    def n_proper(self) -> int:
-        return len(self.p)
-
-
-def conditional_vector(q: ProbabilityVector) -> ConditionalVector:
-    """Conditional distribution over proper categories: p_k = q_k / (1 - q_cs).
-
-    Raises:
-        DegenerateCsMass: when q_cs is numerically 1, in which case no
-            conditional distribution exists and callers must special-case.
-    """
-    if q.cs >= DEGENERACY_THRESHOLD:
-        raise DegenerateCsMass(
-            f"conditional vector undefined: q_cs = {q.cs!r} is numerically 1"
-        )
-    scale = 1.0 - q.cs
-    p = tuple(v / scale for v in q.proper)
-    total = math.fsum(p)
-    # Renormalize the last ulps so the constructor's simplex check passes on
-    # inputs that are valid but sit at the tolerance edge.
-    if total != 1.0 and abs(total - 1.0) <= SIMPLEX_TOLERANCE:
-        p = tuple(v / total for v in p)
-    return ConditionalVector(p)
 
 
 def _finalize(value: float, what: str) -> float:
@@ -310,8 +265,6 @@ def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:
 
 
 def _entries(p) -> tuple[float, ...]:
-    if isinstance(p, ConditionalVector):
-        return p.p
     if isinstance(p, ProbabilityVector):
         return p.proper + (p.cs,)
     entries = tuple(float(v) for v in p)
@@ -322,9 +275,9 @@ def _entries(p) -> tuple[float, ...]:
 def normalized_entropy(p) -> float:
     """Shannon entropy divided by its maximum ln M, in [0, 1].
 
-    Accepts a :class:`ConditionalVector` (M = C), a
-    :class:`ProbabilityVector` (M = C + 1, the can't-solve entry counts as a
-    category), or any simplex sequence. Uses the convention 0 ln(1/0) = 0.
+    Accepts a :class:`ProbabilityVector` (M = C + 1, the can't-solve entry
+    counts as a category) or any simplex sequence (M = its length). Uses the
+    convention 0 ln(1/0) = 0.
 
     Raises:
         SingleCategoryUnsupported: for M = 1 (ln 1 = 0 normalization).

@@ -30,8 +30,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "beta_moment",
     "beta_variance",
-    "beta_mixed_expectation",
-    "dirichlet_mixed_moment",
     "make_generator",
     "dirichlet_sample",
 ]
@@ -376,57 +374,6 @@ def beta_variance(params: BetaParams) -> float:
     return a * b / (s * s * (s + 1.0))
 
 
-def beta_mixed_expectation(params: BetaParams) -> float:
-    """E[pi (1 - pi)] under Beta(alpha, beta): ab / ((a+b)(a+b+1))."""
-    a, b = params.alpha, params.beta
-    s = a + b
-    return a * b / (s * (s + 1.0))
-
-
-def dirichlet_mixed_moment(
-    params: DirichletParams, k: int, l: int, s: int, t: int
-) -> float:
-    """Mixed moment E[p_k^s p_l^t] of the Dirichlet over the proper entries.
-
-    The distribution here is Dir(alpha_1..alpha_C) over the conditional
-    vector p, so the normalizing total is the sum of proper concentrations
-    only. Indices are 0-based. The two cases share the denominator
-    prod_{i<s+t} (total+i); for k == l the numerator is the single rising
-    factorial prod_{i<s+t} (alpha_k+i), otherwise the product of the two
-    separate rising factorials.
-
-    Raises:
-        IndexError: for k or l outside 0..C-1.
-        DomainError: for negative s or t.
-    """
-    n_cat = params.n_proper
-    if not (0 <= k < n_cat):
-        raise IndexError(f"category index k={k} out of range for C={n_cat}")
-    if not (0 <= l < n_cat):
-        raise IndexError(f"category index l={l} out of range for C={n_cat}")
-    if s < 0 or t < 0:
-        raise DomainError(f"moment orders must be nonnegative; got s={s}, t={t}")
-    if s + t == 0:
-        return 1.0
-    total = math.fsum(params.proper)
-    denom = 1.0
-    for i in range(s + t):
-        denom *= total + i
-    if k == l:
-        numer = 1.0
-        ak = params.proper[k]
-        for i in range(s + t):
-            numer *= ak + i
-    else:
-        numer = 1.0
-        ak, al = params.proper[k], params.proper[l]
-        for i in range(s):
-            numer *= ak + i
-        for j in range(t):
-            numer *= al + j
-    return numer / denom
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -445,16 +392,21 @@ def make_generator(seed: int, stream: Sequence[int] = ()) -> np.random.Generator
 
 
 def _dirichlet_draws(
-    params: DirichletParams, count: int, rng: np.random.Generator
+    params: DirichletParams,
+    count: int,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` Dirichlet vectors via the gamma method using `rng`.
 
     Returns (proper, cs) with shapes (count, C) and (count,). Independent
     Gamma(alpha_i, 1) draws normalized by their sum; numpy's standard_gamma
-    covers alpha < 1 internally.
+    covers alpha < 1 internally. A float array `out` of shape (count, C + 1)
+    receives the draws instead of a new array, and the results are views
+    of it; the values are the same either way.
     """
     alpha = params.as_array()
-    g = rng.standard_gamma(alpha, size=(count, alpha.size))
+    g = rng.standard_gamma(alpha, size=(count, alpha.size), out=out)
     g /= g.sum(axis=1, keepdims=True)
     return g[:, :-1], g[:, -1]
 

@@ -5,26 +5,42 @@ from Dir(params), push them through an ambiguity measure, and summarize
 the resulting scalar sample. Streams are derived from a single user seed
 with explicit spawn keys, so any repeat structure is reproducible without
 coordination between callers.
+
+posterior_summary is the per-count-vector form of that pipeline: one
+sample per count vector, drawn from a stream keyed on the counts
+themselves, feeds every measure's interval, while the quadratic measures
+take their mean and sd from the closed forms. Its result depends only on
+(counts, prior, measures, sample size, credible mass, seed), so
+posterior_summaries computes it once per distinct count vector of a
+whole file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
-from .measures import MeasureKind, ambiguity_array
+from .measures import MeasureKind, ambiguity, ambiguity_array
 from .numerics import DirichletParams, _dirichlet_draws, make_generator
+from .posterior_analytics import posterior_moments, posterior_update
+
+if TYPE_CHECKING:
+    from .frequentist import CountVector
 
 __all__ = [
     "PosteriorSummary",
+    "MeasureSummary",
     "DensityEstimate",
     "MODE_BINS",
     "sample_transformed",
     "summarize",
     "histogram_mode",
+    "posterior_mean_sd",
+    "posterior_summary",
+    "posterior_summaries",
     "density_with_uncertainty",
 ]
 
@@ -62,6 +78,23 @@ class PosteriorSummary:
         values = [self.quantiles[p] for p in levels]
         if any(b < a for a, b in zip(values, values[1:])):
             raise DomainError("quantile values not monotone in level")
+
+
+@dataclass(frozen=True)
+class MeasureSummary:
+    """Posterior summary of one measure for one count vector.
+
+    plugin is the measure at the empirical frequencies, None for a count
+    vector with no annotations. mean and sd are exact for the quadratic
+    measures and sample moments for total variation; the equal-tailed
+    credible interval always comes from the Monte Carlo sample.
+    """
+
+    plugin: float | None
+    mean: float
+    sd: float
+    credible_lo: float
+    credible_hi: float
 
 
 @dataclass(frozen=True)
@@ -160,6 +193,126 @@ def summarize(
         quantiles=quantiles,
         credible_interval=(float(lo), float(hi), float(credible_mass)),
     )
+
+
+def posterior_mean_sd(
+    params: DirichletParams,
+    measure: MeasureKind,
+    values: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """(mean, sd) of a measure under Dir(params).
+
+    The quadratic measures use the closed-form moments and ignore values;
+    total variation has none, so its mean and sd are the moments of the
+    Monte Carlo sample `values`, drawn from Dir(params) by the caller.
+    """
+    if measure is MeasureKind.OLD:
+        if values is None:
+            raise DomainError("the total-variation measure needs a Monte Carlo sample")
+        return float(values.mean()), float(values.std())
+    moments = posterior_moments(params, measure)
+    return moments.mean, moments.sd
+
+
+def posterior_summary(
+    counts: "CountVector",
+    prior_beta: float = 1.0,
+    measures: Sequence[MeasureKind] = (
+        MeasureKind.NEW,
+        MeasureKind.MODIFIED,
+        MeasureKind.OLD,
+    ),
+    mc_samples: int = 20_000,
+    credible_mass: float = 0.95,
+    seed: int = 0,
+) -> dict[str, MeasureSummary]:
+    """Plug-in value and posterior summary of each measure for one count vector.
+
+    The posterior is Dir(prior_beta + counts) under a symmetric prior. One
+    sample of mc_samples posterior vectors serves every measure: it gives
+    the equal-tailed interval of each, and the mean and sd of total
+    variation; the quadratic measures take their mean and sd from the
+    closed forms. The sample comes from the stream (seed, (C, *proper,
+    cs)), keyed on the counts, so equal count vectors get equal summaries
+    wherever they occur. Returns one MeasureSummary per measure, keyed by
+    measure name, in the order given.
+
+    Raises:
+        TooFewSamples: mc_samples below 1000.
+        DomainError: credible_mass outside (0, 1), a nonpositive prior, or
+            no measures.
+    """
+    summaries = posterior_summaries(
+        (counts,), prior_beta, measures, mc_samples, credible_mass, seed
+    )
+    return summaries[counts]
+
+
+def posterior_summaries(
+    count_vectors: Iterable["CountVector"],
+    prior_beta: float = 1.0,
+    measures: Sequence[MeasureKind] = (
+        MeasureKind.NEW,
+        MeasureKind.MODIFIED,
+        MeasureKind.OLD,
+    ),
+    mc_samples: int = 20_000,
+    credible_mass: float = 0.95,
+    seed: int = 0,
+) -> dict["CountVector", dict[str, MeasureSummary]]:
+    """posterior_summary of each distinct count vector, keyed by count vector.
+
+    Each distinct vector is summarized once, with the result
+    posterior_summary gives for it alone. The vectors draw their samples
+    into one shared array per number of categories, so summarizing many
+    vectors does not hand each sample's memory back to the system and
+    fault it in again for the next one.
+
+    Raises:
+        TooFewSamples: mc_samples below 1000.
+        DomainError: credible_mass outside (0, 1), a nonpositive prior, or
+            no measures.
+    """
+    measures = tuple(measures)
+    if mc_samples < _MIN_SAMPLES:
+        raise TooFewSamples(f"mc_samples must be at least {_MIN_SAMPLES}")
+    if not 0.0 < credible_mass < 1.0:
+        raise DomainError(f"credible mass {credible_mass!r} outside (0, 1)")
+    if prior_beta <= 0.0:
+        raise DomainError(f"prior concentration must be positive, got {prior_beta!r}")
+    if not measures:
+        raise DomainError("need at least one measure")
+    tail = 0.5 * (1.0 - credible_mass)
+    buffers: dict[int, np.ndarray] = {}
+    summaries = {}
+    for counts in count_vectors:
+        if counts in summaries:
+            continue
+        buffer = buffers.get(counts.n_proper)
+        if buffer is None:
+            buffer = buffers[counts.n_proper] = np.empty((mc_samples, counts.n_proper + 1))
+        posterior = posterior_update(
+            DirichletParams.symmetric(counts.n_proper, prior_beta), counts
+        )
+        rng = make_generator(seed, (counts.n_proper, *counts.proper, counts.cs))
+        proper, cs = _dirichlet_draws(posterior, mc_samples, rng, out=buffer)
+        frequencies = counts.as_probability_vector() if counts.total else None
+        summary = {}
+        for measure in measures:
+            values = ambiguity_array(proper, cs, measure)
+            mean, sd = posterior_mean_sd(posterior, measure, values)
+            # values is not needed after this, so the quantile may partition
+            # it in place rather than copy it.
+            lo, hi = np.quantile(values, [tail, 1.0 - tail], overwrite_input=True)
+            summary[measure.value] = MeasureSummary(
+                plugin=None if frequencies is None else ambiguity(frequencies, measure),
+                mean=mean,
+                sd=sd,
+                credible_lo=float(lo),
+                credible_hi=float(hi),
+            )
+        summaries[counts] = summary
+    return summaries
 
 
 def density_with_uncertainty(

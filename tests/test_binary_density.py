@@ -5,9 +5,10 @@ closed-form posterior moments, the CDF (endpoints, monotonicity, agreement
 with the density and with an empirical CDF), and tail behavior near a = 1.
 
 The reference density here is deliberately naive: scipy beta pdfs and scipy
-quadrature glued to the public xi/xi_partial_a inversion. It shares no
-integration code with the production path, so agreement checks the whole
-change-of-variables pipeline, not one implementation against itself. The
+quadrature glued to the public xi inversion and the Jacobian xi_partial_a
+written out below. It shares no integration code with the production path,
+so agreement checks the whole change-of-variables pipeline, not one
+implementation against itself. The
 reference CDF is the adaptive Simpson route the package used before its
 fixed Gauss-Kronrod rule; it converges at small counts only. At counts
 where it does not, the CDF and the density curve are checked against
@@ -32,7 +33,6 @@ from ambiq.binary_density import (
     posterior_cdf_binary,
     posterior_density_binary,
     xi,
-    xi_partial_a,
 )
 from ambiq.exceptions import DomainError
 from ambiq.measures import MeasureKind, ProbabilityVector, ambiguity, ambiguity_array
@@ -69,6 +69,21 @@ LARGE_COUNTS = [
     BinaryCounts(260, 204, 298),
 ]
 LEVELS = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+
+
+def xi_partial_a(a, u, measure):
+    """Jacobian d xi / d a at fixed u, vectorized over u; the production
+    density inlines its own form of it in the substituted variable."""
+    xi(a, u, measure)  # rejects (a, u) outside the invertible region
+    one_minus_u = 1.0 - np.asarray(u, dtype=float)
+    if measure is MeasureKind.NEW:
+        denom = 2.0 * np.sqrt(np.clip(one_minus_u * (2.0 * (1.0 - a) - one_minus_u), 0.0, None))
+    else:
+        denom = 4.0 * np.sqrt((1.0 - a) * one_minus_u)
+    if np.any(denom < 1e-300):
+        raise ArithmeticError(f"d xi/d a diverges at the root-merging point for a={a!r}")
+    value = 1.0 / denom
+    return value if np.ndim(u) else float(value)
 
 
 def reference_density(a, counts, beta, measure):
@@ -219,6 +234,13 @@ class TestNormalization:
         result = density_integral(counts, prior_beta=beta, measure=measure)
         assert result.value == pytest.approx(1.0, abs=1e-6)
         assert not result.depth_exceeded
+
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_error_estimate_covers_outer_rule(self, measure):
+        # At this count the posterior peak is narrow enough that the outer
+        # 96-node rule, not the inner panels, sets the error of the mass.
+        result = density_integral(BinaryCounts(6000, 4000, 1000), measure=measure)
+        assert result.error_estimate >= abs(result.value - 1.0)
 
     def test_mean_matches_closed_form(self):
         counts = BinaryCounts(10, 1, 1)

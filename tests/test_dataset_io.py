@@ -218,6 +218,70 @@ class TestScoreItems:
         reports = score_items(items, measures=(MeasureKind.NEW,), seed=0)
         assert [r.item_id for r in reports] == ["a", "z"]
 
+    def test_equal_counts_get_equal_reports(self):
+        items = {
+            "a": CountVector(proper=(3, 1), cs=1),
+            "b": CountVector(proper=(0, 2), cs=0),
+            "c": CountVector(proper=(3, 1), cs=1),
+        }
+        a, b, c = score_items(items, seed=5)
+        assert _measure_blocks(a) == _measure_blocks(c)
+        assert _measure_blocks(a) != _measure_blocks(b)
+
+    def test_report_independent_of_other_items(self):
+        counts = CountVector(proper=(3, 1), cs=1)
+        (alone,) = score_items({"m": counts}, seed=5)
+        crowd = score_items(
+            {
+                "a": CountVector(proper=(1, 1), cs=0),
+                "m": counts,
+                "z": CountVector(proper=(0, 4), cs=2),
+            },
+            seed=5,
+        )
+        (renamed,) = score_items({"other-name": counts}, seed=5)
+        assert _measure_blocks(crowd[1]) == _measure_blocks(alone)
+        assert _measure_blocks(renamed) == _measure_blocks(alone)
+
+    def test_zero_counts_and_prior_only_items(self):
+        items = {
+            "empty": CountVector(proper=(0, 0, 0), cs=0),
+            "one-sided": CountVector(proper=(0, 5, 0), cs=0),
+            "cs-only": CountVector(proper=(0, 0, 0), cs=3),
+        }
+        reports = {r.item_id: r for r in score_items(items, seed=1)}
+        assert reports["empty"].prior_only
+        assert set(reports["empty"].plugin.values()) == {None}
+        for name in ("new", "modified", "old"):
+            assert reports["one-sided"].plugin[name] == pytest.approx(0.0, abs=1e-12)
+            assert reports["cs-only"].plugin[name] == pytest.approx(1.0, abs=1e-12)
+        for report in reports.values():
+            for name in ("new", "modified", "old"):
+                assert 0.0 <= report.credible_lo[name] <= report.credible_hi[name] <= 1.0
+                assert report.posterior_sd[name] > 0.0
+
+    def test_reruns_export_identical_bytes(self, tmp_path):
+        items = {
+            f"item{i}": CountVector(proper=(i % 3, 2), cs=i % 2) for i in range(8)
+        }
+        paths = [str(tmp_path / f"run{k}.json") for k in range(2)]
+        for path in paths:
+            export_reports(score_items(items, seed=11), path, format="json")
+        with open(paths[0], "rb") as f1, open(paths[1], "rb") as f2:
+            assert f1.read() == f2.read()
+
+
+def _measure_blocks(report):
+    """Everything a report says about its counts, without the item id."""
+    return (
+        report.counts,
+        report.plugin,
+        report.posterior_mean,
+        report.posterior_sd,
+        report.credible_lo,
+        report.credible_hi,
+    )
+
 
 @pytest.fixture(scope="module")
 def scored_reports():

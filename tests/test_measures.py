@@ -9,15 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from ambiq.exceptions import (
-    DegenerateCsMass,
-    DomainError,
-    SingleCategoryUnsupported,
-)
+from ambiq.exceptions import DomainError, SingleCategoryUnsupported
 from ambiq.measures import (
     DEGENERACY_THRESHOLD,
     CategorySchema,
-    ConditionalVector,
     MeasureKind,
     ProbabilityVector,
     ambiguity,
@@ -28,7 +23,6 @@ from ambiq.measures import (
     ambiguity_new_array,
     ambiguity_old,
     ambiguity_old_array,
-    conditional_vector,
     modified_from_new,
     normalized_entropy,
 )
@@ -198,21 +192,6 @@ class TestProbabilityVector:
         assert ProbabilityVector((0.0, 0.0), DEGENERACY_THRESHOLD).is_degenerate
 
 
-class TestConditionalVector:
-    def test_renormalizes_proper_mass(self):
-        q = ProbabilityVector((0.3, 0.3), 0.4)
-        p = conditional_vector(q)
-        np.testing.assert_allclose(p.p, (0.5, 0.5), atol=1e-15)
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateCsMass):
-            conditional_vector(ProbabilityVector((0.0, 0.0), 1.0))
-
-    def test_direct_construction_validates(self):
-        with pytest.raises(DomainError):
-            ConditionalVector((0.7, 0.7))
-
-
 class TestCategorySchema:
     def test_basic(self):
         schema = CategorySchema(labels=("yes", "no"))
@@ -243,10 +222,6 @@ class TestNormalizedEntropy:
         # M = C + 1 = 3 here, so uniform over all three entries scores 1.
         q = ProbabilityVector((1 / 3, 1 / 3), 1 / 3)
         assert normalized_entropy(q) == pytest.approx(1.0, abs=1e-12)
-
-    def test_conditional_vector_uses_proper_count(self):
-        p = conditional_vector(ProbabilityVector((0.3, 0.3), 0.4))
-        assert normalized_entropy(p) == pytest.approx(1.0, abs=1e-15)
 
     def test_single_category_rejected(self):
         with pytest.raises(SingleCategoryUnsupported):

@@ -1,4 +1,4 @@
-"""Numerics layer: special functions against scipy oracles, Beta/Dirichlet
+"""Numerics layer: special functions against scipy oracles, Beta
 moment helpers against closed forms, the Philox generator contract, the
 gamma-method Dirichlet sampler, and the incomplete-beta batch stop rule.
 
@@ -17,13 +17,11 @@ from ambiq.exceptions import DomainError
 from ambiq.numerics import (
     BetaParams,
     DirichletParams,
-    beta_mixed_expectation,
     beta_moment,
     beta_pdf,
     beta_pdf_pair,
     beta_variance,
     digamma,
-    dirichlet_mixed_moment,
     dirichlet_sample,
     ln_gamma,
     make_generator,
@@ -182,47 +180,9 @@ class TestMomentHelpers:
             via_moments = beta_moment(params, 2) - beta_moment(params, 1) ** 2
             assert direct == pytest.approx(via_moments, abs=1e-15)
 
-    def test_beta_mixed_expectation(self):
-        # E[x(1-x)] = E[x] - E[x^2]
-        params = BetaParams(1.3, 4.2)
-        assert beta_mixed_expectation(params) == pytest.approx(
-            beta_moment(params, 1) - beta_moment(params, 2), abs=1e-15
-        )
-
     def test_beta_moment_rejects_negative_order(self):
         with pytest.raises(DomainError):
             beta_moment(BetaParams(1.0, 1.0), -1)
-
-    def test_dirichlet_mixed_moment_against_formula(self):
-        params = DirichletParams(proper=(1.5, 2.5, 3.0), cs=0.7)
-        total = 7.0  # proper concentrations only; cs is not part of p
-        # E[p_0^2] = a0 (a0+1) / (total (total+1))
-        assert dirichlet_mixed_moment(params, 0, 0, 2, 0) == pytest.approx(
-            1.5 * 2.5 / (total * 8.0), abs=1e-15
-        )
-        # E[p_0 p_1] = a0 a1 / (total (total+1))
-        assert dirichlet_mixed_moment(params, 0, 1, 1, 1) == pytest.approx(
-            1.5 * 2.5 / (total * 8.0), abs=1e-15
-        )
-        # same-index path with s and t both nonzero
-        assert dirichlet_mixed_moment(params, 1, 1, 1, 1) == pytest.approx(
-            2.5 * 3.5 / (total * 8.0), abs=1e-15
-        )
-
-    def test_dirichlet_mixed_moment_against_mc(self):
-        params = DirichletParams(proper=(2.0, 1.0, 3.0), cs=1.0)
-        proper, cs = dirichlet_sample(params, 200_000, seed=42)
-        p = proper / (1.0 - cs)[:, None]
-        mc = float(np.mean(p[:, 0] ** 2 * p[:, 2]))
-        exact = dirichlet_mixed_moment(params, 0, 2, 2, 1)
-        assert mc == pytest.approx(exact, abs=4 * np.std(p[:, 0] ** 2 * p[:, 2]) / math.sqrt(200_000))
-
-    def test_dirichlet_mixed_moment_index_errors(self):
-        params = DirichletParams(proper=(1.0, 1.0), cs=1.0)
-        with pytest.raises(IndexError):
-            dirichlet_mixed_moment(params, 2, 0, 1, 0)
-        with pytest.raises(DomainError):
-            dirichlet_mixed_moment(params, 0, 1, -1, 0)
 
 
 class TestParamValidation:

@@ -1,7 +1,8 @@
 """Monte Carlo posterior layer: transformed-sample determinism and range,
 sample means against closed-form moments, scalar summaries (including the
-constant-sample mode convention), the histogram mode, and the repeat-based
-density uncertainty bands.
+constant-sample mode convention), the histogram mode, the repeat-based
+density uncertainty bands, and the per-count-vector posterior summary
+against closed forms and an independent numpy Dirichlet sample.
 """
 
 import math
@@ -10,15 +11,24 @@ import numpy as np
 import pytest
 
 from ambiq.exceptions import DomainError, TooFewSamples
-from ambiq.measures import MeasureKind
+from ambiq.frequentist import CountVector
+from ambiq.measures import MeasureKind, ambiguity, ambiguity_array
 from ambiq.numerics import DirichletParams
-from ambiq.posterior_analytics import expected_amb, expected_amb_modified, var_amb
+from ambiq.posterior_analytics import (
+    expected_amb,
+    expected_amb_modified,
+    posterior_moments,
+    var_amb,
+)
 from ambiq.posterior_sampling import (
     MODE_BINS,
     DensityEstimate,
     PosteriorSummary,
     density_with_uncertainty,
     histogram_mode,
+    posterior_mean_sd,
+    posterior_summaries,
+    posterior_summary,
     sample_transformed,
     summarize,
 )
@@ -201,3 +211,98 @@ class TestDensityWithUncertainty:
                 iqr_lo=np.ones(4),
                 iqr_hi=np.ones(4),
             )
+
+
+class TestPosteriorSummary:
+    COUNTS = CountVector(proper=(4, 0, 2), cs=1)
+    POSTERIOR = DirichletParams(proper=(5.0, 1.0, 3.0), cs=2.0)
+
+    @pytest.fixture(scope="class")
+    def summary(self):
+        return posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Independent 200k-draw sample: numpy's PCG64 Dirichlet sampler."""
+        rng = np.random.default_rng(20251018)
+        draws = rng.dirichlet(self.POSTERIOR.as_array(), size=200_000)
+        return {m.value: ambiguity_array(draws[:, :-1], draws[:, -1], m) for m in MeasureKind}
+
+    def test_quadratic_measures_take_exact_moments(self, summary):
+        for kind in (MeasureKind.NEW, MeasureKind.MODIFIED):
+            moments = posterior_moments(self.POSTERIOR, kind)
+            assert summary[kind.value].mean == pytest.approx(moments.mean, abs=1e-12)
+            assert summary[kind.value].sd == pytest.approx(moments.sd, abs=1e-12)
+
+    def test_old_moments_agree_with_independent_sample(self, summary, reference):
+        ref = reference["old"]
+        n, n_ref = 20_000, ref.size
+        sd = float(ref.std())
+        mean_se = sd * math.sqrt(1.0 / n + 1.0 / n_ref)
+        assert summary["old"].mean == pytest.approx(float(ref.mean()), abs=5 * mean_se)
+        # Standard error of a sample sd: sqrt((m4 - sd^4) / (4 sd^2 n)).
+        m4 = float(np.mean((ref - ref.mean()) ** 4))
+        sd_se = math.sqrt((m4 - sd**4) / (4 * sd**2)) * math.sqrt(1.0 / n + 1.0 / n_ref)
+        assert summary["old"].sd == pytest.approx(sd, abs=5 * sd_se)
+
+    def test_interval_bounds_agree_with_independent_sample(self, summary, reference):
+        # Checked in probability: the reference share below each bound is
+        # the nominal tail within the Monte Carlo error of both samples.
+        tail = 0.05
+        se = math.sqrt(tail * (1.0 - tail) * (1.0 / 20_000 + 1.0 / 200_000))
+        for name, ref in reference.items():
+            below_lo = float(np.mean(ref < summary[name].credible_lo))
+            above_hi = float(np.mean(ref > summary[name].credible_hi))
+            assert below_lo == pytest.approx(tail, abs=5 * se)
+            assert above_hi == pytest.approx(tail, abs=5 * se)
+
+    def test_plugin_values(self, summary):
+        q = self.COUNTS.as_probability_vector()
+        for kind in MeasureKind:
+            assert summary[kind.value].plugin == ambiguity(q, kind)
+
+    def test_stream_keyed_on_counts(self, summary):
+        again = posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
+        assert again == summary
+        other_seed = posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=5)
+        assert other_seed["old"].mean != summary["old"].mean
+
+    def test_many_vectors_match_one_at_a_time(self):
+        vectors = [
+            CountVector(proper=(2, 1), cs=0),
+            CountVector(proper=(4, 0, 2), cs=1),
+            CountVector(proper=(2, 1), cs=0),
+            CountVector(proper=(0, 3), cs=2),
+        ]
+        together = posterior_summaries(vectors, mc_samples=2000, seed=7)
+        assert list(together) == [vectors[0], vectors[1], vectors[3]]
+        for counts in vectors:
+            assert together[counts] == posterior_summary(counts, mc_samples=2000, seed=7)
+
+    def test_prior_only_counts(self):
+        out = posterior_summary(CountVector(proper=(0, 0), cs=0), measures=(MeasureKind.NEW,))
+        assert list(out) == ["new"]
+        assert out["new"].plugin is None
+        # Prior Dir(1, 1 | 1): mean 5/9.
+        assert out["new"].mean == pytest.approx(5.0 / 9.0, abs=1e-12)
+
+    def test_rejects_bad_settings(self):
+        with pytest.raises(TooFewSamples):
+            posterior_summary(self.COUNTS, mc_samples=999)
+        with pytest.raises(DomainError):
+            posterior_summary(self.COUNTS, credible_mass=1.0)
+        with pytest.raises(DomainError):
+            posterior_summary(self.COUNTS, prior_beta=0.0)
+        with pytest.raises(DomainError):
+            posterior_summary(self.COUNTS, measures=())
+
+
+class TestPosteriorMeanSd:
+    def test_old_measure_needs_a_sample(self):
+        with pytest.raises(DomainError):
+            posterior_mean_sd(PARAMS, MeasureKind.OLD)
+        values = sample_transformed(PARAMS, MeasureKind.OLD, 2000, seed=1)
+        assert posterior_mean_sd(PARAMS, MeasureKind.OLD, values) == (
+            float(values.mean()),
+            float(values.std()),
+        )
