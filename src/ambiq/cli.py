@@ -364,8 +364,12 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
     per_beta = []
     density_rows = []
     for index, beta in enumerate(betas):
+        # Beta index i owns the base seed seed + i: the table draws from its
+        # root stream and density repeat r from its substream (r,), as in
+        # `posterior`. A root stream never coincides with a substream, of
+        # its own base seed or of another's.
         prior = DirichletParams.symmetric(args.n_categories, beta)
-        rng = make_generator(seed, (index,))
+        rng = make_generator(seed + index)
         proper, cs = _dirichlet_draws(prior, args.mc_samples, rng)
         values = ambiguity_array(proper, cs, measure)
         mean, sd = posterior_mean_sd(prior, measure, values)
@@ -373,8 +377,6 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
             {"beta": beta, "mean": mean, "sd": sd, "mode": histogram_mode(values)}
         )
         if args.density is not None:
-            # Each beta gets its own base seed so repeat substreams never
-            # coincide across the table.
             estimate = density_with_uncertainty(
                 prior, measure, samples_per_repeat=args.mc_samples, seed=seed + index
             )

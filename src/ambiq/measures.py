@@ -35,6 +35,7 @@ from .exceptions import (
     InternalConsistencyError,
     SingleCategoryUnsupported,
 )
+from .numerics import _row_sums
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
@@ -304,7 +305,21 @@ def _check_array_range(values: np.ndarray, what: str) -> np.ndarray:
     hi = float(values.max(initial=1.0))
     if lo < -_CLAMP_TOLERANCE or hi > 1.0 + _CLAMP_TOLERANCE:
         raise InternalConsistencyError(f"{what} outside [0, 1]: range [{lo!r}, {hi!r}]")
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(values, 0.0, 1.0, out=values)
+
+
+def _set_degenerate_rows(out: np.ndarray, one_minus: np.ndarray) -> None:
+    """Give the measure's degenerate value 1 to the rows whose can't-solve
+    mass is at or above ``DEGENERACY_THRESHOLD`` (or NaN).
+
+    The array functions evaluate their formula on every row, so each live
+    row gets the same floats as when it is computed alone; only the rows
+    set here divided by ~0. All rows are live in the usual case, and then
+    one ``min`` replaces the mask.
+    """
+    floor = 1.0 - DEGENERACY_THRESHOLD
+    if not one_minus.min(initial=1.0) > floor:
+        out[~(one_minus > floor)] = 1.0
 
 
 def ambiguity_new_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
@@ -312,10 +327,11 @@ def ambiguity_new_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     proper = np.asarray(proper, dtype=float)
     cs = np.asarray(cs, dtype=float)
     one_minus = 1.0 - cs
-    sq = np.einsum("ij,ij->i", proper, proper)
-    out = np.ones_like(cs)
-    live = one_minus > 1.0 - DEGENERACY_THRESHOLD
-    out[live] = 1.0 - sq[live] / one_minus[live]
+    out = np.einsum("ij,ij->i", proper, proper)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= one_minus
+    np.subtract(1.0, out, out=out)
+    _set_degenerate_rows(out, one_minus)
     return _check_array_range(out, "ambiguity_new")
 
 
@@ -327,11 +343,13 @@ def ambiguity_modified_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     if n_cat < 2:
         raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
     one_minus = 1.0 - cs
-    sq = np.einsum("ij,ij->i", proper, proper)
-    out = np.ones_like(cs)
-    live = one_minus > 1.0 - DEGENERACY_THRESHOLD
-    flip = one_minus[live] - sq[live] / one_minus[live]
-    out[live] = cs[live] + n_cat / (n_cat - 1.0) * flip
+    out = np.einsum("ij,ij->i", proper, proper)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= one_minus
+        np.subtract(one_minus, out, out=out)
+        out *= n_cat / (n_cat - 1.0)
+        out += cs
+    _set_degenerate_rows(out, one_minus)
     return _check_array_range(out, "ambiguity_modified")
 
 
@@ -343,11 +361,17 @@ def ambiguity_old_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     if n_cat < 2:
         raise SingleCategoryUnsupported("old ambiguity needs C >= 2")
     one_minus = 1.0 - cs
-    out = np.ones_like(cs)
-    live = one_minus > 1.0 - DEGENERACY_THRESHOLD
-    p = proper[live] / one_minus[live, None]
-    tv = np.abs(p - 1.0 / n_cat).sum(axis=1)
-    out[live] = 1.0 - 0.5 * one_minus[live] * n_cat / (n_cat - 1.0) * tv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = proper / one_minus[:, None]
+        p -= 1.0 / n_cat
+        np.abs(p, out=p)
+        # Same left-to-right order as 1 - 0.5 * (1 - cs) * C / (C - 1) * tv.
+        out = 0.5 * one_minus
+        out *= n_cat
+        out /= n_cat - 1.0
+        out *= _row_sums(p)
+    np.subtract(1.0, out, out=out)
+    _set_degenerate_rows(out, one_minus)
     return _check_array_range(out, "ambiguity_old")
 
 

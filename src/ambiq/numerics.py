@@ -391,6 +391,22 @@ def make_generator(seed: int, stream: Sequence[int] = ()) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's add reduction sums fewer than this many contiguous elements left
+# to right; from this many up it sums them pairwise, with 8 partial sums.
+_PAIRWISE_MIN = 8
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a 2-d array, bit for bit, by adding columns
+    left to right when the rows are shorter than ``_PAIRWISE_MIN``."""
+    if x.shape[1] >= _PAIRWISE_MIN:
+        return x.sum(axis=1)
+    total = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        total += x[:, j]
+    return total
+
+
 def _dirichlet_draws(
     params: DirichletParams,
     count: int,
@@ -404,10 +420,23 @@ def _dirichlet_draws(
     covers alpha < 1 internally. A float array `out` of shape (count, C + 1)
     receives the draws instead of a new array, and the results are views
     of it; the values are the same either way.
+
+    The row sums must stay bit-identical to ``g.sum(axis=1)``, so that a
+    seed gives the same draws as before. Below 8 columns numpy adds the
+    columns of a row left to right, and adding whole columns in that order
+    gives the same floats about ten times faster on a few columns. From 8
+    columns up numpy sums pairwise, so the reduction itself is kept. The
+    division is elementwise, so dividing column by column, which is faster
+    than broadcasting on a few columns, gives the same floats too.
     """
     alpha = params.as_array()
     g = rng.standard_gamma(alpha, size=(count, alpha.size), out=out)
-    g /= g.sum(axis=1, keepdims=True)
+    total = _row_sums(g)
+    if alpha.size < _PAIRWISE_MIN:
+        for column in g.T:
+            column /= total
+    else:
+        g /= total[:, None]
     return g[:, :-1], g[:, -1]
 
 

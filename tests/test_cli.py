@@ -10,7 +10,10 @@ import json
 
 import pytest
 
+import ambiq.cli
+import ambiq.posterior_sampling
 from ambiq.cli import main
+from ambiq.numerics import _dirichlet_draws
 
 
 def run(capsys, *argv):
@@ -175,6 +178,28 @@ class TestPriorExploreCommand:
         )
         assert code == 0
         assert payload["priors"][0]["mean"] == pytest.approx(5.0 / 9.0, abs=1e-12)
+
+
+    def test_table_and_density_draw_different_streams(self, capsys, tmp_path, monkeypatch):
+        # The table's sample and every density repeat must come from their
+        # own streams: record the first drawn row of each sample.
+        first_rows = []
+
+        def recording_draws(*args, **kwargs):
+            proper, cs = _dirichlet_draws(*args, **kwargs)
+            first_rows.append((*proper[0], cs[0]))
+            return proper, cs
+
+        monkeypatch.setattr(ambiq.cli, "_dirichlet_draws", recording_draws)
+        monkeypatch.setattr(ambiq.posterior_sampling, "_dirichlet_draws", recording_draws)
+        code, _, _ = run(
+            capsys,
+            "prior-explore", "--n-categories", "3", "--betas", "0.5,1",
+            "--mc-samples", "200", "--density", str(tmp_path / "band.csv"),
+        )
+        assert code == 0
+        assert len(first_rows) == 2 + 2 * 100
+        assert len(set(first_rows)) == len(first_rows)
 
 
 class TestScoreRankPipeline:

@@ -21,9 +21,16 @@ from ambiq.frequentist import (
     expected_plugin,
     plugin_estimate,
 )
-from ambiq.measures import MeasureKind, ProbabilityVector, ambiguity_new
-from ambiq.numerics import DirichletParams
+from ambiq.measures import (
+    MeasureKind,
+    ProbabilityVector,
+    ambiguity,
+    ambiguity_array,
+    ambiguity_new,
+)
+from ambiq.numerics import DirichletParams, make_generator
 from ambiq.posterior_analytics import expected_amb, expected_amb_modified
+from ambiq.posterior_sampling import MODE_BINS, posterior_mean_sd
 
 
 def random_q(rng, n_proper=2, max_cs=0.9):
@@ -254,6 +261,64 @@ class TestBiasCurve:
 
     def test_estimator_names_constant(self):
         assert ESTIMATOR_NAMES == ("plugin", "bayes_mean", "bayes_mode")
+
+
+def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode):
+    """bias_curve written out as a plain loop under a flat prior: counts
+    from the stream (seed, (n_index,)), then for each repeat a fresh
+    posterior sample from its own substream (seed, (n_index, r)), normalized
+    by numpy's row sums, and its mode from np.histogram."""
+    pvals = np.array([*q.proper, q.cs])
+    pvals = pvals / pvals.sum()
+    truth = ambiguity(q, measure)
+    labels = ("plugin", "bayes_mean(1)", "bayes_mode(1)")
+    bias = {label: [] for label in labels}
+    stderr = {label: [] for label in labels}
+    for n_index, n in enumerate(n_values):
+        if measure is MeasureKind.NEW:
+            bias["plugin"].append(expected_plugin(q, n) - truth)
+        else:
+            expectation = exhaustive_expected_estimator(
+                q, n, lambda cv: plugin_estimate(cv, measure)
+            )
+            bias["plugin"].append(expectation - truth)
+        stderr["plugin"].append(0.0)
+        draws = make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
+        means = np.empty(mc_repeats)
+        modes = np.empty(mc_repeats)
+        for r, row in enumerate(draws):
+            alpha = row + 1.0
+            g = make_generator(seed, (n_index, r)).standard_gamma(
+                alpha, size=(mc_samples_mode, alpha.size)
+            )
+            g = g / g.sum(axis=1, keepdims=True)
+            values = ambiguity_array(g[:, :-1], g[:, -1], measure)
+            if measure is MeasureKind.OLD:
+                means[r] = float(values.mean())
+            else:
+                post = DirichletParams(proper=tuple(alpha[:-1]), cs=alpha[-1])
+                means[r] = posterior_mean_sd(post, measure)[0]
+            hist, edges = np.histogram(values, bins=MODE_BINS, range=(0.0, 1.0))
+            top = int(np.argmax(hist))
+            modes[r] = float(0.5 * (edges[top] + edges[top + 1]))
+        for label, estimates in (("bayes_mean(1)", means), ("bayes_mode(1)", modes)):
+            bias[label].append(float(estimates.mean()) - truth)
+            stderr[label].append(float(estimates.std() / math.sqrt(mc_repeats)))
+    return BiasSeries(
+        n_values=tuple(n_values),
+        labels=labels,
+        bias={k: tuple(v) for k, v in bias.items()},
+        stderr={k: tuple(v) for k, v in stderr.items()},
+        measure=measure,
+    )
+
+
+@pytest.mark.parametrize("measure", list(MeasureKind))
+def test_bias_curve_equals_reference_loop(measure):
+    q = ProbabilityVector((0.5, 0.3), 0.2)
+    kwargs = dict(measure=measure, mc_repeats=6, seed=17, mc_samples_mode=2000)
+    expected = reference_bias_curve(q, (2, 7), **kwargs)
+    assert bias_curve(q, n_values=(2, 7), **kwargs) == expected
 
 
 class TestBiasSeries:

@@ -26,6 +26,7 @@ from ambiq.measures import (
     modified_from_new,
     normalized_entropy,
 )
+from ambiq.numerics import DirichletParams, dirichlet_sample
 
 
 def random_soft_labels(rng, count, n_proper, max_cs=0.95):
@@ -34,6 +35,26 @@ def random_soft_labels(rng, count, n_proper, max_cs=0.95):
     raw /= raw.sum(axis=1, keepdims=True)
     keep = raw[:, -1] <= max_cs
     return raw[keep, :-1], raw[keep, -1]
+
+
+def masked_formula(proper, cs, kind):
+    """Each measure's array formula evaluated on the live rows only, with 1
+    on the rows whose cs mass is degenerate (or NaN)."""
+    n_cat = proper.shape[1]
+    one_minus = 1.0 - cs
+    out = np.ones_like(cs)
+    live = one_minus > 1.0 - DEGENERACY_THRESHOLD
+    sq = np.einsum("ij,ij->i", proper, proper)
+    if kind is MeasureKind.NEW:
+        out[live] = 1.0 - sq[live] / one_minus[live]
+    elif kind is MeasureKind.MODIFIED:
+        flip = one_minus[live] - sq[live] / one_minus[live]
+        out[live] = cs[live] + n_cat / (n_cat - 1.0) * flip
+    else:
+        p = proper[live] / one_minus[live, None]
+        tv = np.abs(p - 1.0 / n_cat).sum(axis=1)
+        out[live] = 1.0 - 0.5 * one_minus[live] * n_cat / (n_cat - 1.0) * tv
+    return np.clip(out, 0.0, 1.0)
 
 
 class TestAmbiguityNew:
@@ -262,6 +283,26 @@ class TestArrayFastPaths:
         np.testing.assert_allclose(ambiguity_new_array(proper, cs), [1.0, 0.5])
         np.testing.assert_allclose(ambiguity_modified_array(proper, cs), [1.0, 1.0])
         np.testing.assert_allclose(ambiguity_old_array(proper, cs), [1.0, 1.0])
+
+    @pytest.mark.parametrize("n_proper", [2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("with_degenerate", [False, True])
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_same_floats_as_masked_formula(self, kind, n_proper, with_degenerate):
+        # The array functions evaluate every row and then set the
+        # degenerate ones; each row must get exactly the floats of the
+        # formula evaluated on the live rows alone.
+        params = DirichletParams(proper=(0.7,) * n_proper, cs=0.5)
+        proper, cs = dirichlet_sample(params, 5000, seed=n_proper)
+        if with_degenerate:
+            proper, cs = proper.copy(), cs.copy()
+            dead_cs = [1.0, DEGENERACY_THRESHOLD, 1.0 - 1e-13, np.nan]
+            for row, value in enumerate(dead_cs):
+                cs[row] = value
+                proper[row] = 0.0 if np.isnan(value) else (1.0 - value) / n_proper
+        out = ambiguity_array(proper, cs, kind)
+        np.testing.assert_array_equal(out, masked_formula(proper, cs, kind))
+        if with_degenerate:
+            np.testing.assert_array_equal(out[:4], 1.0)
 
     def test_dispatch(self, batch):
         proper, cs = batch

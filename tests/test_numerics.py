@@ -17,6 +17,7 @@ from ambiq.exceptions import DomainError
 from ambiq.numerics import (
     BetaParams,
     DirichletParams,
+    _dirichlet_draws,
     beta_moment,
     beta_pdf,
     beta_pdf_pair,
@@ -264,3 +265,22 @@ class TestDirichletSample:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(DomainError):
             dirichlet_sample(DirichletParams.symmetric(2, 1.0), 0, seed=0)
+
+    @pytest.mark.parametrize("n_columns", range(2, 10))
+    def test_same_floats_as_numpy_row_sum(self, n_columns):
+        # The draws must equal g / g.sum(axis=1) bit for bit on the same
+        # stream, on both sides of the switch at 8 columns, where numpy's
+        # reduction turns from sequential to pairwise.
+        params = DirichletParams(
+            proper=tuple(np.linspace(0.3, 4.0, n_columns - 1)), cs=0.8
+        )
+        g = make_generator(3, (n_columns,)).standard_gamma(
+            params.as_array(), size=(20_000, n_columns)
+        )
+        expected = g / g.sum(axis=1, keepdims=True)
+        for out in (None, np.empty((20_000, n_columns))):
+            proper, cs = _dirichlet_draws(
+                params, 20_000, make_generator(3, (n_columns,)), out=out
+            )
+            np.testing.assert_array_equal(proper, expected[:, :-1])
+            np.testing.assert_array_equal(cs, expected[:, -1])

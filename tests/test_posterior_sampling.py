@@ -152,6 +152,17 @@ class TestSummarize:
             )
 
 
+def reference_mode(values):
+    """The histogram-mode convention computed with np.histogram itself."""
+    values = np.asarray(values, dtype=float)
+    low = float(values.min())
+    if low == float(values.max()):
+        return low
+    hist, edges = np.histogram(values, bins=MODE_BINS, range=(0.0, 1.0))
+    top = int(np.argmax(hist))
+    return float(0.5 * (edges[top] + edges[top + 1]))
+
+
 class TestHistogramMode:
     def test_constant_sample(self):
         assert histogram_mode(np.full(50, 0.42)) == 0.42
@@ -170,6 +181,38 @@ class TestHistogramMode:
         values = sample_transformed(PARAMS, MeasureKind.MODIFIED, 100_000, seed=2)
         mode = histogram_mode(values)
         assert 0.0 <= mode <= 1.0
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "random",
+            "edges",
+            "below_edges",
+            "zero_and_one",
+            "one_wins",
+            "constant",
+            "outside",
+            "nan",
+        ],
+    )
+    def test_same_result_as_numpy_histogram(self, case):
+        rng = np.random.default_rng(12)
+        edges = np.arange(MODE_BINS + 1) / MODE_BINS
+        values = {
+            "random": rng.beta(2.0, 5.0, size=20_000),
+            # Values on the edges k/256, most of them on one edge.
+            "edges": np.concatenate([edges, np.full(5, edges[77])]),
+            "below_edges": np.concatenate(
+                [np.nextafter(edges[1:], 0.0), np.full(5, np.nextafter(edges[78], 0.0))]
+            ),
+            "zero_and_one": np.array([0.0, 0.0, 1.0, 0.5]),
+            # 1.0 belongs to the last bin, which must win here.
+            "one_wins": np.array([1.0, 1.0, 1.0, 0.999, 0.2]),
+            "constant": np.full(100, 0.3),
+            "outside": np.concatenate([rng.uniform(-0.1, 1.1, size=5000), [0.4] * 40]),
+            "nan": np.concatenate([rng.beta(2.0, 5.0, size=5000), [np.nan]]),
+        }[case]
+        assert histogram_mode(values) == reference_mode(values)
 
 
 @pytest.fixture(scope="module")
