@@ -46,9 +46,8 @@ from .measures import (
     MeasureKind,
     ProbabilityVector,
     ambiguity,
-    ambiguity_array,
 )
-from .numerics import DirichletParams, _dirichlet_draws, make_generator
+from .numerics import DirichletParams
 from .posterior_analytics import posterior_moments, posterior_update
 from .posterior_sampling import (
     density_with_uncertainty,
@@ -369,9 +368,7 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
         # `posterior`. A root stream never coincides with a substream, of
         # its own base seed or of another's.
         prior = DirichletParams.symmetric(args.n_categories, beta)
-        rng = make_generator(seed + index)
-        proper, cs = _dirichlet_draws(prior, args.mc_samples, rng)
-        values = ambiguity_array(proper, cs, measure)
+        values = sample_transformed(prior, measure, args.mc_samples, seed + index)
         mean, sd = posterior_mean_sd(prior, measure, values)
         per_beta.append(
             {"beta": beta, "mean": mean, "sd": sd, "mode": histogram_mode(values)}

@@ -276,9 +276,6 @@ def bias_curve(
     stderr: dict[str, list[float]] = {label: [] for label in labels}
     need_draws = [name for name in estimators if name != "plugin"]
     plugin_exact_mc = "plugin" in estimators and measure is not MeasureKind.NEW
-    # One draw array serves every repeat: each repeat's sample is used up
-    # before the next one is drawn into it.
-    buffer = None
 
     for n_index, n in enumerate(n_tuple):
         if n < 1:
@@ -318,10 +315,8 @@ def bias_curve(
                 if name == "bayes_mean" and measure is not MeasureKind.OLD:
                     estimates[r], _ = posterior_mean_sd(post, measure)
                 else:
-                    if buffer is None:
-                        buffer = np.empty((mc_samples_mode, n_cat + 1))
                     sub = make_generator(seed, (n_index, r))
-                    proper, cs = _dirichlet_draws(post, mc_samples_mode, sub, out=buffer)
+                    proper, cs = _dirichlet_draws(post, mc_samples_mode, sub)
                     values = ambiguity_array(proper, cs, measure)
                     if name == "bayes_mean":
                         estimates[r] = float(values.mean())

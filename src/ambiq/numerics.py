@@ -425,18 +425,11 @@ def _dirichlet_draws(
     seed gives the same draws as before. Below 8 columns numpy adds the
     columns of a row left to right, and adding whole columns in that order
     gives the same floats about ten times faster on a few columns. From 8
-    columns up numpy sums pairwise, so the reduction itself is kept. The
-    division is elementwise, so dividing column by column, which is faster
-    than broadcasting on a few columns, gives the same floats too.
+    columns up numpy sums pairwise, so the reduction itself is kept.
     """
     alpha = params.as_array()
     g = rng.standard_gamma(alpha, size=(count, alpha.size), out=out)
-    total = _row_sums(g)
-    if alpha.size < _PAIRWISE_MIN:
-        for column in g.T:
-            column /= total
-    else:
-        g /= total[:, None]
+    g /= _row_sums(g)[:, None]
     return g[:, :-1], g[:, -1]
 
 

@@ -8,12 +8,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-import ambiq.cli
-import ambiq.posterior_sampling
 from ambiq.cli import main
-from ambiq.numerics import _dirichlet_draws
 
 
 def run(capsys, *argv):
@@ -182,24 +180,23 @@ class TestPriorExploreCommand:
 
     def test_table_and_density_draw_different_streams(self, capsys, tmp_path, monkeypatch):
         # The table's sample and every density repeat must come from their
-        # own streams: record the first drawn row of each sample.
-        first_rows = []
+        # own streams: record the seed and spawn key of every generator.
+        streams = []
+        philox = np.random.Philox
 
-        def recording_draws(*args, **kwargs):
-            proper, cs = _dirichlet_draws(*args, **kwargs)
-            first_rows.append((*proper[0], cs[0]))
-            return proper, cs
+        def recording_philox(seed_sequence):
+            streams.append((seed_sequence.entropy, seed_sequence.spawn_key))
+            return philox(seed_sequence)
 
-        monkeypatch.setattr(ambiq.cli, "_dirichlet_draws", recording_draws)
-        monkeypatch.setattr(ambiq.posterior_sampling, "_dirichlet_draws", recording_draws)
+        monkeypatch.setattr(np.random, "Philox", recording_philox)
         code, _, _ = run(
             capsys,
             "prior-explore", "--n-categories", "3", "--betas", "0.5,1",
             "--mc-samples", "200", "--density", str(tmp_path / "band.csv"),
         )
         assert code == 0
-        assert len(first_rows) == 2 + 2 * 100
-        assert len(set(first_rows)) == len(first_rows)
+        assert len(streams) == 2 + 2 * 100
+        assert len(set(streams)) == len(streams)
 
 
 class TestScoreRankPipeline:
