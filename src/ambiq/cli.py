@@ -47,7 +47,7 @@ from .measures import (
     ProbabilityVector,
     ambiguity,
 )
-from .numerics import DirichletParams
+from .numerics import DirichletParams, make_generator
 from .posterior_analytics import posterior_moments, posterior_update
 from .posterior_sampling import (
     density_with_uncertainty,
@@ -122,7 +122,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _metadata(args: argparse.Namespace, seed: int, **extra) -> dict:
-    meta = {"version": __version__, "rng": "philox", "seed": seed}
+    rng = type(make_generator(0).bit_generator).__name__.lower()
+    meta = {"version": __version__, "rng": rng, "seed": seed}
     meta.update(extra)
     return meta
 

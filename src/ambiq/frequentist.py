@@ -1,7 +1,7 @@
 """Point estimation of ambiguity from finite annotation samples.
 
 The plug-in estimator applies a measure to the empirical response
-frequencies. For the quadratic-entropy measure its expectation under
+frequencies. For the quadratic-entropy measures its expectation under
 multinomial sampling has a closed form, so its bias is exact and known
 to be negative at every finite sample size: squared frequencies are
 biased-up estimates of squared probabilities, and the measure subtracts
@@ -29,6 +29,7 @@ from .measures import (
     ambiguity,
     ambiguity_array,
     ambiguity_new,
+    modified_from_new,
 )
 from .numerics import DirichletParams, _dirichlet_draws, ln_gamma, make_generator
 from .posterior_analytics import posterior_update
@@ -138,8 +139,10 @@ def expected_plugin(q: ProbabilityVector, n: int) -> float:
 
         E = [1 - (1 - c^n)/n] - [1/(1-c) - (1 - c^n)/(n (1-c)^2)] S,
 
-    degenerating to 1 when c = 1. Other measures have no comparably
-    simple form; use exhaustive_expected_estimator or Monte Carlo.
+    degenerating to 1 when c = 1. The modified measure's plug-in has
+    expectation modified_from_new(E, c, C), since that measure is linear in
+    (plain measure, q_cs). Total variation has no comparably simple form;
+    use exhaustive_expected_estimator or Monte Carlo.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
@@ -252,9 +255,10 @@ def bias_curve(
 ) -> BiasSeries:
     """Bias of the requested estimators at each sample size.
 
-    The plug-in column is exact wherever possible (closed form for the
-    quadratic-entropy measure, exhaustive enumeration for small problems
-    otherwise) and falls back to Monte Carlo beyond the enumeration caps.
+    The plug-in column is exact for the quadratic measures at every n (the
+    closed form of expected_plugin, carried over to the modified measure by
+    its linear relation to the plain one). For total variation it is exact
+    by exhaustive enumeration within the caps and Monte Carlo beyond them.
     Bayesian columns are always Monte Carlo: counts are redrawn
     mc_repeats times per sample size from streams (seed, n-index), and
     each mode estimate uses its own substream, so the whole curve is
@@ -275,29 +279,20 @@ def bias_curve(
     bias: dict[str, list[float]] = {label: [] for label in labels}
     stderr: dict[str, list[float]] = {label: [] for label in labels}
     need_draws = [name for name in estimators if name != "plugin"]
-    plugin_exact_mc = "plugin" in estimators and measure is not MeasureKind.NEW
+    plugin_mc = "plugin" in estimators and measure is MeasureKind.OLD
 
     for n_index, n in enumerate(n_tuple):
         if n < 1:
             raise DomainError(f"sample sizes must be positive, got {n}")
         can_enumerate = n <= _EXHAUSTIVE_MAX_N and n_cat + 1 <= _EXHAUSTIVE_MAX_CATEGORIES
         draws = None
-        if need_draws or (plugin_exact_mc and not can_enumerate):
+        if need_draws or (plugin_mc and not can_enumerate):
             rng = make_generator(seed, (n_index,))
             draws = rng.multinomial(n, pvals, size=mc_repeats)
 
         for name, label in zip(estimators, labels):
             if name == "plugin":
-                if measure is MeasureKind.NEW:
-                    bias[label].append(expected_plugin(q, n) - truth)
-                    stderr[label].append(0.0)
-                elif can_enumerate:
-                    expectation = exhaustive_expected_estimator(
-                        q, n, lambda cv: plugin_estimate(cv, measure)
-                    )
-                    bias[label].append(expectation - truth)
-                    stderr[label].append(0.0)
-                else:
+                if plugin_mc and not can_enumerate:
                     values = np.array(
                         [
                             plugin_estimate(_row_counts(row, n_cat), measure)
@@ -306,6 +301,20 @@ def bias_curve(
                     )
                     bias[label].append(float(values.mean()) - truth)
                     stderr[label].append(float(values.std() / math.sqrt(len(values))))
+                    continue
+                if measure is MeasureKind.NEW:
+                    expectation = expected_plugin(q, n)
+                elif measure is MeasureKind.MODIFIED:
+                    # The modified measure is (C * new - q_cs)/(C - 1) at
+                    # every frequency vector, and the can't-solve frequency
+                    # is unbiased, so the expectation carries over exactly.
+                    expectation = modified_from_new(expected_plugin(q, n), q.cs, n_cat)
+                else:
+                    expectation = exhaustive_expected_estimator(
+                        q, n, lambda cv: plugin_estimate(cv, measure)
+                    )
+                bias[label].append(expectation - truth)
+                stderr[label].append(0.0)
                 continue
 
             estimates = np.empty(mc_repeats)

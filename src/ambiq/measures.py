@@ -298,6 +298,9 @@ def normalized_entropy(p) -> float:
 # The Monte-Carlo layers evaluate measures on millions of sampled vectors;
 # these operate on (n, C) proper blocks plus (n,) cs columns in one pass.
 # Inputs are trusted to be rows of a simplex (as produced by the samplers).
+# Every row reduction adds columns left to right, so a row gets the same
+# floats whether the block is C-ordered or, as the samplers return it,
+# column-major.
 
 
 def _check_array_range(values: np.ndarray, what: str) -> np.ndarray:
@@ -306,6 +309,18 @@ def _check_array_range(values: np.ndarray, what: str) -> np.ndarray:
     if lo < -_CLAMP_TOLERANCE or hi > 1.0 + _CLAMP_TOLERANCE:
         raise InternalConsistencyError(f"{what} outside [0, 1]: range [{lo!r}, {hi!r}]")
     return np.clip(values, 0.0, 1.0, out=values)
+
+
+def _row_sums_of_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of a 2-d array, adding the squared
+    columns left to right, so the floats do not depend on the memory
+    layout of x (``einsum`` changes its order with the layout)."""
+    total = np.square(x[:, 0])
+    square = np.empty_like(total)
+    for j in range(1, x.shape[1]):
+        np.square(x[:, j], out=square)
+        total += square
+    return total
 
 
 def _set_degenerate_rows(out: np.ndarray, one_minus: np.ndarray) -> None:
@@ -327,7 +342,7 @@ def ambiguity_new_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     proper = np.asarray(proper, dtype=float)
     cs = np.asarray(cs, dtype=float)
     one_minus = 1.0 - cs
-    out = np.einsum("ij,ij->i", proper, proper)
+    out = _row_sums_of_squares(proper)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= one_minus
     np.subtract(1.0, out, out=out)
@@ -343,7 +358,7 @@ def ambiguity_modified_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     if n_cat < 2:
         raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
     one_minus = 1.0 - cs
-    out = np.einsum("ij,ij->i", proper, proper)
+    out = _row_sums_of_squares(proper)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= one_minus
         np.subtract(one_minus, out, out=out)

@@ -380,7 +380,7 @@ def beta_variance(params: BetaParams) -> float:
 
 
 def make_generator(seed: int, stream: Sequence[int] = ()) -> np.random.Generator:
-    """Construct the package-wide RNG: a Philox counter-based generator.
+    """Construct the package-wide RNG: numpy's SFC64 generator.
 
     Streams are derived with SeedSequence spawn keys, so (seed, stream) pairs
     give independent, reproducible generators: make_generator(seed, (r,)) is
@@ -388,19 +388,15 @@ def make_generator(seed: int, stream: Sequence[int] = ()) -> np.random.Generator
     generator algorithm name belongs in any serialized run metadata.
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-# numpy's add reduction sums fewer than this many contiguous elements left
-# to right; from this many up it sums them pairwise, with 8 partial sums.
-_PAIRWISE_MIN = 8
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=1)`` of a 2-d array, bit for bit, by adding columns
-    left to right when the rows are shorter than ``_PAIRWISE_MIN``."""
-    if x.shape[1] >= _PAIRWISE_MIN:
-        return x.sum(axis=1)
+    """Row sums of a 2-d array, adding its columns left to right.
+
+    The order is fixed, so the floats do not depend on the memory layout
+    of x (numpy's own reduction sums long contiguous rows pairwise).
+    """
     total = x[:, 0].copy()
     for j in range(1, x.shape[1]):
         total += x[:, j]
@@ -415,22 +411,23 @@ def _dirichlet_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` Dirichlet vectors via the gamma method using `rng`.
 
-    Returns (proper, cs) with shapes (count, C) and (count,). Independent
-    Gamma(alpha_i, 1) draws normalized by their sum; numpy's standard_gamma
-    covers alpha < 1 internally. A float array `out` of shape (count, C + 1)
-    receives the draws instead of a new array, and the results are views
-    of it; the values are the same either way.
-
-    The row sums must stay bit-identical to ``g.sum(axis=1)``, so that a
-    seed gives the same draws as before. Below 8 columns numpy adds the
-    columns of a row left to right, and adding whole columns in that order
-    gives the same floats about ten times faster on a few columns. From 8
-    columns up numpy sums pairwise, so the reduction itself is kept.
+    Returns (proper, cs) with shapes (count, C) and (count,). The C + 1
+    Gamma(alpha_i, 1) columns are drawn one after another from `rng`, proper
+    entries first and cs last, each with a scalar shape into one row of a
+    (C + 1, count) block; numpy's standard_gamma covers alpha < 1
+    internally. Each vector, a column of the block, is then divided by the
+    sum of its C + 1 gammas, added in that category order. proper is the
+    transposed view of the block's first C rows, so its columns are
+    contiguous. A float array `out` of shape (C + 1, count) receives the
+    block instead of a new array, and the results are views of it; the
+    values are the same either way.
     """
     alpha = params.as_array()
-    g = rng.standard_gamma(alpha, size=(count, alpha.size), out=out)
-    g /= _row_sums(g)[:, None]
-    return g[:, :-1], g[:, -1]
+    g = np.empty((alpha.size, count)) if out is None else out
+    for row, shape in zip(g, alpha):
+        rng.standard_gamma(shape, size=count, out=row)
+    g /= _row_sums(g.T)
+    return g[:-1].T, g[-1]
 
 
 def dirichlet_sample(

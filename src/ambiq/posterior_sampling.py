@@ -303,7 +303,7 @@ def posterior_summaries(
             continue
         buffer = buffers.get(counts.n_proper)
         if buffer is None:
-            buffer = buffers[counts.n_proper] = np.empty((mc_samples, counts.n_proper + 1))
+            buffer = buffers[counts.n_proper] = np.empty((counts.n_proper + 1, mc_samples))
         posterior = posterior_update(
             DirichletParams.symmetric(counts.n_proper, prior_beta), counts
         )

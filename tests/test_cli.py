@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ambiq.cli import main
+from ambiq.numerics import make_generator
 
 
 def run(capsys, *argv):
@@ -182,13 +183,13 @@ class TestPriorExploreCommand:
         # The table's sample and every density repeat must come from their
         # own streams: record the seed and spawn key of every generator.
         streams = []
-        philox = np.random.Philox
+        sfc64 = np.random.SFC64
 
-        def recording_philox(seed_sequence):
+        def recording_sfc64(seed_sequence):
             streams.append((seed_sequence.entropy, seed_sequence.spawn_key))
-            return philox(seed_sequence)
+            return sfc64(seed_sequence)
 
-        monkeypatch.setattr(np.random, "Philox", recording_philox)
+        monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
         code, _, _ = run(
             capsys,
             "prior-explore", "--n-categories", "3", "--betas", "0.5,1",
@@ -286,6 +287,20 @@ class TestSeedResolution:
         monkeypatch.delenv("AMBIQ_SEED", raising=False)
         _, payload, _ = run_json(capsys, "measure", "--q", "0.5,0.5,0.0")
         assert payload["metadata"]["seed"] == 0
+
+
+class TestMetadata:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "--q", "0.5,0.3,0.2"),
+            ("posterior", "--counts", "3,1", "--cs-count", "1", "--mc-samples", "2000"),
+        ],
+    )
+    def test_rng_names_the_generator_in_use(self, capsys, argv):
+        _, payload, _ = run_json(capsys, *argv)
+        built = type(make_generator(0).bit_generator).__name__.lower()
+        assert payload["metadata"]["rng"] == built == "sfc64"
 
 
 class TestDeterminism:

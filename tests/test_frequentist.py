@@ -216,6 +216,12 @@ def series():
     return bias_curve(q, n_values=(1, 2, 5, 10), mc_repeats=50, seed=7)
 
 
+MODIFIED_PLUGIN_CASES = [
+    ProbabilityVector((0.45, 0.35), 0.20),
+    ProbabilityVector((0.3, 0.2, 0.1), 0.4),
+]
+
+
 class TestBiasCurve:
 
     def test_labels_and_shape(self, series):
@@ -262,12 +268,50 @@ class TestBiasCurve:
     def test_estimator_names_constant(self):
         assert ESTIMATOR_NAMES == ("plugin", "bayes_mean", "bayes_mode")
 
+    @pytest.mark.parametrize("q", MODIFIED_PLUGIN_CASES)
+    def test_modified_plugin_column_matches_enumeration(self, q):
+        n_values = (1, 2, 5, 8, 12)
+        series = bias_curve(
+            q, n_values=n_values, estimators=("plugin",), measure=MeasureKind.MODIFIED
+        )
+        truth = ambiguity(q, MeasureKind.MODIFIED)
+        assert series.stderr["plugin"] == (0.0,) * len(n_values)
+        for n, bias in zip(n_values, series.bias["plugin"]):
+            expectation = exhaustive_expected_estimator(
+                q, n, lambda cv: plugin_estimate(cv, MeasureKind.MODIFIED)
+            )
+            assert bias + truth == pytest.approx(expectation, abs=1e-14)
+
+    @pytest.mark.parametrize("q", MODIFIED_PLUGIN_CASES)
+    def test_modified_plugin_column_matches_mc_beyond_enumeration(self, q):
+        # Past the enumeration caps the column stays exact; check it against
+        # an independent 400k-draw multinomial sample of the plug-in.
+        n_values = (20, 50)
+        series = bias_curve(
+            q, n_values=n_values, estimators=("plugin",), measure=MeasureKind.MODIFIED
+        )
+        truth = ambiguity(q, MeasureKind.MODIFIED)
+        assert series.stderr["plugin"] == (0.0, 0.0)
+        pvals = np.array([*q.proper, q.cs])
+        n_cat = q.n_proper
+        rng = np.random.default_rng(20260)
+        for n, bias in zip(n_values, series.bias["plugin"]):
+            freq = rng.multinomial(n, pvals, size=400_000) / n
+            f_cs = freq[:, -1]
+            one_minus = 1.0 - f_cs
+            with np.errstate(divide="ignore", invalid="ignore"):
+                flip = one_minus - (freq[:, :-1] ** 2).sum(axis=1) / one_minus
+            values = np.where(f_cs == 1.0, 1.0, f_cs + n_cat / (n_cat - 1.0) * flip)
+            se = values.std() / math.sqrt(values.size)
+            assert abs(bias + truth - values.mean()) < 5.0 * se
+
 
 def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode):
     """bias_curve written out as a plain loop under a flat prior: counts
     from the stream (seed, (n_index,)), then for each repeat a fresh
-    posterior sample from its own substream (seed, (n_index, r)), normalized
-    by numpy's row sums, and its mode from np.histogram."""
+    posterior sample from its own substream (seed, (n_index, r)), one gamma
+    column per category in order, normalized by the column sum added left
+    to right, and its mode from np.histogram."""
     pvals = np.array([*q.proper, q.cs])
     pvals = pvals / pvals.sum()
     truth = ambiguity(q, measure)
@@ -277,6 +321,10 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode
     for n_index, n in enumerate(n_values):
         if measure is MeasureKind.NEW:
             bias["plugin"].append(expected_plugin(q, n) - truth)
+        elif measure is MeasureKind.MODIFIED:
+            n_cat = q.n_proper
+            expectation = (n_cat * expected_plugin(q, n) - q.cs) / (n_cat - 1.0)
+            bias["plugin"].append(expectation - truth)
         else:
             expectation = exhaustive_expected_estimator(
                 q, n, lambda cv: plugin_estimate(cv, measure)
@@ -288,10 +336,12 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode
         modes = np.empty(mc_repeats)
         for r, row in enumerate(draws):
             alpha = row + 1.0
-            g = make_generator(seed, (n_index, r)).standard_gamma(
-                alpha, size=(mc_samples_mode, alpha.size)
-            )
-            g = g / g.sum(axis=1, keepdims=True)
+            rng = make_generator(seed, (n_index, r))
+            columns = [rng.standard_gamma(a, size=mc_samples_mode) for a in alpha]
+            total = columns[0].copy()
+            for column in columns[1:]:
+                total += column
+            g = np.column_stack([column / total for column in columns])
             values = ambiguity_array(g[:, :-1], g[:, -1], measure)
             if measure is MeasureKind.OLD:
                 means[r] = float(values.mean())

@@ -39,12 +39,13 @@ def random_soft_labels(rng, count, n_proper, max_cs=0.95):
 
 def masked_formula(proper, cs, kind):
     """Each measure's array formula evaluated on the live rows only, with 1
-    on the rows whose cs mass is degenerate (or NaN)."""
+    on the rows whose cs mass is degenerate (or NaN). Row sums add the
+    columns left to right."""
     n_cat = proper.shape[1]
     one_minus = 1.0 - cs
     out = np.ones_like(cs)
     live = one_minus > 1.0 - DEGENERACY_THRESHOLD
-    sq = np.einsum("ij,ij->i", proper, proper)
+    sq = sum(proper[:, j] * proper[:, j] for j in range(n_cat))
     if kind is MeasureKind.NEW:
         out[live] = 1.0 - sq[live] / one_minus[live]
     elif kind is MeasureKind.MODIFIED:
@@ -52,7 +53,7 @@ def masked_formula(proper, cs, kind):
         out[live] = cs[live] + n_cat / (n_cat - 1.0) * flip
     else:
         p = proper[live] / one_minus[live, None]
-        tv = np.abs(p - 1.0 / n_cat).sum(axis=1)
+        tv = sum(np.abs(p[:, j] - 1.0 / n_cat) for j in range(n_cat))
         out[live] = 1.0 - 0.5 * one_minus[live] * n_cat / (n_cat - 1.0) * tv
     return np.clip(out, 0.0, 1.0)
 
@@ -303,6 +304,19 @@ class TestArrayFastPaths:
         np.testing.assert_array_equal(out, masked_formula(proper, cs, kind))
         if with_degenerate:
             np.testing.assert_array_equal(out[:4], 1.0)
+
+    @pytest.mark.parametrize("n_proper", range(2, 10))
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_same_floats_for_any_memory_layout(self, kind, n_proper):
+        # The samplers return column-major proper blocks; a C-ordered copy
+        # of the same draws must give exactly the same floats.
+        params = DirichletParams(proper=(0.7,) * n_proper, cs=0.5)
+        proper, cs = dirichlet_sample(params, 5000, seed=n_proper)
+        assert proper.flags.f_contiguous
+        c_ordered = np.ascontiguousarray(proper)
+        np.testing.assert_array_equal(
+            ambiguity_array(c_ordered, cs, kind), ambiguity_array(proper, cs, kind)
+        )
 
     def test_dispatch(self, batch):
         proper, cs = batch

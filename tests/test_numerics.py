@@ -1,5 +1,5 @@
 """Numerics layer: special functions against scipy oracles, Beta
-moment helpers against closed forms, the Philox generator contract, the
+moment helpers against closed forms, the SFC64 generator contract, the
 gamma-method Dirichlet sampler, and the incomplete-beta batch stop rule.
 
 scipy appears only here and in sibling test modules as an independent
@@ -230,8 +230,8 @@ class TestGenerator:
         b = make_generator(8, ()).random(16)
         assert not np.array_equal(a, b)
 
-    def test_uses_philox_bit_generator(self):
-        assert type(make_generator(0).bit_generator).__name__ == "Philox"
+    def test_uses_sfc64_bit_generator(self):
+        assert type(make_generator(0).bit_generator).__name__ == "SFC64"
 
 
 class TestDirichletSample:
@@ -267,20 +267,24 @@ class TestDirichletSample:
             dirichlet_sample(DirichletParams.symmetric(2, 1.0), 0, seed=0)
 
     @pytest.mark.parametrize("n_columns", range(2, 10))
-    def test_same_floats_as_numpy_row_sum(self, n_columns):
-        # The draws must equal g / g.sum(axis=1) bit for bit on the same
-        # stream, on both sides of the switch at 8 columns, where numpy's
-        # reduction turns from sequential to pairwise.
+    def test_same_floats_as_column_gamma_draws(self, n_columns):
+        # The draws must equal, bit for bit, one scalar-shape gamma column
+        # per category drawn in order from the same stream (proper first,
+        # cs last), each divided by the column sum added left to right.
         params = DirichletParams(
             proper=tuple(np.linspace(0.3, 4.0, n_columns - 1)), cs=0.8
         )
-        g = make_generator(3, (n_columns,)).standard_gamma(
-            params.as_array(), size=(20_000, n_columns)
-        )
-        expected = g / g.sum(axis=1, keepdims=True)
-        for out in (None, np.empty((20_000, n_columns))):
+        rng = make_generator(3, (n_columns,))
+        columns = [rng.standard_gamma(a, size=20_000) for a in params.as_array()]
+        total = columns[0].copy()
+        for column in columns[1:]:
+            total += column
+        expected = np.column_stack([column / total for column in columns])
+        for out in (None, np.empty((n_columns, 20_000))):
             proper, cs = _dirichlet_draws(
                 params, 20_000, make_generator(3, (n_columns,)), out=out
             )
             np.testing.assert_array_equal(proper, expected[:, :-1])
             np.testing.assert_array_equal(cs, expected[:, -1])
+            if out is not None:
+                assert np.shares_memory(proper, out) and np.shares_memory(cs, out)
