@@ -50,6 +50,7 @@ from .measures import (
 from .numerics import DirichletParams, make_generator
 from .posterior_analytics import posterior_moments, posterior_update
 from .posterior_sampling import (
+    DensityEstimate,
     density_with_uncertainty,
     histogram_mode,
     posterior_mean_sd,
@@ -197,6 +198,21 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_BAND_HEADER = ["bin_lo", "bin_hi", "median_density", "iqr_lo", "iqr_hi"]
+
+
+def _band_rows(estimate: DensityEstimate, prefix: Sequence[str] = ()) -> list[list[str]]:
+    """CSV rows of a Monte Carlo density band, one per bin, each led by prefix."""
+    columns = (
+        estimate.bin_edges[:-1],
+        estimate.bin_edges[1:],
+        estimate.median_density,
+        estimate.iqr_lo,
+        estimate.iqr_hi,
+    )
+    return [[*prefix, *(repr(float(v)) for v in row)] for row in zip(*columns)]
+
+
 def _density_to_file(
     args: argparse.Namespace,
     posterior: DirichletParams,
@@ -225,18 +241,7 @@ def _density_to_file(
         )
         return "analytic"
     estimate = density_with_uncertainty(posterior, measure, seed=seed)
-    rows = []
-    for i in range(len(estimate.median_density)):
-        rows.append(
-            [
-                repr(float(estimate.bin_edges[i])),
-                repr(float(estimate.bin_edges[i + 1])),
-                repr(float(estimate.median_density[i])),
-                repr(float(estimate.iqr_lo[i])),
-                repr(float(estimate.iqr_hi[i])),
-            ]
-        )
-    _write_csv(args.density, ["bin_lo", "bin_hi", "median_density", "iqr_lo", "iqr_hi"], rows)
+    _write_csv(args.density, _BAND_HEADER, _band_rows(estimate))
     return "mc_histogram"
 
 
@@ -378,23 +383,9 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
             estimate = density_with_uncertainty(
                 prior, measure, samples_per_repeat=args.mc_samples, seed=seed + index
             )
-            for i in range(len(estimate.median_density)):
-                density_rows.append(
-                    [
-                        repr(float(beta)),
-                        repr(float(estimate.bin_edges[i])),
-                        repr(float(estimate.bin_edges[i + 1])),
-                        repr(float(estimate.median_density[i])),
-                        repr(float(estimate.iqr_lo[i])),
-                        repr(float(estimate.iqr_hi[i])),
-                    ]
-                )
+            density_rows += _band_rows(estimate, (repr(float(beta)),))
     if args.density is not None:
-        _write_csv(
-            args.density,
-            ["beta", "bin_lo", "bin_hi", "median_density", "iqr_lo", "iqr_hi"],
-            density_rows,
-        )
+        _write_csv(args.density, ["beta", *_BAND_HEADER], density_rows)
     if args.json:
         _emit_json(
             {

@@ -27,13 +27,12 @@ from .measures import (
     MeasureKind,
     ProbabilityVector,
     ambiguity,
-    ambiguity_array,
     ambiguity_new,
     modified_from_new,
 )
-from .numerics import DirichletParams, _dirichlet_draws, ln_gamma, make_generator
+from .numerics import DirichletParams, ln_gamma, make_generator
 from .posterior_analytics import posterior_update
-from .posterior_sampling import histogram_mode, posterior_mean_sd
+from .posterior_sampling import histogram_mode, posterior_mean_sd, sample_transformed
 
 __all__ = [
     "CountVector",
@@ -207,13 +206,6 @@ def exhaustive_expected_estimator(
     return math.fsum(terms)
 
 
-def _posterior_for(counts: CountVector, prior_beta: float) -> DirichletParams:
-    if prior_beta <= 0.0:
-        raise DomainError(f"prior concentration must be positive, got {prior_beta!r}")
-    prior = DirichletParams.symmetric(counts.n_proper, prior_beta)
-    return posterior_update(prior, counts)
-
-
 def bayes_point_estimates(
     counts: CountVector,
     prior_beta: float = 1.0,
@@ -229,10 +221,8 @@ def bayes_point_estimates(
     convention on an MC sample, since the pushforward mode has no closed
     form for any measure.
     """
-    post = _posterior_for(counts, prior_beta)
-    rng = make_generator(seed)
-    proper, cs = _dirichlet_draws(post, mc_samples, rng)
-    values = ambiguity_array(proper, cs, measure)
+    post = posterior_update(DirichletParams.symmetric(counts.n_proper, prior_beta), counts)
+    values = sample_transformed(post, measure, mc_samples, seed)
     mean, _ = posterior_mean_sd(post, measure, values)
     return mean, histogram_mode(values)
 
@@ -259,10 +249,13 @@ def bias_curve(
     closed form of expected_plugin, carried over to the modified measure by
     its linear relation to the plain one). For total variation it is exact
     by exhaustive enumeration within the caps and Monte Carlo beyond them.
-    Bayesian columns are always Monte Carlo: counts are redrawn
-    mc_repeats times per sample size from streams (seed, n-index), and
-    each mode estimate uses its own substream, so the whole curve is
-    reproducible from the single seed.
+    Bayesian columns are always Monte Carlo over the counts: they are
+    redrawn mc_repeats times per sample size from the stream (seed,
+    (n_index,)). Repeat r's posterior mean is closed-form for the
+    quadratic measures; its mode, and its mean for total variation, come
+    from one posterior sample of mc_samples_mode draws from the substream
+    (seed, (n_index, r)), shared by both Bayes columns, so the whole curve
+    is reproducible from the single seed.
     """
     for name in estimators:
         if name not in ESTIMATOR_NAMES:
@@ -278,7 +271,10 @@ def bias_curve(
 
     bias: dict[str, list[float]] = {label: [] for label in labels}
     stderr: dict[str, list[float]] = {label: [] for label in labels}
-    need_draws = [name for name in estimators if name != "plugin"]
+    bayes_names = {name for name in estimators if name != "plugin"}
+    # One posterior sample per repeat serves both Bayes columns; the mean
+    # alone needs none for the quadratic measures, whose means are exact.
+    need_sample = "bayes_mode" in bayes_names or measure is MeasureKind.OLD
     plugin_mc = "plugin" in estimators and measure is MeasureKind.OLD
 
     for n_index, n in enumerate(n_tuple):
@@ -286,9 +282,30 @@ def bias_curve(
             raise DomainError(f"sample sizes must be positive, got {n}")
         can_enumerate = n <= _EXHAUSTIVE_MAX_N and n_cat + 1 <= _EXHAUSTIVE_MAX_CATEGORIES
         draws = None
-        if need_draws or (plugin_mc and not can_enumerate):
+        if bayes_names or (plugin_mc and not can_enumerate):
             rng = make_generator(seed, (n_index,))
             draws = rng.multinomial(n, pvals, size=mc_repeats)
+
+        estimates = {name: np.empty(mc_repeats) for name in bayes_names}
+        if bayes_names:
+            for r, row in enumerate(draws):
+                post = posterior_update(
+                    DirichletParams.symmetric(n_cat, prior_beta), _row_counts(row, n_cat)
+                )
+                # The previous repeat's values stay alive until this sample
+                # replaces them. Dropping them first leaves no live block
+                # above the freed draws, so glibc's malloc trims the heap
+                # top and faults it back in on every repeat (about 200
+                # pages each, a fifth of the curve's time).
+                values = (
+                    sample_transformed(post, measure, mc_samples_mode, seed, (n_index, r))
+                    if need_sample
+                    else None
+                )
+                if "bayes_mean" in estimates:
+                    estimates["bayes_mean"][r], _ = posterior_mean_sd(post, measure, values)
+                if "bayes_mode" in estimates:
+                    estimates["bayes_mode"][r] = histogram_mode(values)
 
         for name, label in zip(estimators, labels):
             if name == "plugin":
@@ -316,23 +333,8 @@ def bias_curve(
                 bias[label].append(expectation - truth)
                 stderr[label].append(0.0)
                 continue
-
-            estimates = np.empty(mc_repeats)
-            for r, row in enumerate(draws):
-                cv = _row_counts(row, n_cat)
-                post = _posterior_for(cv, prior_beta)
-                if name == "bayes_mean" and measure is not MeasureKind.OLD:
-                    estimates[r], _ = posterior_mean_sd(post, measure)
-                else:
-                    sub = make_generator(seed, (n_index, r))
-                    proper, cs = _dirichlet_draws(post, mc_samples_mode, sub)
-                    values = ambiguity_array(proper, cs, measure)
-                    if name == "bayes_mean":
-                        estimates[r] = float(values.mean())
-                    else:
-                        estimates[r] = histogram_mode(values)
-            bias[label].append(float(estimates.mean()) - truth)
-            stderr[label].append(float(estimates.std() / math.sqrt(mc_repeats)))
+            bias[label].append(float(estimates[name].mean()) - truth)
+            stderr[label].append(float(estimates[name].std() / math.sqrt(mc_repeats)))
 
     return BiasSeries(
         n_values=n_tuple,

@@ -431,10 +431,10 @@ def _dirichlet_draws(
 
 
 def dirichlet_sample(
-    params: DirichletParams, count: int, seed: int
+    params: DirichletParams, count: int, seed: int, stream: Sequence[int] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` probability vectors from Dir(params), deterministically
-    per seed.
+    per (seed, stream); the generator is make_generator(seed, stream).
 
     Returns:
         (proper, cs): arrays of shape (count, C) and (count,); each row of
@@ -442,4 +442,4 @@ def dirichlet_sample(
     """
     if count < 1:
         raise DomainError(f"count must be >= 1; got {count}")
-    return _dirichlet_draws(params, int(count), make_generator(seed))
+    return _dirichlet_draws(params, int(count), make_generator(seed, stream))

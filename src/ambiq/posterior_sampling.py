@@ -2,7 +2,10 @@
 
 Everything here flows through one pipeline: draw full probability vectors
 from Dir(params), push them through an ambiguity measure, and summarize
-the resulting scalar sample. Streams are derived from a single user seed
+the resulting scalar sample. sample_transformed(params, measure, count,
+seed, stream) is that draw and push for one stream. Every Monte Carlo
+sample of the package is drawn through it, except the samples of
+posterior_summaries, which share one buffer. Streams are derived from a single user seed
 with explicit spawn keys, so any repeat structure is reproducible without
 coordination between callers.
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
 from .measures import MeasureKind, ambiguity, ambiguity_array
-from .numerics import DirichletParams, _dirichlet_draws, make_generator
+from .numerics import DirichletParams, _dirichlet_draws, dirichlet_sample, make_generator
 from .posterior_analytics import posterior_moments, posterior_update
 
 if TYPE_CHECKING:
@@ -153,13 +156,11 @@ def sample_transformed(
     measure: MeasureKind,
     count: int,
     seed: int,
+    stream: Sequence[int] = (),
 ) -> np.ndarray:
-    """Draw `count` ambiguity values from the pushforward of Dir(params)."""
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    rng = make_generator(seed)
-    proper, cs = _dirichlet_draws(params, count, rng)
-    return ambiguity_array(proper, cs, measure)
+    """Draw `count` ambiguity values from the pushforward of Dir(params),
+    using the stream (seed, stream)."""
+    return ambiguity_array(*dirichlet_sample(params, count, seed, stream), measure)
 
 
 def summarize(
@@ -279,7 +280,10 @@ def posterior_summaries(
     posterior_summary gives for it alone. The vectors draw their samples
     into one shared array per number of categories, so summarizing many
     vectors does not hand each sample's memory back to the system and
-    fault it in again for the next one.
+    fault it in again for the next one. That buffer is why this function
+    calls _dirichlet_draws itself instead of going through
+    sample_transformed: one draw feeds several measures, and the buffer
+    outlives each vector's sample.
 
     Raises:
         TooFewSamples: mc_samples below 1000.
@@ -338,7 +342,7 @@ def density_with_uncertainty(
 ) -> DensityEstimate:
     """Histogram density of the transformed posterior with an IQR band.
 
-    Repeat r draws from the stream (seed, spawn r), so the repeats are
+    Repeat r draws from the stream (seed, (r,)), so the repeats are
     independent and individually reproducible. Each repeat's histogram is
     normalized to integrate to one; the returned band summarizes the
     per-bin spread across repeats.
@@ -348,9 +352,7 @@ def density_with_uncertainty(
     edges = np.linspace(0.0, 1.0, bins + 1)
     heights = np.empty((repeats, bins))
     for r in range(repeats):
-        rng = make_generator(seed, (r,))
-        proper, cs = _dirichlet_draws(params, samples_per_repeat, rng)
-        values = ambiguity_array(proper, cs, measure)
+        values = sample_transformed(params, measure, samples_per_repeat, seed, (r,))
         heights[r], _ = np.histogram(values, bins=edges, density=True)
     lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)
     return DensityEstimate(

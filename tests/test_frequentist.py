@@ -371,6 +371,37 @@ def test_bias_curve_equals_reference_loop(measure):
     assert bias_curve(q, n_values=(2, 7), **kwargs) == expected
 
 
+@pytest.fixture()
+def sfc64_streams(monkeypatch):
+    """(seed, spawn key) of every SFC64 generator built during the test."""
+    streams = []
+    sfc64 = np.random.SFC64
+
+    def recording_sfc64(seed_sequence):
+        streams.append((seed_sequence.entropy, seed_sequence.spawn_key))
+        return sfc64(seed_sequence)
+
+    monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
+    return streams
+
+
+@pytest.mark.parametrize("measure", list(MeasureKind))
+def test_bias_curve_draws_each_repeat_substream_once(measure, sfc64_streams):
+    # Both Bayes columns share repeat r's posterior sample, so its substream
+    # (seed, (n_index, r)) is built once, next to one counts stream per n.
+    q = ProbabilityVector((0.5, 0.3), 0.2)
+    bias_curve(q, n_values=(2, 7), measure=measure, mc_repeats=6, seed=17, mc_samples_mode=2000)
+    assert sorted(sfc64_streams) == sorted(
+        [(17, (0,)), (17, (1,))] + [(17, (i, r)) for i in range(2) for r in range(6)]
+    )
+
+
+def test_bias_curve_closed_form_mean_draws_no_posterior_sample(sfc64_streams):
+    q = ProbabilityVector((0.5, 0.3), 0.2)
+    bias_curve(q, n_values=(2, 7), estimators=("plugin", "bayes_mean"), mc_repeats=6, seed=17)
+    assert sfc64_streams == [(17, (0,)), (17, (1,))]
+
+
 class TestBiasSeries:
     def test_validates_series_shapes(self):
         with pytest.raises(DomainError):

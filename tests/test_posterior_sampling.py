@@ -13,7 +13,7 @@ import pytest
 from ambiq.exceptions import DomainError, TooFewSamples
 from ambiq.frequentist import CountVector
 from ambiq.measures import MeasureKind, ambiguity, ambiguity_array
-from ambiq.numerics import DirichletParams
+from ambiq.numerics import DirichletParams, _dirichlet_draws, make_generator
 from ambiq.posterior_analytics import (
     expected_amb,
     expected_amb_modified,
@@ -66,6 +66,13 @@ class TestSampleTransformed:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(DomainError):
             sample_transformed(PARAMS, MeasureKind.NEW, 0, seed=0)
+
+    @pytest.mark.parametrize("stream", [(), (3,), (1, 4)])
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_is_the_measure_of_the_streams_draws(self, kind, stream):
+        values = sample_transformed(PARAMS, kind, 3000, 6, stream)
+        proper, cs = _dirichlet_draws(PARAMS, 3000, make_generator(6, stream))
+        np.testing.assert_array_equal(values, ambiguity_array(proper, cs, kind))
 
 
 @pytest.fixture(scope="module")
