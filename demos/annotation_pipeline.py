@@ -78,11 +78,11 @@ def main() -> None:
     print("Scored with a flat prior; new-measure columns:")
     print(f"  {'item':<14} {'plug-in':>8} {'mean':>7} {'sd':>6} {'95% CI':>16}")
     for report in reports:
-        plug = report.plugin["new"]
+        new = report.measures["new"]
         print(
-            f"  {report.item_id:<14} {plug:>8.3f} {report.posterior_mean['new']:>7.3f}"
-            f" {report.posterior_sd['new']:>6.3f}"
-            f"   [{report.credible_lo['new']:.3f}, {report.credible_hi['new']:.3f}]"
+            f"  {report.item_id:<14} {new.plugin:>8.3f} {new.posterior_mean:>7.3f}"
+            f" {new.posterior_sd:>6.3f}"
+            f"   [{new.credible_lo:.3f}, {new.credible_hi:.3f}]"
         )
     print()
 
@@ -91,7 +91,7 @@ def main() -> None:
     )
     print("Items with posterior mean ambiguity >= 0.5, most ambiguous first:")
     for report in ranked:
-        print(f"  {report.item_id:<14} {report.posterior_mean['new']:.3f}")
+        print(f"  {report.item_id:<14} {report.measures['new'].posterior_mean:.3f}")
     print()
     print("The split and unsolvable items surface; the plug-in column")
     print("understates each value (finite-sample bias) while the posterior")

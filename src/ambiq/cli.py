@@ -33,6 +33,7 @@ from typing import Sequence
 from . import __version__
 from .binary_density import BinaryCounts, density_curve
 from .dataset_io import (
+    _RANK_KEYS,
     export_reports,
     import_reports,
     load_records,
@@ -476,7 +477,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         export_reports(ranked, args.output, args.output_format)
         exported = True
     scored = [
-        (report.item_id, getattr(report, args.key)[measure.value]) for report in ranked
+        (report.item_id, getattr(report.measures[measure.value], args.key))
+        for report in ranked
     ]
     if args.json:
         _emit_json(
@@ -576,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", parents=[common], help="rank a report file")
     p.add_argument("--input", required=True, help="report file from score")
     p.add_argument("--input-format", default="json", choices=["json", "csv"])
-    p.add_argument("--key", default="posterior_mean", choices=["plugin", "posterior_mean"])
+    p.add_argument("--key", default="posterior_mean", choices=_RANK_KEYS)
     p.add_argument("--measure", default="new")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--ascending", action="store_true", help="rank lowest first, keep <= threshold")

@@ -3,11 +3,14 @@
 Input files carry one annotation per row (JSONL objects or CSV rows with
 an item_id / annotator_id / response header); responses are mapped to
 category counts through an explicit schema, never guessed from the data.
-Scoring turns each item's counts into plug-in and posterior summaries;
-export writes reports whose numeric fields round-trip exactly, so a
-pipeline can be re-run and diffed byte for byte.
+Scoring turns each item's counts into an ItemReport holding one
+MeasureSummary per measure, whose field names are the per-measure columns
+of a report file. Export writes reports whose numeric fields round-trip
+exactly, so a pipeline can be re-run and diffed byte for byte; import
+reads them back.
 
-Row numbers in errors refer to file lines (the CSV header is line 1).
+Row numbers in errors refer to file lines (the CSV header is line 1), or
+to 1-based positions in a JSON report array.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .exceptions import (
@@ -28,7 +31,7 @@ from .exceptions import (
 )
 from .frequentist import CountVector
 from .measures import CategorySchema, MeasureKind
-from .posterior_sampling import posterior_summaries
+from .posterior_sampling import MeasureSummary, posterior_summaries
 
 __all__ = [
     "AnnotationRecord",
@@ -43,6 +46,8 @@ __all__ = [
 
 _FORMATS = ("jsonl", "csv")
 _RANK_KEYS = ("plugin", "posterior_mean")
+# The per-measure columns of a report file, in file order.
+_MEASURE_COLUMNS = tuple(f.name for f in fields(MeasureSummary))
 
 
 @dataclass(frozen=True)
@@ -74,31 +79,26 @@ class LoadResult:
 
 @dataclass(frozen=True)
 class ItemReport:
-    """Per-item scoring summary, one entry per requested measure.
+    """Per-item scoring summary: one MeasureSummary per requested measure,
+    keyed by measure name.
 
-    The per-measure mappings are keyed by measure name. plugin holds None
-    for items that had no annotations (there is no frequency vector to
-    plug in); those items carry prior_only=True and posterior columns
-    computed from the prior alone.
+    An item with no annotations is prior_only: its plug-in values are None
+    (there is no frequency vector to plug in) and its posterior columns
+    come from the prior alone.
     """
 
     item_id: str
     counts: CountVector
-    n_total: int
-    prior_only: bool
     credible_mass: float
-    plugin: Mapping[str, float | None]
-    posterior_mean: Mapping[str, float]
-    posterior_sd: Mapping[str, float]
-    credible_lo: Mapping[str, float]
-    credible_hi: Mapping[str, float]
+    measures: Mapping[str, MeasureSummary]
 
-    def __post_init__(self):
-        for name in self.posterior_mean:
-            lo = self.credible_lo[name]
-            hi = self.credible_hi[name]
-            if lo > hi:
-                raise DomainError(f"credible interval inverted for {name!r}")
+    @property
+    def n_total(self) -> int:
+        return self.counts.total
+
+    @property
+    def prior_only(self) -> bool:
+        return self.counts.total == 0
 
 
 def _record_from_json_line(line: str, line_no: int) -> AnnotationRecord:
@@ -256,24 +256,10 @@ def score_items(
     summaries = posterior_summaries(
         items.values(), prior_beta, measures, mc_samples, credible_mass, seed
     )
-    reports = []
-    for item_id, counts in sorted(items.items()):
-        summary = summaries[counts]
-        reports.append(
-            ItemReport(
-                item_id=item_id,
-                counts=counts,
-                n_total=counts.total,
-                prior_only=counts.total == 0,
-                credible_mass=credible_mass,
-                plugin={name: s.plugin for name, s in summary.items()},
-                posterior_mean={name: s.mean for name, s in summary.items()},
-                posterior_sd={name: s.sd for name, s in summary.items()},
-                credible_lo={name: s.credible_lo for name, s in summary.items()},
-                credible_hi={name: s.credible_hi for name, s in summary.items()},
-            )
-        )
-    return reports
+    return [
+        ItemReport(item_id, counts, credible_mass, summaries[counts])
+        for item_id, counts in sorted(items.items())
+    ]
 
 
 def rank_and_filter(
@@ -298,12 +284,13 @@ def rank_and_filter(
     name = measure.value
 
     def value_of(report: ItemReport) -> float:
-        table = getattr(report, key)
-        if name not in table or table[name] is None:
+        summary = report.measures.get(name)
+        value = None if summary is None else getattr(summary, key)
+        if value is None:
             raise MissingField(
                 f"report {report.item_id!r} has no {key} value for measure {name!r}"
             )
-        return table[name]
+        return value
 
     scored = [(value_of(r), r) for r in reports]
     if descending:
@@ -331,19 +318,10 @@ def _report_to_json_obj(report: ItemReport) -> dict:
         "counts": {"proper": list(report.counts.proper), "cs": report.counts.cs},
         "credible_mass": report.credible_mass,
         "measures": {
-            name: {
-                "plugin": report.plugin[name],
-                "posterior_mean": report.posterior_mean[name],
-                "posterior_sd": report.posterior_sd[name],
-                "credible_lo": report.credible_lo[name],
-                "credible_hi": report.credible_hi[name],
-            }
-            for name in report.posterior_mean
+            name: {column: getattr(summary, column) for column in _MEASURE_COLUMNS}
+            for name, summary in report.measures.items()
         },
     }
-
-
-_MEASURE_COLUMNS = ("plugin", "posterior_mean", "posterior_sd", "credible_lo", "credible_hi")
 
 
 def _csv_header(reports: Sequence[ItemReport]) -> list[str]:
@@ -351,7 +329,7 @@ def _csv_header(reports: Sequence[ItemReport]) -> list[str]:
     header = ["item_id", "n_total", "prior_only", "credible_mass"]
     header += [f"count_{i + 1}" for i in range(first.counts.n_proper)]
     header.append("count_cs")
-    for name in first.posterior_mean:
+    for name in first.measures:
         header += [f"{name}_{column}" for column in _MEASURE_COLUMNS]
     return header
 
@@ -359,9 +337,10 @@ def _csv_header(reports: Sequence[ItemReport]) -> list[str]:
 def export_reports(reports: Sequence[ItemReport], path: str, format: str = "json") -> None:
     """Write reports sorted by item_id, with exact float round-tripping.
 
-    JSON output is an array of one object per item; CSV uses a flat
-    header (counts as count_1..count_C/count_cs, then one column block
-    per measure). Floats are serialized in shortest round-trip form, and
+    JSON output is an array of one object per item, whose "measures" object
+    maps each measure to its MeasureSummary fields; CSV uses a flat header
+    (counts as count_1..count_C/count_cs, then a <measure>_<field> column
+    per measure and MeasureSummary field). Floats are serialized in shortest round-trip form, and
     the None plug-in of a zero-annotation item becomes null (JSON) or an
     empty field (CSV).
     """
@@ -390,21 +369,36 @@ def export_reports(reports: Sequence[ItemReport], path: str, format: str = "json
                     ]
                     row += [str(v) for v in report.counts.proper]
                     row.append(str(report.counts.cs))
-                    for name in report.posterior_mean:
-                        row += [
-                            _format_float(report.plugin[name]),
-                            _format_float(report.posterior_mean[name]),
-                            _format_float(report.posterior_sd[name]),
-                            _format_float(report.credible_lo[name]),
-                            _format_float(report.credible_hi[name]),
-                        ]
+                    for summary in report.measures.values():
+                        row += [_format_float(getattr(summary, c)) for c in _MEASURE_COLUMNS]
                     writer.writerow(row)
     except OSError as exc:
         raise DataFileError(f"cannot write {path}: {exc}") from exc
 
 
+def _parse_float(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+def _malformed(row: int, exc: Exception) -> MalformedRow:
+    reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return MalformedRow(row, reason)
+
+
+# What reading a report that lacks a field or holds a wrong value raises.
+_ROW_ERRORS = (LookupError, TypeError, AttributeError, ValueError)
+
+
 def import_reports(path: str, format: str = "json") -> list[ItemReport]:
-    """Read back a file written by export_reports."""
+    """Read back a file written by export_reports.
+
+    Raises:
+        DataFileError: unreadable path.
+        EmptyFile: a CSV file without a header.
+        MalformedRow: a report lacking a field or holding a wrong value, at
+            its CSV line or its 1-based position in the JSON array; or a
+            file that is not a JSON array, at the line of the fault.
+    """
     if format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {format!r}")
     try:
@@ -414,24 +408,28 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
     reports = []
     if format == "json":
-        for obj in json.loads(text):
-            measures = obj["measures"]
-            reports.append(
-                ItemReport(
-                    item_id=obj["item_id"],
-                    counts=CountVector(
-                        proper=tuple(obj["counts"]["proper"]), cs=obj["counts"]["cs"]
-                    ),
-                    n_total=obj["n_total"],
-                    prior_only=obj["prior_only"],
-                    credible_mass=obj["credible_mass"],
-                    plugin={k: v["plugin"] for k, v in measures.items()},
-                    posterior_mean={k: v["posterior_mean"] for k, v in measures.items()},
-                    posterior_sd={k: v["posterior_sd"] for k, v in measures.items()},
-                    credible_lo={k: v["credible_lo"] for k, v in measures.items()},
-                    credible_hi={k: v["credible_hi"] for k, v in measures.items()},
+        try:
+            objs = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedRow(exc.lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(objs, list):
+            raise MalformedRow(1, "expected a JSON array of reports")
+        for row, obj in enumerate(objs, start=1):
+            try:
+                counts = obj["counts"]
+                reports.append(
+                    ItemReport(
+                        item_id=obj["item_id"],
+                        counts=CountVector(proper=tuple(counts["proper"]), cs=counts["cs"]),
+                        credible_mass=obj["credible_mass"],
+                        measures={
+                            name: MeasureSummary(**values)
+                            for name, values in obj["measures"].items()
+                        },
+                    )
                 )
-            )
+            except _ROW_ERRORS as exc:
+                raise _malformed(row, exc) from exc
         return reports
 
     reader = csv.reader(io.StringIO(text))
@@ -440,41 +438,30 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
     except StopIteration:
         raise EmptyFile("no rows in report CSV") from None
     count_cols = [h for h in header if h.startswith("count_") and h != "count_cs"]
-    measure_names = []
-    for column in header:
-        if column.endswith("_plugin"):
-            measure_names.append(column[: -len("_plugin")])
+    measure_names = [h[: -len("_plugin")] for h in header if h.endswith("_plugin")]
     index = {name: i for i, name in enumerate(header)}
-    for row in reader:
+    for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
         get = lambda col: row[index[col]]
-        plugin = {}
-        mean = {}
-        sd = {}
-        lo = {}
-        hi = {}
-        for name in measure_names:
-            raw = get(f"{name}_plugin")
-            plugin[name] = None if raw == "" else float(raw)
-            mean[name] = float(get(f"{name}_posterior_mean"))
-            sd[name] = float(get(f"{name}_posterior_sd"))
-            lo[name] = float(get(f"{name}_credible_lo"))
-            hi[name] = float(get(f"{name}_credible_hi"))
-        reports.append(
-            ItemReport(
-                item_id=get("item_id"),
-                counts=CountVector(
-                    proper=tuple(int(get(c)) for c in count_cols), cs=int(get("count_cs"))
-                ),
-                n_total=int(get("n_total")),
-                prior_only=get("prior_only") == "true",
-                credible_mass=float(get("credible_mass")),
-                plugin=plugin,
-                posterior_mean=mean,
-                posterior_sd=sd,
-                credible_lo=lo,
-                credible_hi=hi,
+        try:
+            reports.append(
+                ItemReport(
+                    item_id=get("item_id"),
+                    counts=CountVector(
+                        proper=tuple(int(get(c)) for c in count_cols), cs=int(get("count_cs"))
+                    ),
+                    credible_mass=float(get("credible_mass")),
+                    measures={
+                        name: MeasureSummary(
+                            **{c: _parse_float(get(f"{name}_{c}")) for c in _MEASURE_COLUMNS}
+                        )
+                        for name in measure_names
+                    },
+                )
             )
-        )
+        except _ROW_ERRORS as exc:
+            raise _malformed(line_no, exc) from exc
     return reports

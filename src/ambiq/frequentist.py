@@ -262,6 +262,8 @@ def bias_curve(
             raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
     if not estimators:
         raise DomainError("need at least one estimator")
+    if mc_repeats < 1:
+        raise DomainError(f"mc_repeats must be at least 1, got {mc_repeats}")
     n_tuple = tuple(int(n) for n in n_values)
     truth = ambiguity(q, measure)
     pvals = np.array([*q.proper, q.cs])

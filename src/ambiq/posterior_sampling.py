@@ -88,16 +88,24 @@ class MeasureSummary:
     """Posterior summary of one measure for one count vector.
 
     plugin is the measure at the empirical frequencies, None for a count
-    vector with no annotations. mean and sd are exact for the quadratic
-    measures and sample moments for total variation; the equal-tailed
-    credible interval always comes from the Monte Carlo sample.
+    vector with no annotations. posterior_mean and posterior_sd are exact
+    for the quadratic measures and sample moments for total variation; the
+    equal-tailed credible interval [credible_lo, credible_hi] always comes
+    from the Monte Carlo sample. The field names, in order, are the
+    per-measure columns of a score report file.
     """
 
     plugin: float | None
-    mean: float
-    sd: float
+    posterior_mean: float
+    posterior_sd: float
     credible_lo: float
     credible_hi: float
+
+    def __post_init__(self):
+        if self.credible_lo > self.credible_hi:
+            raise DomainError(
+                f"credible interval [{self.credible_lo!r}, {self.credible_hi!r}] inverted"
+            )
 
 
 @dataclass(frozen=True)
@@ -323,8 +331,8 @@ def posterior_summaries(
             lo, hi = np.quantile(values, [tail, 1.0 - tail], overwrite_input=True)
             summary[measure.value] = MeasureSummary(
                 plugin=None if frequencies is None else ambiguity(frequencies, measure),
-                mean=mean,
-                sd=sd,
+                posterior_mean=mean,
+                posterior_sd=sd,
                 credible_lo=float(lo),
                 credible_hi=float(hi),
             )

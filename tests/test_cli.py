@@ -153,6 +153,16 @@ class TestBiasCurveCommand:
         assert out_path.exists()
         assert str(out_path) in out
 
+    def test_zero_repeats_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bias-curve", "--q", "0.45,0.35,0.20", "--n-values", "1,20",
+            "--mc-repeats", "0", "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestPriorExploreCommand:
     def test_per_beta_entries(self, capsys):
@@ -268,6 +278,30 @@ class TestScoreRankPipeline:
         )
         assert code == 0
         assert payload["n_unknown_skipped"] == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_malformed_report_is_exit_2(self, capsys, annotations, tmp_path, fmt):
+        report = tmp_path / f"report.{fmt}"
+        run_json(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--output-format", fmt,
+        )
+        if fmt == "json":
+            objs = json.loads(report.read_text())
+            del objs[1]["measures"]
+            report.write_text(json.dumps(objs))
+        else:
+            # The third line loses its last field.
+            lines = report.read_text().splitlines()
+            lines[2] = lines[2].rsplit(",", 1)[0]
+            report.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys, "rank", "--input", str(report), "--input-format", fmt, "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "MalformedRow"
 
 
 class TestSeedResolution:

@@ -3,12 +3,12 @@ row-level error reporting, per-item posterior scoring against closed forms,
 ranking and filtering of reports, and lossless export/import round trips.
 """
 
+import csv
 import json
 
 import pytest
 
 from ambiq.dataset_io import (
-    ItemReport,
     export_reports,
     import_reports,
     load_records,
@@ -172,39 +172,39 @@ class TestScoreItems:
         reports = score_items(items, measures=(MeasureKind.NEW,), seed=0)
         (report,) = reports
         # Posterior Dir(2, 2 | 1): mean = 1 - (6 + 6)/(5 * 5) = 0.52.
-        assert report.posterior_mean["new"] == pytest.approx(0.52, abs=1e-12)
-        assert report.plugin["new"] == pytest.approx(0.5, abs=1e-12)
+        assert report.measures["new"].posterior_mean == pytest.approx(0.52, abs=1e-12)
+        assert report.measures["new"].plugin == pytest.approx(0.5, abs=1e-12)
         assert report.n_total == 2
         assert not report.prior_only
 
     def test_plugin_with_cs_mass(self):
         items = {"a": CountVector(proper=(2, 0), cs=1)}
         (report,) = score_items(items, measures=(MeasureKind.NEW,), seed=0)
-        assert report.plugin["new"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert report.measures["new"].plugin == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_prior_only_items_flagged(self):
         items = {"empty": CountVector(proper=(0, 0), cs=0)}
         (report,) = score_items(items, measures=(MeasureKind.NEW,), seed=0)
         assert report.prior_only
-        assert report.plugin["new"] is None
+        assert report.measures["new"].plugin is None
         # Prior Dir(1, 1 | 1): mean 5/9.
-        assert report.posterior_mean["new"] == pytest.approx(5.0 / 9.0, abs=1e-12)
+        assert report.measures["new"].posterior_mean == pytest.approx(5.0 / 9.0, abs=1e-12)
 
     def test_interval_brackets_mean(self):
         items = {"a": CountVector(proper=(3, 1), cs=1)}
         (report,) = score_items(items, seed=1)
         for name in ("new", "modified", "old"):
-            assert report.credible_lo[name] <= report.posterior_mean[name]
-            assert report.posterior_mean[name] <= report.credible_hi[name]
-            assert report.posterior_sd[name] > 0.0
+            assert report.measures[name].credible_lo <= report.measures[name].posterior_mean
+            assert report.measures[name].posterior_mean <= report.measures[name].credible_hi
+            assert report.measures[name].posterior_sd > 0.0
 
     def test_old_measure_mean_is_mc(self):
         items = {"a": CountVector(proper=(3, 1), cs=1)}
         a = score_items(items, measures=(MeasureKind.OLD,), seed=3)
         b = score_items(items, measures=(MeasureKind.OLD,), seed=3)
-        assert a[0].posterior_mean["old"] == b[0].posterior_mean["old"]
+        assert a[0].measures["old"].posterior_mean == b[0].measures["old"].posterior_mean
         c = score_items(items, measures=(MeasureKind.OLD,), seed=4)
-        assert a[0].posterior_mean["old"] != c[0].posterior_mean["old"]
+        assert a[0].measures["old"].posterior_mean != c[0].measures["old"].posterior_mean
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
@@ -251,14 +251,15 @@ class TestScoreItems:
         }
         reports = {r.item_id: r for r in score_items(items, seed=1)}
         assert reports["empty"].prior_only
-        assert set(reports["empty"].plugin.values()) == {None}
+        assert set(_column(reports["empty"], "plugin").values()) == {None}
         for name in ("new", "modified", "old"):
-            assert reports["one-sided"].plugin[name] == pytest.approx(0.0, abs=1e-12)
-            assert reports["cs-only"].plugin[name] == pytest.approx(1.0, abs=1e-12)
+            assert reports["one-sided"].measures[name].plugin == pytest.approx(0.0, abs=1e-12)
+            assert reports["cs-only"].measures[name].plugin == pytest.approx(1.0, abs=1e-12)
         for report in reports.values():
             for name in ("new", "modified", "old"):
-                assert 0.0 <= report.credible_lo[name] <= report.credible_hi[name] <= 1.0
-                assert report.posterior_sd[name] > 0.0
+                summary = report.measures[name]
+                assert 0.0 <= summary.credible_lo <= summary.credible_hi <= 1.0
+                assert summary.posterior_sd > 0.0
 
     def test_reruns_export_identical_bytes(self, tmp_path):
         items = {
@@ -273,14 +274,12 @@ class TestScoreItems:
 
 def _measure_blocks(report):
     """Everything a report says about its counts, without the item id."""
-    return (
-        report.counts,
-        report.plugin,
-        report.posterior_mean,
-        report.posterior_sd,
-        report.credible_lo,
-        report.credible_hi,
-    )
+    return (report.counts, report.measures)
+
+
+def _column(report, column):
+    """One per-measure column of a report, keyed by measure name."""
+    return {name: getattr(summary, column) for name, summary in report.measures.items()}
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +295,7 @@ def scored_reports():
 class TestRankAndFilter:
     def test_descending_by_posterior_mean(self, scored_reports):
         ranked = rank_and_filter(scored_reports, key="posterior_mean", measure=MeasureKind.NEW)
-        means = [r.posterior_mean["new"] for r in ranked]
+        means = [r.measures["new"].posterior_mean for r in ranked]
         assert means == sorted(means, reverse=True)
         assert ranked[0].item_id == "b"
         assert ranked[-1].item_id == "c"
@@ -311,12 +310,12 @@ class TestRankAndFilter:
         ranked = rank_and_filter(
             scored_reports, key="posterior_mean", measure=MeasureKind.NEW, threshold=0.5
         )
-        assert all(r.posterior_mean["new"] >= 0.5 for r in ranked)
+        assert all(r.measures["new"].posterior_mean >= 0.5 for r in ranked)
         assert len(ranked) < len(scored_reports)
 
     def test_plugin_key(self, scored_reports):
         ranked = rank_and_filter(scored_reports, key="plugin", measure=MeasureKind.NEW)
-        values = [r.plugin["new"] for r in ranked]
+        values = [r.measures["new"].plugin for r in ranked]
         assert values == sorted(values, reverse=True)
 
     def test_missing_measure_rejected(self, scored_reports):
@@ -344,32 +343,59 @@ class TestRankAndFilter:
         assert [r.item_id for r in ranked] == ["x", "y"]
 
 
+def _with_prior_only(reports):
+    """reports plus a prior-only item, scored like them, that sorts last."""
+    (empty,) = score_items(
+        {"z-empty": CountVector(proper=(0, 0), cs=0)},
+        measures=(MeasureKind.NEW, MeasureKind.MODIFIED),
+        seed=2,
+    )
+    return [*reports, empty]
+
+
+def _reexport_matches(path, reports, fmt):
+    """Whether exporting reports again writes the bytes at path."""
+    again = path + ".again"
+    export_reports(reports, again, format=fmt)
+    with open(path, "rb") as f1, open(again, "rb") as f2:
+        return f1.read() == f2.read()
+
+
 class TestExportImport:
     def test_json_round_trip(self, scored_reports, tmp_path):
+        reports = _with_prior_only(scored_reports)
         path = str(tmp_path / "reports.json")
-        export_reports(scored_reports, path, format="json")
+        export_reports(reports, path, format="json")
         back = import_reports(path, format="json")
-        assert len(back) == len(scored_reports)
-        for orig, loaded in zip(scored_reports, back):
+        assert len(back) == len(reports)
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)[-1]["measures"]["new"]["plugin"] is None
+        assert _reexport_matches(path, back, "json")
+        for orig, loaded in zip(reports, back):
             assert loaded.item_id == orig.item_id
             assert loaded.counts == orig.counts
             assert loaded.prior_only == orig.prior_only
             # Floats survive exactly: repr round-trips shortest form.
-            assert loaded.posterior_mean == orig.posterior_mean
-            assert loaded.posterior_sd == orig.posterior_sd
-            assert loaded.credible_lo == orig.credible_lo
-            assert loaded.credible_hi == orig.credible_hi
-            assert loaded.plugin == orig.plugin
+            for column in (
+                "posterior_mean", "posterior_sd", "credible_lo", "credible_hi", "plugin"
+            ):
+                assert _column(loaded, column) == _column(orig, column)
 
     def test_csv_round_trip(self, scored_reports, tmp_path):
+        reports = _with_prior_only(scored_reports)
         path = str(tmp_path / "reports.csv")
-        export_reports(scored_reports, path, format="csv")
+        export_reports(reports, path, format="csv")
         back = import_reports(path, format="csv")
-        for orig, loaded in zip(scored_reports, back):
+        assert len(back) == len(reports)
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows[-1]["new_plugin"] == ""
+        assert _reexport_matches(path, back, "csv")
+        for orig, loaded in zip(reports, back):
             assert loaded.item_id == orig.item_id
             assert loaded.counts == orig.counts
-            assert loaded.posterior_mean == orig.posterior_mean
-            assert loaded.plugin == orig.plugin
+            assert _column(loaded, "posterior_mean") == _column(orig, "posterior_mean")
+            assert _column(loaded, "plugin") == _column(orig, "plugin")
 
     def test_prior_only_round_trip(self, tmp_path):
         reports = score_items(
@@ -380,7 +406,36 @@ class TestExportImport:
             export_reports(reports, path, format=fmt)
             (back,) = import_reports(path, format=fmt)
             assert back.prior_only
-            assert back.plugin["new"] is None
+            assert back.measures["new"].plugin is None
+
+    def test_csv_header_is_pinned(self, scored_reports, tmp_path):
+        path = str(tmp_path / "reports.csv")
+        export_reports(scored_reports, path, format="csv")
+        with open(path, encoding="utf-8", newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == [
+            "item_id", "n_total", "prior_only", "credible_mass",
+            "count_1", "count_2", "count_cs",
+            "new_plugin", "new_posterior_mean", "new_posterior_sd",
+            "new_credible_lo", "new_credible_hi",
+            "modified_plugin", "modified_posterior_mean", "modified_posterior_sd",
+            "modified_credible_lo", "modified_credible_hi",
+        ]
+
+    def test_json_keys_are_pinned(self, scored_reports, tmp_path):
+        path = str(tmp_path / "reports.json")
+        export_reports(scored_reports, path, format="json")
+        with open(path, encoding="utf-8") as handle:
+            objs = json.load(handle)
+        for obj in objs:
+            assert list(obj) == [
+                "item_id", "n_total", "prior_only", "counts", "credible_mass", "measures"
+            ]
+            assert list(obj["measures"]) == ["new", "modified"]
+            for values in obj["measures"].values():
+                assert list(values) == [
+                    "plugin", "posterior_mean", "posterior_sd", "credible_lo", "credible_hi"
+                ]
 
     def test_json_is_stable_bytes(self, scored_reports, tmp_path):
         p1 = str(tmp_path / "a.json")
@@ -399,18 +454,58 @@ class TestExportImport:
             import_reports(str(tmp_path / "missing.json"))
 
 
-class TestItemReport:
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(DomainError):
-            ItemReport(
-                item_id="a",
-                counts=CountVector(proper=(1, 0), cs=0),
-                n_total=1,
-                prior_only=False,
-                credible_mass=0.95,
-                plugin={"new": 0.0},
-                posterior_mean={"new": 0.3},
-                posterior_sd={"new": 0.1},
-                credible_lo={"new": 0.8},
-                credible_hi={"new": 0.2},
-            )
+class TestImportMalformed:
+    """A report file that lacks a field or is cut short raises MalformedRow
+    naming the JSON array position or the CSV line."""
+
+    @staticmethod
+    def _exported(reports, tmp_path, fmt):
+        path = tmp_path / f"reports.{fmt}"
+        export_reports(reports, str(path), format=fmt)
+        return path
+
+    def test_json_element_without_measures(self, scored_reports, tmp_path):
+        path = self._exported(scored_reports, tmp_path, "json")
+        objs = json.loads(path.read_text())
+        del objs[1]["measures"]
+        path.write_text(json.dumps(objs))
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="json")
+        assert excinfo.value.row == 2
+        assert "measures" in excinfo.value.reason
+
+    def test_json_object_instead_of_array(self, scored_reports, tmp_path):
+        path = self._exported(scored_reports, tmp_path, "json")
+        objs = json.loads(path.read_text())
+        path.write_text(json.dumps(objs[0]))
+        with pytest.raises(MalformedRow):
+            import_reports(str(path), format="json")
+
+    def test_json_cut_short(self, scored_reports, tmp_path):
+        path = self._exported(scored_reports, tmp_path, "json")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:5]) + "\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="json")
+        assert excinfo.value.row == 6
+
+    def test_csv_without_count_cs(self, scored_reports, tmp_path):
+        path = self._exported(scored_reports, tmp_path, "csv")
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        drop = rows[0].index("count_cs")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([r[:drop] + r[drop + 1:] for r in rows])
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="csv")
+        assert excinfo.value.row == 2
+        assert "count_cs" in excinfo.value.reason
+
+    def test_csv_row_shorter_than_header(self, scored_reports, tmp_path):
+        path = self._exported(scored_reports, tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="csv")
+        assert excinfo.value.row == 3

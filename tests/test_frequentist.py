@@ -265,6 +265,17 @@ class TestBiasCurve:
         with pytest.raises(DomainError):
             bias_curve(q, n_values=(1, 2), estimators=("bogus",), mc_repeats=5, seed=0)
 
+    @pytest.mark.parametrize("mc_repeats", [0, -1])
+    def test_nonpositive_repeats_rejected(self, mc_repeats):
+        q = ProbabilityVector((0.45, 0.35), 0.20)
+        with pytest.raises(DomainError):
+            bias_curve(q, n_values=(1, 20), mc_repeats=mc_repeats, seed=0)
+        with pytest.raises(DomainError):
+            bias_curve(
+                q, n_values=(1, 20), estimators=("plugin",), measure=MeasureKind.OLD,
+                mc_repeats=mc_repeats, seed=0,
+            )
+
     def test_estimator_names_constant(self):
         assert ESTIMATOR_NAMES == ("plugin", "bayes_mean", "bayes_mode")
 

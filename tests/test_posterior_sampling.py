@@ -23,6 +23,7 @@ from ambiq.posterior_analytics import (
 from ambiq.posterior_sampling import (
     MODE_BINS,
     DensityEstimate,
+    MeasureSummary,
     PosteriorSummary,
     density_with_uncertainty,
     histogram_mode,
@@ -281,19 +282,19 @@ class TestPosteriorSummary:
     def test_quadratic_measures_take_exact_moments(self, summary):
         for kind in (MeasureKind.NEW, MeasureKind.MODIFIED):
             moments = posterior_moments(self.POSTERIOR, kind)
-            assert summary[kind.value].mean == pytest.approx(moments.mean, abs=1e-12)
-            assert summary[kind.value].sd == pytest.approx(moments.sd, abs=1e-12)
+            assert summary[kind.value].posterior_mean == pytest.approx(moments.mean, abs=1e-12)
+            assert summary[kind.value].posterior_sd == pytest.approx(moments.sd, abs=1e-12)
 
     def test_old_moments_agree_with_independent_sample(self, summary, reference):
         ref = reference["old"]
         n, n_ref = 20_000, ref.size
         sd = float(ref.std())
         mean_se = sd * math.sqrt(1.0 / n + 1.0 / n_ref)
-        assert summary["old"].mean == pytest.approx(float(ref.mean()), abs=5 * mean_se)
+        assert summary["old"].posterior_mean == pytest.approx(float(ref.mean()), abs=5 * mean_se)
         # Standard error of a sample sd: sqrt((m4 - sd^4) / (4 sd^2 n)).
         m4 = float(np.mean((ref - ref.mean()) ** 4))
         sd_se = math.sqrt((m4 - sd**4) / (4 * sd**2)) * math.sqrt(1.0 / n + 1.0 / n_ref)
-        assert summary["old"].sd == pytest.approx(sd, abs=5 * sd_se)
+        assert summary["old"].posterior_sd == pytest.approx(sd, abs=5 * sd_se)
 
     def test_interval_bounds_agree_with_independent_sample(self, summary, reference):
         # Checked in probability: the reference share below each bound is
@@ -315,7 +316,7 @@ class TestPosteriorSummary:
         again = posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
         assert again == summary
         other_seed = posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=5)
-        assert other_seed["old"].mean != summary["old"].mean
+        assert other_seed["old"].posterior_mean != summary["old"].posterior_mean
 
     def test_many_vectors_match_one_at_a_time(self):
         vectors = [
@@ -334,7 +335,7 @@ class TestPosteriorSummary:
         assert list(out) == ["new"]
         assert out["new"].plugin is None
         # Prior Dir(1, 1 | 1): mean 5/9.
-        assert out["new"].mean == pytest.approx(5.0 / 9.0, abs=1e-12)
+        assert out["new"].posterior_mean == pytest.approx(5.0 / 9.0, abs=1e-12)
 
     def test_rejects_bad_settings(self):
         with pytest.raises(TooFewSamples):
@@ -345,6 +346,18 @@ class TestPosteriorSummary:
             posterior_summary(self.COUNTS, prior_beta=0.0)
         with pytest.raises(DomainError):
             posterior_summary(self.COUNTS, measures=())
+
+
+class TestMeasureSummary:
+    def test_inverted_interval_rejected(self):
+        with pytest.raises(DomainError):
+            MeasureSummary(
+                plugin=0.0,
+                posterior_mean=0.3,
+                posterior_sd=0.1,
+                credible_lo=0.8,
+                credible_hi=0.2,
+            )
 
 
 class TestPosteriorMeanSd:
