@@ -56,10 +56,8 @@ from .binary_density import (  # noqa: F401
     BinaryCounts,
     density_curve,
     density_integral,
-    lower_bound,
     posterior_cdf_binary,
     posterior_density_binary,
-    xi,
 )
 from .frequentist import (  # noqa: F401
     BiasSeries,

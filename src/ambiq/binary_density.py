@@ -8,12 +8,15 @@ and weight by the Beta densities of the independent (u, pi) pair.
 
 The inversion threshold, shared by both invertible measures, is
 
-    xi(a, u) in [0, 1/2]   with   a attained at pi in {xi, 1 - xi},
+    xi(a, u) = (1 - sqrt(r)) / 2 in [0, 1/2],   a attained at pi in {xi, 1 - xi},
 
-and conditioning on u the event {measure <= a} is {pi <= xi or pi >= 1-xi}.
-Integrating the density of u against the Beta tail masses of that event
-gives the CDF directly; differentiating under the integral sign gives the
-density, which picks up the Jacobian d xi / d a.
+with r = 2(1 - a)/(1 - u) - 1 for the new measure and r = (1 - a)/(1 - u)
+for the modified one. It is defined for g(a) <= u <= a, where the lower
+bound g(a) is max(0, 2a - 1) for the new measure and 0 for the modified
+one. Conditioning on u, the event {measure <= a} is {pi <= xi or
+pi >= 1-xi}. Integrating the density of u against the Beta tail masses of
+that event gives the CDF directly; differentiating under the integral sign
+gives the density, which picks up the Jacobian d xi / d a.
 
 Integrands here have square-root endpoint behavior (the Jacobian blows up
 where the two pi roots merge, and Beta densities with shape below one blow
@@ -61,16 +64,11 @@ from .posterior_analytics import posterior_moments
 
 __all__ = [
     "BinaryCounts",
-    "xi",
-    "lower_bound",
     "posterior_density_binary",
     "posterior_cdf_binary",
     "density_curve",
     "density_integral",
 ]
-
-# Radicand rounding noise tolerated before declaring a domain violation.
-_RADICAND_SLACK = 1e-9
 
 _CURVE_EDGE = 1e-6
 
@@ -96,45 +94,6 @@ class BinaryCounts:
     @property
     def total(self) -> int:
         return self.n_plus + self.n_minus + self.n_cs
-
-
-def _radicand(a: float, u, measure: MeasureKind):
-    one_minus_u = 1.0 - np.asarray(u, dtype=float)
-    if np.any(one_minus_u <= 0.0):
-        raise DomainError("u must be below 1")
-    if measure is MeasureKind.NEW:
-        r = 2.0 * (1.0 - a) / one_minus_u - 1.0
-    elif measure is MeasureKind.MODIFIED:
-        r = (1.0 - a) / one_minus_u
-    else:
-        raise DomainError("xi is defined for the quadratic measures only")
-    if np.any(r < -_RADICAND_SLACK) or np.any(r > 1.0 + _RADICAND_SLACK):
-        raise DomainError(
-            f"(a, u) outside the invertible region for the {measure.value} measure"
-        )
-    return np.clip(r, 0.0, 1.0)
-
-
-def xi(a: float, u, measure: MeasureKind):
-    """Smaller of the two conditional-probability roots attaining level a.
-
-    Defined for 0 < a < 1 and lower_bound(a) <= u <= a; vectorized over u.
-    """
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"a must lie in (0, 1), got {a!r}")
-    value = 0.5 * (1.0 - np.sqrt(_radicand(a, u, measure)))
-    return value if np.ndim(u) else float(value)
-
-
-def lower_bound(a: float, measure: MeasureKind) -> float:
-    """Smallest can't-solve mass u compatible with measure value a."""
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"a must lie in (0, 1), got {a!r}")
-    if measure is MeasureKind.NEW:
-        return max(0.0, 2.0 * a - 1.0)
-    if measure is MeasureKind.MODIFIED:
-        return 0.0
-    raise DomainError("lower_bound is defined for the quadratic measures only")
 
 
 def _beta_params(counts: BinaryCounts, prior_beta: float) -> tuple[BetaParams, BetaParams]:
@@ -311,8 +270,8 @@ def posterior_density_binary(
 
         f_cs(u) [f(1 - xi) + f(xi)] d xi / d a
 
-    between lower_bound(a) and a, where f is the conditional-vector Beta
-    density and f_cs the can't-solve Beta density.
+    between the lower bound g(a) and a, where f is the conditional-vector
+    Beta density and f_cs the can't-solve Beta density.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"a must lie in (0, 1), got {a!r}")
@@ -429,8 +388,7 @@ def density_integral(
     between the value and a coarser outer rule with n_nodes // 2 nodes per
     piece (heuristic and conservative: it measures the coarser rule's
     error). The density at the nodes of both outer rules is taken in one
-    batched call, and n_evaluations counts both. depth_exceeded is always
-    False (every rule here is fixed).
+    batched call, and n_evaluations counts both.
     """
     if moment < 0 or moment != int(moment):
         raise DomainError(f"moment must be a nonnegative integer, got {moment!r}")
@@ -446,6 +404,5 @@ def density_integral(
     return QuadratureResult(
         value=value,
         error_estimate=float(outer @ errors[: points.size]) + abs(value - coarse),
-        depth_exceeded=False,
         n_evaluations=evaluations,
     )

@@ -161,6 +161,20 @@ def _iter_csv(text: str):
         yield line_no, AnnotationRecord(item_id, response, annotator)
 
 
+def _read_text(path: str) -> str:
+    """The file's text as UTF-8, without the byte-order mark that spreadsheet
+    "CSV UTF-8" exports put first.
+
+    Raises:
+        DataFileError: unreadable path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataFileError(f"cannot read {path}: {exc}") from exc
+
+
 def load_records(
     path: str,
     format: str = "jsonl",
@@ -178,12 +192,7 @@ def load_records(
     """
     if format not in _FORMATS:
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DataFileError(f"cannot read {path}: {exc}") from exc
-
+    text = _read_text(path)
     rows = _iter_jsonl(text) if format == "jsonl" else _iter_csv(text)
     label_index = {label: i for i, label in enumerate(schema.labels)}
     tallies: dict[str, list[int]] = {}
@@ -401,11 +410,7 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
     """
     if format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {format!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DataFileError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     reports = []
     if format == "json":
         try:

@@ -10,7 +10,6 @@ __all__ = [
     "DomainError",
     "ShapeMismatch",
     "SingleCategoryUnsupported",
-    "NonFiniteIntegrand",
     "EmptySample",
     "TooFewSamples",
     "TooLarge",
@@ -38,10 +37,6 @@ class ShapeMismatch(AmbiqError, ValueError):
 class SingleCategoryUnsupported(AmbiqError, ValueError):
     """The operation needs at least two categories (a C/(C-1) or ln M
     normalization is undefined at C = 1 or M = 1)."""
-
-
-class NonFiniteIntegrand(AmbiqError, ArithmeticError):
-    """The integrand returned NaN or infinity inside the integration range."""
 
 
 class EmptySample(AmbiqError, ValueError):

@@ -27,6 +27,7 @@ from .measures import (
     MeasureKind,
     ProbabilityVector,
     ambiguity,
+    ambiguity_array,
     ambiguity_new,
     modified_from_new,
 )
@@ -112,14 +113,18 @@ class BiasSeries:
     measure: MeasureKind = field(default=MeasureKind.NEW)
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise DomainError("n_values must be strictly increasing")
-        if any(n < 1 for n in self.n_values):
-            raise DomainError("n_values must be positive")
+        _check_sample_sizes(self.n_values)
         for label in self.labels:
             for table in (self.bias, self.stderr):
                 if label not in table or len(table[label]) != len(self.n_values):
                     raise DomainError(f"missing or misshaped series for {label!r}")
+
+
+def _check_sample_sizes(n_values: Sequence[int]) -> None:
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise DomainError("n_values must be strictly increasing")
+    if any(n < 1 for n in n_values):
+        raise DomainError("n_values must be positive")
 
 
 def plugin_estimate(counts: CountVector, measure: MeasureKind = MeasureKind.NEW) -> float:
@@ -265,6 +270,7 @@ def bias_curve(
     if mc_repeats < 1:
         raise DomainError(f"mc_repeats must be at least 1, got {mc_repeats}")
     n_tuple = tuple(int(n) for n in n_values)
+    _check_sample_sizes(n_tuple)
     truth = ambiguity(q, measure)
     pvals = np.array([*q.proper, q.cs])
     pvals = pvals / pvals.sum()
@@ -280,8 +286,6 @@ def bias_curve(
     plugin_mc = "plugin" in estimators and measure is MeasureKind.OLD
 
     for n_index, n in enumerate(n_tuple):
-        if n < 1:
-            raise DomainError(f"sample sizes must be positive, got {n}")
         can_enumerate = n <= _EXHAUSTIVE_MAX_N and n_cat + 1 <= _EXHAUSTIVE_MAX_CATEGORIES
         draws = None
         if bayes_names or (plugin_mc and not can_enumerate):
@@ -312,12 +316,9 @@ def bias_curve(
         for name, label in zip(estimators, labels):
             if name == "plugin":
                 if plugin_mc and not can_enumerate:
-                    values = np.array(
-                        [
-                            plugin_estimate(_row_counts(row, n_cat), measure)
-                            for row in draws
-                        ]
-                    )
+                    # Every row's frequencies at once; the same floats as
+                    # plugin_estimate on each row.
+                    values = ambiguity_array(draws[:, :n_cat] / n, draws[:, n_cat] / n, measure)
                     bias[label].append(float(values.mean()) - truth)
                     stderr[label].append(float(values.std() / math.sqrt(len(values))))
                     continue

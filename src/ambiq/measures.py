@@ -17,8 +17,10 @@ task ambiguity are computed from such a vector:
 
 All three live in [0, 1], are invariant under permutations of the proper
 categories, and treat q_cs asymmetrically: abstention mass always pushes
-ambiguity up. The functions here are pure and operate on immutable values;
-batch (array) variants used by the samplers are provided alongside.
+ambiguity up. Each measure is written once, as an array kernel over rows of
+(proper, cs) that the samplers call on millions of vectors at a time; the
+scalar functions are one-row calls of those kernels, so a plug-in value
+and a Monte Carlo draw of the same vector get the same floats.
 """
 
 from __future__ import annotations
@@ -154,11 +156,13 @@ class ProbabilityVector:
         return self.cs >= DEGENERACY_THRESHOLD
 
 
-def _finalize(value: float, what: str) -> float:
-    """Clamp sub-tolerance [0,1] violations; larger ones are bugs."""
-    if value < -_CLAMP_TOLERANCE or value > 1.0 + _CLAMP_TOLERANCE:
-        raise InternalConsistencyError(f"{what} = {value!r} outside [0, 1]")
-    return min(1.0, max(0.0, value))
+def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:
+    """The measure named by `kind` at one soft label.
+
+    A one-row call of the array kernel below, so the scalar and the Monte
+    Carlo layers share one copy of each formula.
+    """
+    return float(_MEASURE_ARRAY_FUNCS[kind](np.array([q.proper]), np.array([q.cs]))[0])
 
 
 def ambiguity_new(q: ProbabilityVector) -> float:
@@ -176,10 +180,7 @@ def ambiguity_new(q: ProbabilityVector) -> float:
         >>> round(ambiguity_new(ProbabilityVector((0.25, 0.25), 0.5)), 6)
         0.75
     """
-    if q.cs >= DEGENERACY_THRESHOLD:
-        return 1.0
-    sq = math.fsum(v * v for v in q.proper)
-    return _finalize(1.0 - sq / (1.0 - q.cs), "ambiguity_new")
+    return ambiguity(q, MeasureKind.NEW)
 
 
 def ambiguity_modified(q: ProbabilityVector) -> float:
@@ -199,17 +200,7 @@ def ambiguity_modified(q: ProbabilityVector) -> float:
         >>> round(ambiguity_modified(ProbabilityVector((0.8, 0.2), 0.0)), 6)
         0.64
     """
-    n_cat = q.n_proper
-    if n_cat < 2:
-        raise SingleCategoryUnsupported(
-            "modified ambiguity needs C >= 2 (C/(C-1) rescaling)"
-        )
-    if q.cs >= DEGENERACY_THRESHOLD:
-        return 1.0
-    one_minus = 1.0 - q.cs
-    sq = math.fsum(v * v for v in q.proper)
-    flip = one_minus - sq / one_minus
-    return _finalize(q.cs + n_cat / (n_cat - 1.0) * flip, "ambiguity_modified")
+    return ambiguity(q, MeasureKind.MODIFIED)
 
 
 def modified_from_new(amb: float, q_cs: float, n_proper: int) -> float:
@@ -242,27 +233,7 @@ def ambiguity_old(q: ProbabilityVector) -> float:
     Raises:
         SingleCategoryUnsupported: for C = 1.
     """
-    n_cat = q.n_proper
-    if n_cat < 2:
-        raise SingleCategoryUnsupported("old ambiguity needs C >= 2")
-    if q.cs >= DEGENERACY_THRESHOLD:
-        return 1.0
-    one_minus = 1.0 - q.cs
-    uniform = 1.0 / n_cat
-    tv = math.fsum(abs(v / one_minus - uniform) for v in q.proper)
-    return _finalize(1.0 - 0.5 * one_minus * n_cat / (n_cat - 1.0) * tv, "ambiguity_old")
-
-
-_MEASURE_FUNCS = {
-    MeasureKind.NEW: ambiguity_new,
-    MeasureKind.MODIFIED: ambiguity_modified,
-    MeasureKind.OLD: ambiguity_old,
-}
-
-
-def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:
-    """Dispatch to the measure named by `kind`."""
-    return _MEASURE_FUNCS[kind](q)
+    return ambiguity(q, MeasureKind.OLD)
 
 
 def _entries(p) -> tuple[float, ...]:
@@ -287,8 +258,9 @@ def normalized_entropy(p) -> float:
     m = len(entries)
     if m < 2:
         raise SingleCategoryUnsupported("normalized entropy needs M >= 2")
-    h = -math.fsum(v * math.log(v) for v in entries if v > 0.0)
-    return _finalize(h / math.log(m), "normalized_entropy")
+    # 0.0 - x rather than -x, so a point mass gives 0.0 and not -0.0.
+    h = 0.0 - math.fsum(v * math.log(v) for v in entries if v > 0.0)
+    return float(_check_array_range(np.array(h / math.log(m)), "normalized_entropy"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +268,9 @@ def normalized_entropy(p) -> float:
 # ---------------------------------------------------------------------------
 #
 # The Monte-Carlo layers evaluate measures on millions of sampled vectors;
-# these operate on (n, C) proper blocks plus (n,) cs columns in one pass.
-# Inputs are trusted to be rows of a simplex (as produced by the samplers).
+# these operate on (n, C) proper blocks plus (n,) cs columns in one pass,
+# and the scalar measures above on one row. Inputs are trusted to be rows
+# of a simplex (as produced by the samplers or a ProbabilityVector).
 # Every row reduction adds columns left to right, so a row gets the same
 # floats whether the block is C-ordered or, as the samplers return it,
 # column-major.

@@ -4,7 +4,10 @@ Everything downstream (closed-form posterior moments, the analytic binary
 density, Monte-Carlo summaries) is built on the primitives in this module.
 Special functions are implemented here rather than taken from an external
 library so their accuracy is pinned by this repo's own tests; the test suite
-cross-checks them against scipy as an independent oracle.
+cross-checks them against scipy as an independent oracle. The one Beta
+density, ``beta_pdf_pair``, takes x and 1 - x as separate arguments, since
+the binary density builds both without cancellation; ``QuadratureResult``
+carries the value, error estimate and evaluation count of its fixed rules.
 
 All functions are pure. Sampling takes explicit seeds and returns values;
 there is no hidden global RNG state.
@@ -26,7 +29,6 @@ __all__ = [
     "QuadratureResult",
     "ln_gamma",
     "digamma",
-    "beta_pdf",
     "regularized_incomplete_beta",
     "beta_moment",
     "beta_variance",
@@ -106,14 +108,11 @@ class QuadratureResult:
     Attributes:
         value: the integral estimate.
         error_estimate: heuristic bound on the absolute error of value.
-        depth_exceeded: True when an adaptive rule hit its recursion cap
-            before meeting its tolerance; the estimate is still returned.
         n_evaluations: number of integrand evaluations.
     """
 
     value: float
     error_estimate: float
-    depth_exceeded: bool
     n_evaluations: int
 
     def __float__(self) -> float:
@@ -205,34 +204,6 @@ def digamma(x: float) -> float:
 
 def _ln_beta(a: float, b: float) -> float:
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-
-
-def beta_pdf(params: BetaParams, x):
-    """Beta(alpha, beta) density at x, elementwise over arrays.
-
-    Interior points use exp((a-1) ln x + (b-1) ln(1-x) - ln B(a,b)). At the
-    endpoints the finite limit is used when the local exponent is zero, and
-    +inf is returned when it is negative (the density genuinely diverges
-    there; callers integrate through it with substitutions).
-
-    Raises:
-        DomainError: for x outside [0, 1].
-    """
-    a, b = params.alpha, params.beta
-    ln_b = _ln_beta(a, b)
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)):
-        raise DomainError("beta_pdf requires x in [0, 1]")
-    out = np.empty_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    xi = arr[interior]
-    out[interior] = np.exp((a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - ln_b)
-    # Density limits at the endpoints depend on the sign of the exponent.
-    out[arr == 0.0] = 0.0 if a > 1.0 else (math.exp(-ln_b) if a == 1.0 else math.inf)
-    out[arr == 1.0] = 0.0 if b > 1.0 else (math.exp(-ln_b) if b == 1.0 else math.inf)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def beta_pdf_pair(params: BetaParams, x, one_minus_x):

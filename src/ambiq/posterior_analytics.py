@@ -31,7 +31,7 @@ from .exceptions import (
     ShapeMismatch,
     SingleCategoryUnsupported,
 )
-from .measures import MeasureKind
+from .measures import MeasureKind, modified_from_new
 from .numerics import DirichletParams, digamma
 
 if TYPE_CHECKING:
@@ -132,11 +132,8 @@ def expected_amb(params: DirichletParams) -> float:
 
 def expected_amb_modified(params: DirichletParams) -> float:
     """E of the modified measure via the exact linear relation:
-    [C E(amb) - alpha_cs/alpha_0] / (C - 1)."""
-    n_cat = params.n_proper
-    if n_cat < 2:
-        raise SingleCategoryUnsupported("modified measure needs C >= 2")
-    return (n_cat * expected_amb(params) - params.cs / params.total) / (n_cat - 1.0)
+    [C E(amb) - alpha_cs/alpha_0] / (C - 1), with alpha_cs/alpha_0 = E(q_cs)."""
+    return modified_from_new(expected_amb(params), params.cs / params.total, params.n_proper)
 
 
 def _r_and_s(params: DirichletParams) -> tuple[float, float]:

@@ -13,8 +13,28 @@ from typing import Callable
 
 import numpy as np
 
-from ambiq.exceptions import DomainError, NonFiniteIntegrand
-from ambiq.numerics import QuadratureResult
+from ambiq.exceptions import DomainError
+
+
+class NonFiniteIntegrand(ArithmeticError):
+    """The integrand returned NaN or infinity inside the integration range."""
+
+
+@dataclass(frozen=True)
+class SimpsonResult:
+    """Integral estimate with its error bookkeeping.
+
+    depth_exceeded is True when a segment hit the recursion cap before
+    meeting its tolerance; the estimate is still returned.
+    """
+
+    value: float
+    error_estimate: float
+    depth_exceeded: bool
+    n_evaluations: int
+
+    def __float__(self) -> float:
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -36,7 +56,7 @@ def adaptive_simpson(
     a: float,
     b: float,
     quadrature: Quadrature | None = None,
-) -> QuadratureResult:
+) -> SimpsonResult:
     """Adaptive Simpson integration of f over [a, b].
 
     The integrand must map a float ndarray to an elementwise float ndarray;
@@ -57,7 +77,7 @@ def adaptive_simpson(
     if b < a:
         raise DomainError(f"integration limits must satisfy a <= b; got {a} > {b}")
     if a == b:
-        return QuadratureResult(0.0, 0.0, False, 0)
+        return SimpsonResult(0.0, 0.0, False, 0)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         y = np.asarray(f(x), dtype=float)
@@ -125,4 +145,4 @@ def adaptive_simpson(
         tol = np.concatenate([half_tol, half_tol])
         depth = np.concatenate([child_depth, child_depth])
 
-    return QuadratureResult(total, err_total, depth_exceeded, n_eval)
+    return SimpsonResult(total, err_total, depth_exceeded, n_eval)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import ambiq.frequentist
 from ambiq.cli import main
 from ambiq.numerics import make_generator
 
@@ -164,6 +165,19 @@ class TestBiasCurveCommand:
         assert json.loads(err)["error"] == "DomainError"
 
 
+    def test_decreasing_n_values_is_exit_2_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a posterior sample before validating --n-values")
+
+        monkeypatch.setattr(ambiq.frequentist, "sample_transformed", no_draws)
+        code, out, err = run(
+            capsys, "bias-curve", "--q", "0.45,0.35,0.20", "--n-values", "100,5", "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 class TestPriorExploreCommand:
     def test_per_beta_entries(self, capsys):
         code, payload, _ = run_json(
@@ -278,6 +292,20 @@ class TestScoreRankPipeline:
         )
         assert code == 0
         assert payload["n_unknown_skipped"] == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rank_reads_report_with_byte_order_mark(self, capsys, annotations, tmp_path, fmt):
+        report = tmp_path / f"report.{fmt}"
+        run_json(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--output-format", fmt,
+        )
+        argv = ("rank", "--input", str(report), "--input-format", fmt, "--json")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        report.write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+        assert run(capsys, *argv) == (0, plain, "")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_malformed_report_is_exit_2(self, capsys, annotations, tmp_path, fmt):

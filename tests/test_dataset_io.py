@@ -128,7 +128,27 @@ class TestLoadJsonl:
             load_records(str(tmp_path / "x"), format="xml", schema=YES_NO)
 
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        rows = [
+            {"item_id": "a", "annotator_id": "a1", "response": "yes"},
+            {"item_id": "a", "annotator_id": "a2", "response": "cs"},
+        ]
+        plain = load_records(write_jsonl(tmp_path / "plain.jsonl", rows), schema=YES_NO)
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.jsonl").read_bytes())
+        assert load_records(str(path), schema=YES_NO) == plain
+
+
 class TestLoadCsv:
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # What spreadsheet "CSV UTF-8" exports write: a BOM before the header.
+        path = tmp_path / "ann.csv"
+        path.write_bytes(b"\xef\xbb\xbfitem_id,annotator_id,response\na,r1,yes\nb,r1,cs\n")
+        result = load_records(str(path), format="csv", schema=YES_NO)
+        assert result.n_rows == 2
+        assert result.items["a"] == CountVector(proper=(1, 0), cs=0)
+        assert result.items["b"] == CountVector(proper=(0, 0), cs=1)
+
     def test_basic(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text(

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from ambiq import frequentist
 from ambiq.exceptions import DomainError, EmptySample, TooLarge
 from ambiq.frequentist import (
     ESTIMATOR_NAMES,
@@ -275,6 +276,16 @@ class TestBiasCurve:
                 q, n_values=(1, 20), estimators=("plugin",), measure=MeasureKind.OLD,
                 mc_repeats=mc_repeats, seed=0,
             )
+
+    @pytest.mark.parametrize("n_values", [(100, 5), (5, 5), (5, 0)])
+    def test_bad_n_values_rejected_before_any_draw(self, n_values, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a posterior sample before validating n_values")
+
+        monkeypatch.setattr(frequentist, "sample_transformed", no_draws)
+        q = ProbabilityVector((0.45, 0.35), 0.20)
+        with pytest.raises(DomainError):
+            bias_curve(q, n_values=n_values, mc_repeats=3, seed=0)
 
     def test_estimator_names_constant(self):
         assert ESTIMATOR_NAMES == ("plugin", "bayes_mean", "bayes_mode")

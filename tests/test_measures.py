@@ -58,6 +58,26 @@ def masked_formula(proper, cs, kind):
     return np.clip(out, 0.0, 1.0)
 
 
+def fsum_reference(q, kind):
+    """Each measure's scalar formula with compensated (fsum) sums over the
+    categories, 1 on the degenerate branch, clamped to [0, 1]: a reference
+    that shares no code with the array kernels, which add left to right."""
+    n_cat = q.n_proper
+    if q.cs >= DEGENERACY_THRESHOLD:
+        return 1.0
+    one_minus = 1.0 - q.cs
+    if kind is MeasureKind.NEW:
+        value = 1.0 - math.fsum(v * v for v in q.proper) / one_minus
+    elif kind is MeasureKind.MODIFIED:
+        flip = one_minus - math.fsum(v * v for v in q.proper) / one_minus
+        value = q.cs + n_cat / (n_cat - 1.0) * flip
+    else:
+        tv = math.fsum(abs(v / one_minus - 1.0 / n_cat) for v in q.proper)
+        value = 1.0 - 0.5 * one_minus * n_cat / (n_cat - 1.0) * tv
+    assert -1e-12 <= value <= 1.0 + 1e-12
+    return min(1.0, max(0.0, value))
+
+
 class TestAmbiguityNew:
     def test_certain_answer_scores_zero(self):
         assert ambiguity_new(ProbabilityVector((1.0, 0.0), 0.0)) == 0.0
@@ -257,26 +277,44 @@ class TestArrayFastPaths:
         proper, cs = random_soft_labels(rng, 500, 3, max_cs=1.0)
         return proper, cs
 
+    @staticmethod
+    def reference(proper, cs, kind):
+        return [fsum_reference(ProbabilityVector(tuple(r), c), kind) for r, c in zip(proper, cs)]
+
     def test_new_matches_scalar(self, batch):
         proper, cs = batch
         out = ambiguity_new_array(proper, cs)
-        ref = [ambiguity_new(ProbabilityVector(tuple(r), c)) for r, c in zip(proper, cs)]
-        np.testing.assert_allclose(out, ref, atol=1e-13)
+        np.testing.assert_allclose(out, self.reference(proper, cs, MeasureKind.NEW), atol=1e-13)
 
     def test_modified_matches_scalar(self, batch):
         proper, cs = batch
         out = ambiguity_modified_array(proper, cs)
-        ref = [
-            ambiguity_modified(ProbabilityVector(tuple(r), c))
-            for r, c in zip(proper, cs)
-        ]
-        np.testing.assert_allclose(out, ref, atol=1e-13)
+        np.testing.assert_allclose(
+            out, self.reference(proper, cs, MeasureKind.MODIFIED), atol=1e-13
+        )
 
     def test_old_matches_scalar(self, batch):
         proper, cs = batch
         out = ambiguity_old_array(proper, cs)
-        ref = [ambiguity_old(ProbabilityVector(tuple(r), c)) for r, c in zip(proper, cs)]
-        np.testing.assert_allclose(out, ref, atol=1e-13)
+        np.testing.assert_allclose(out, self.reference(proper, cs, MeasureKind.OLD), atol=1e-13)
+
+    @pytest.mark.parametrize("n_proper", range(1, 10))
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_scalar_is_the_one_row_kernel(self, kind, n_proper):
+        # A plug-in value and a Monte Carlo draw of the same vector get the
+        # same floats, at every C.
+        rng = np.random.default_rng(n_proper)
+        proper, cs = random_soft_labels(rng, 200, n_proper, max_cs=1.0)
+        for row, c in zip(proper, cs):
+            q = ProbabilityVector(tuple(row), c)
+            if n_proper == 1 and kind is not MeasureKind.NEW:
+                with pytest.raises(SingleCategoryUnsupported):
+                    ambiguity(q, kind)
+                with pytest.raises(SingleCategoryUnsupported):
+                    ambiguity_array(row[None, :], np.array([c]), kind)
+                continue
+            one_row = ambiguity_array(row[None, :], np.array([c]), kind)[0]
+            assert ambiguity(q, kind) == one_row
 
     def test_degenerate_rows_score_one(self):
         proper = np.array([[0.0, 0.0], [0.5, 0.5]])

@@ -112,6 +112,18 @@ class TestModifiedMoments:
             )
             assert expected_amb_modified(params) >= expected_amb(params) - 1e-12
 
+    def test_mean_is_the_linear_relation_exactly(self):
+        # The relation (C E(amb) - E(q_cs)) / (C - 1), written out: the
+        # mean must take exactly these operations, in this order.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n_cat = int(rng.integers(2, 10))
+            params = DirichletParams(
+                proper=tuple(rng.uniform(0.05, 500.0, size=n_cat)), cs=rng.uniform(0.05, 500.0)
+            )
+            written_out = (n_cat * expected_amb(params) - params.cs / params.total) / (n_cat - 1.0)
+            assert expected_amb_modified(params) == written_out
+
     def test_single_category_rejected(self):
         with pytest.raises(SingleCategoryUnsupported):
             expected_amb_modified(DirichletParams(proper=(1.0,), cs=1.0))

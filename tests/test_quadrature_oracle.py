@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from ambiq.exceptions import DomainError
-from ambiq.numerics import QuadratureResult
-from quadrature_oracle import Quadrature, adaptive_simpson
+from quadrature_oracle import Quadrature, SimpsonResult, adaptive_simpson
 
 
 class TestAdaptiveSimpson:
@@ -55,7 +54,7 @@ class TestAdaptiveSimpson:
 
     def test_empty_interval(self):
         result = adaptive_simpson(np.sin, 0.5, 0.5)
-        assert result == QuadratureResult(0.0, 0.0, False, 0)
+        assert result == SimpsonResult(0.0, 0.0, False, 0)
 
     def test_float_conversion(self):
         result = adaptive_simpson(lambda x: np.ones_like(x), 0.0, 3.0)
