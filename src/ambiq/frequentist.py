@@ -176,6 +176,37 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
+def _composition_weights(
+    q: ProbabilityVector, n: int
+) -> tuple[list[tuple[int, ...]], list[float]]:
+    """Every count vector of n responses (proper counts, then cs) that has
+    positive multinomial probability under q, with that probability.
+
+    Raises:
+        TooLarge: beyond n = 12 or 4 total categories.
+    """
+    if n < 1:
+        raise DomainError(f"sample size must be positive, got {n}")
+    m = q.n_proper + 1
+    if n > _EXHAUSTIVE_MAX_N or m > _EXHAUSTIVE_MAX_CATEGORIES:
+        raise TooLarge(
+            f"exhaustive enumeration capped at n <= {_EXHAUSTIVE_MAX_N} and "
+            f"{_EXHAUSTIVE_MAX_CATEGORIES} categories; got n = {n}, M = {m}"
+        )
+    probs = (*q.proper, q.cs)
+    ln_n_fact = ln_gamma(n + 1.0)
+    combos = []
+    weights = []
+    for combo in _compositions(n, m):
+        if any(k > 0 and p == 0.0 for k, p in zip(combo, probs)):
+            continue
+        ln_pmf = ln_n_fact - math.fsum(ln_gamma(k + 1.0) for k in combo)
+        ln_pmf += math.fsum(k * math.log(p) for k, p in zip(combo, probs) if k > 0)
+        combos.append(combo)
+        weights.append(math.exp(ln_pmf))
+    return combos, weights
+
+
 def exhaustive_expected_estimator(
     q: ProbabilityVector,
     n: int,
@@ -190,25 +221,11 @@ def exhaustive_expected_estimator(
         TooLarge: beyond n = 12 or 4 total categories, where enumeration
             stops being an oracle and starts being a production path.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be positive, got {n}")
-    m = q.n_proper + 1
-    if n > _EXHAUSTIVE_MAX_N or m > _EXHAUSTIVE_MAX_CATEGORIES:
-        raise TooLarge(
-            f"exhaustive enumeration capped at n <= {_EXHAUSTIVE_MAX_N} and "
-            f"{_EXHAUSTIVE_MAX_CATEGORIES} categories; got n = {n}, M = {m}"
-        )
-    probs = (*q.proper, q.cs)
-    ln_n_fact = ln_gamma(n + 1.0)
-    terms = []
-    for combo in _compositions(n, m):
-        if any(k > 0 and p == 0.0 for k, p in zip(combo, probs)):
-            continue
-        ln_pmf = ln_n_fact - math.fsum(ln_gamma(k + 1.0) for k in combo)
-        ln_pmf += math.fsum(k * math.log(p) for k, p in zip(combo, probs) if k > 0)
-        value = estimator(CountVector(proper=combo[:-1], cs=combo[-1]))
-        terms.append(math.exp(ln_pmf) * value)
-    return math.fsum(terms)
+    combos, weights = _composition_weights(q, n)
+    return math.fsum(
+        w * estimator(CountVector(proper=combo[:-1], cs=combo[-1]))
+        for combo, w in zip(combos, weights)
+    )
 
 
 def bayes_point_estimates(
@@ -330,9 +347,13 @@ def bias_curve(
                     # is unbiased, so the expectation carries over exactly.
                     expectation = modified_from_new(expected_plugin(q, n), q.cs, n_cat)
                 else:
-                    expectation = exhaustive_expected_estimator(
-                        q, n, lambda cv: plugin_estimate(cv, measure)
-                    )
+                    # Every count vector's frequencies in one kernel call:
+                    # exhaustive_expected_estimator of plugin_estimate, to
+                    # the bit.
+                    combos, weights = _composition_weights(q, n)
+                    freq = np.array(combos) / n
+                    per_vector = ambiguity_array(freq[:, :n_cat], freq[:, n_cat], measure)
+                    expectation = math.fsum(w * v for w, v in zip(weights, per_vector.tolist()))
                 bias[label].append(expectation - truth)
                 stderr[label].append(0.0)
                 continue

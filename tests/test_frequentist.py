@@ -328,6 +328,30 @@ class TestBiasCurve:
             assert abs(bias + truth - values.mean()) < 5.0 * se
 
 
+OLD_PLUGIN_CASES = [
+    ProbabilityVector((0.45, 0.35), 0.20),
+    ProbabilityVector((0.5, 0.5), 0.0),
+    ProbabilityVector((0.4, 0.3, 0.2), 0.1),
+    ProbabilityVector((0.7, 0.0, 0.2), 0.1),
+    ProbabilityVector((0.13, 0.29, 0.31), 0.27),
+]
+
+
+@pytest.mark.parametrize("q", OLD_PLUGIN_CASES)
+def test_old_plugin_column_equals_enumeration_at_every_n(q):
+    # The column measures every count vector in one kernel call; it must
+    # give exactly the per-vector oracle's floats wherever it enumerates.
+    n_values = tuple(range(1, 13))
+    series = bias_curve(q, n_values=n_values, estimators=("plugin",), measure=MeasureKind.OLD)
+    truth = ambiguity(q, MeasureKind.OLD)
+    assert series.stderr["plugin"] == (0.0,) * len(n_values)
+    for n, bias in zip(n_values, series.bias["plugin"]):
+        expectation = exhaustive_expected_estimator(
+            q, n, lambda cv: plugin_estimate(cv, MeasureKind.OLD)
+        )
+        assert bias == expectation - truth
+
+
 def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode):
     """bias_curve written out as a plain loop under a flat prior: counts
     from the stream (seed, (n_index,)), then for each repeat a fresh

@@ -25,6 +25,7 @@ from ambiq.posterior_sampling import (
     DensityEstimate,
     MeasureSummary,
     PosteriorSummary,
+    _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
     posterior_mean_sd,
@@ -94,14 +95,16 @@ class TestSummarize:
     def test_default_quantile_levels(self, sample):
         out = summarize(sample)
         assert set(out.quantiles) == {0.025, 0.25, 0.5, 0.75, 0.975}
-        assert out.quantiles[0.5] == pytest.approx(float(np.quantile(sample, 0.5)))
+        for level, value in out.quantiles.items():
+            assert value == float(np.quantile(sample, level))
 
     def test_credible_interval_equal_tailed(self, sample):
         out = summarize(sample, credible_mass=0.9)
         lo, hi, mass = out.credible_interval
         assert mass == 0.9
-        assert lo == pytest.approx(float(np.quantile(sample, 0.05)))
-        assert hi == pytest.approx(float(np.quantile(sample, 0.95)))
+        tail = 0.5 * (1.0 - 0.9)  # 0.04999999999999999, as summarize computes it
+        assert lo == float(np.quantile(sample, tail))
+        assert hi == float(np.quantile(sample, 1.0 - tail))
         inside = np.mean((sample >= lo) & (sample <= hi))
         assert inside == pytest.approx(0.9, abs=0.01)
 
@@ -112,6 +115,11 @@ class TestSummarize:
         assert out.sd == pytest.approx(0.0, abs=1e-15)
         assert out.credible_interval[0] == 0.37
         assert out.credible_interval[1] == 0.37
+
+    def test_leaves_the_sample_unchanged(self, sample):
+        before = sample.copy()
+        summarize(sample, quantile_levels=(0.1, 0.5, 0.9))
+        np.testing.assert_array_equal(sample, before)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
@@ -158,6 +166,43 @@ class TestSummarize:
                 quantiles={0.5: 0.5},
                 credible_interval=(0.7, 0.3, 0.95),
             )
+
+
+class TestSortedQuantiles:
+    """_sorted_quantiles against np.quantile, compared as floats with ==."""
+
+    # Fixed levels, then the (tail, 1 - tail) pair of each credible mass,
+    # computed as posterior_summaries and summarize compute them.
+    LEVELS = [0.0, 1.0, 0.025, 0.25, 0.5, 0.75, 0.975, 0.1, 1.0 / 3.0] + [
+        level
+        for mass in (0.5, 0.9, 0.95, 0.99)
+        for level in (0.5 * (1.0 - mass), 1.0 - 0.5 * (1.0 - mass))
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 20_000, 100_001])
+    def test_equals_numpy_quantile(self, n):
+        x = np.random.default_rng(n).random(n)
+        expected = np.quantile(x, self.LEVELS)
+        got = _sorted_quantiles(np.sort(x), self.LEVELS)
+        assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [2, 1000, 20_000, 100_001])
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_equals_numpy_quantile_with_ties(self, n, decimals):
+        x = np.round(np.random.default_rng([n, decimals]).beta(2.0, 5.0, n), decimals)
+        expected = np.quantile(x, self.LEVELS)
+        got = _sorted_quantiles(np.sort(x), self.LEVELS)
+        assert got.tolist() == expected.tolist()
+
+    def test_random_levels(self):
+        rng = np.random.default_rng(31)
+        for n in (3, 17, 999, 4097):
+            x = rng.random(n)
+            levels = rng.random(50)
+            assert _sorted_quantiles(np.sort(x), levels).tolist() == np.quantile(x, levels).tolist()
+
+    def test_no_levels(self):
+        assert _sorted_quantiles(np.sort(np.random.default_rng(2).random(10)), ()).size == 0
 
 
 def reference_mode(values):
@@ -306,6 +351,22 @@ class TestPosteriorSummary:
             above_hi = float(np.mean(ref > summary[name].credible_hi))
             assert below_lo == pytest.approx(tail, abs=5 * se)
             assert above_hi == pytest.approx(tail, abs=5 * se)
+
+    def test_old_moments_and_intervals_are_those_of_the_stream(self, summary):
+        # The values are sorted for the interval only after the mean and sd
+        # are taken, so both equal the unsorted sample's, and the interval
+        # equals np.quantile's on the same stream's draws.
+        stream = (3, *self.COUNTS.proper, self.COUNTS.cs)
+        proper, cs = _dirichlet_draws(self.POSTERIOR, 20_000, make_generator(4, stream))
+        tail = 0.5 * (1.0 - 0.9)
+        for kind in MeasureKind:
+            values = ambiguity_array(proper, cs, kind)
+            lo, hi = np.quantile(values, [tail, 1.0 - tail])
+            assert summary[kind.value].credible_lo == float(lo)
+            assert summary[kind.value].credible_hi == float(hi)
+            if kind is MeasureKind.OLD:
+                assert summary["old"].posterior_mean == float(values.mean())
+                assert summary["old"].posterior_sd == float(values.std())
 
     def test_plugin_values(self, summary):
         q = self.COUNTS.as_probability_vector()
