@@ -37,6 +37,9 @@ conservative: it measures the Gauss rule's error). The nodes and weights
 are QUADPACK's qk21 table, so nothing is computed at import. The density
 and the CDF at many values of a are evaluated in one batch, in chunks of
 32 values of a, so the work is a few numpy passes over arrays of a few MB.
+For the CDF, the two conditional Beta tails at every node and the
+can't-solve boundary term at every a of a chunk are one batch of the
+incomplete beta, so one continued-fraction loop runs per chunk.
 
 The total-variation measure is piecewise linear in pi and not treated
 here; its pushforward is summarized by Monte Carlo elsewhere.
@@ -192,7 +195,10 @@ def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool)
     u = a - s**2, and every piece is built cancellation-free from s, so
     1 - u never collapses onto 1 - a and the root xi never onto 0. For the
     modified measure the density's divergent (1-a)**(-1/2) factor is left
-    to the caller. Returns (values, error estimates, evaluations).
+    to the caller. The CDF also gets its boundary term P(u <= lo), and
+    both conditional tails at every node and the boundary term at every a
+    are one batch of the incomplete beta. Returns (values, error
+    estimates, evaluations).
     """
     owner, base, sign, center, half_width = _panels(a, lo, cond, cs, is_new)
     s = center[:, None] + half_width[:, None] * _NODES
@@ -214,9 +220,15 @@ def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool)
     sqrt_r = np.sqrt(np.minimum(num / w, 1.0))
     root = one_minus_r / (2.0 * (1.0 + sqrt_r))
     if cdf:
-        # P(pi <= xi) + P(pi >= 1 - xi), both as lower tails at xi.
+        # P(pi <= xi) + P(pi >= 1 - xi), both as lower tails at xi, and
+        # P(u <= lo), below which every conditional vector scores at most a.
         swapped = BetaParams(cond.beta, cond.alpha)
-        inner = regularized_incomplete_beta(cond, root) + regularized_incomplete_beta(swapped, root)
+        nodes = root.size
+        tails = regularized_incomplete_beta(
+            (cond, swapped, cs), np.concatenate([root.ravel(), root.ravel(), lo]), (nodes, nodes, lo.size)
+        )
+        inner = (tails[:nodes] + tails[nodes : 2 * nodes]).reshape(root.shape)
+        boundary = tails[2 * nodes :]
     else:
         co_root = 0.5 * (1.0 + sqrt_r)
         jacobian = 0.5 / np.sqrt(w * num) if is_new else 0.25 / np.sqrt(w)
@@ -225,6 +237,8 @@ def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool)
     kronrod = (f @ _KRONROD_WEIGHTS) * half_width
     gauss = (f @ _GAUSS_WEIGHTS) * half_width
     values = np.bincount(owner, weights=kronrod, minlength=a.size)
+    if cdf:
+        values += boundary
     errors = np.bincount(owner, weights=np.abs(kronrod - gauss), minlength=a.size)
     return values, errors, f.size
 
@@ -246,10 +260,7 @@ def _evaluate(a, counts: BinaryCounts, prior_beta: float, measure: MeasureKind, 
         part = a[start : start + _CHUNK]
         lo = np.maximum(0.0, 2.0 * part - 1.0) if is_new else np.zeros_like(part)
         value, error, count = _integrate(part, lo, cond, cs, is_new, cdf)
-        if cdf:
-            # Below lo every conditional vector scores at most a.
-            value = value + regularized_incomplete_beta(cs, lo)
-        elif not is_new:
+        if not cdf and not is_new:
             scale = 1.0 / np.sqrt(1.0 - part)
             value, error = value * scale, error * scale
         values[start : start + _CHUNK] = value
@@ -280,11 +291,11 @@ def posterior_density_binary(
 
 
 def posterior_cdf_binary(
-    a: float,
+    a: float | np.ndarray,
     counts: BinaryCounts,
     prior_beta: float = 1.0,
     measure: MeasureKind = MeasureKind.NEW,
-) -> float:
+) -> float | np.ndarray:
     """P(ambiguity <= a) under the posterior, for 0 <= a <= 1.
 
     Conditional on u the event is a pair of Beta tails, so the CDF needs
@@ -295,15 +306,22 @@ def posterior_cdf_binary(
     with I the regularized incomplete Beta of the conditional vector and
     g the lower bound (the boundary term is zero unless g(a) > 0, which
     happens only for the quadratic-entropy measure past a = 1/2).
+
+    a is a float, which gives a float, or an array of levels, which gives
+    an array of its shape. The levels of an array are evaluated in one
+    batch; each value may then differ from that of a float call in the
+    last bit, because the quadrature's sums run over a different number
+    of rows.
     """
-    if not 0.0 <= a <= 1.0:
+    levels = np.asarray(a, dtype=float)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
         raise DomainError(f"a must lie in [0, 1], got {a!r}")
-    if a == 0.0:
-        return 0.0
-    if a == 1.0:
-        return 1.0
-    values, _, _ = _evaluate(np.array([a]), counts, prior_beta, measure, cdf=True)
-    return min(1.0, max(0.0, float(values[0])))
+    inner = (levels > 0.0) & (levels < 1.0)
+    out = np.where(levels == 1.0, 1.0, 0.0)
+    if np.any(inner):
+        values, _, _ = _evaluate(levels[inner], counts, prior_beta, measure, cdf=True)
+        out[inner] = np.clip(values, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _curve_grid(counts: BinaryCounts, prior_beta: float, measure: MeasureKind, n_points: int):

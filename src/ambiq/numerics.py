@@ -8,6 +8,9 @@ cross-checks them against scipy as an independent oracle. The one Beta
 density, ``beta_pdf_pair``, takes x and 1 - x as separate arguments, since
 the binary density builds both without cancellation; ``QuadratureResult``
 carries the value, error estimate and evaluation count of its fixed rules.
+``regularized_incomplete_beta`` evaluates its continued fraction for a
+whole batch in one loop, also over several (a, b): the binary CDF sends
+both conditional tails and its can't-solve boundary term through one call.
 
 All functions are pure. Sampling takes explicit seeds and returns values;
 there is no hidden global RNG state.
@@ -229,72 +232,143 @@ _BETAINC_MAX_ITER = 500
 _BETAINC_EPS = 1e-15
 _BETAINC_TINY = 1e-300
 
+# What the rows (b, a, 0, a + b, a, a - 1, a + 1) of _betainc_cf add at
+# iteration m = 1, 2, ...: -m, m, m, m, 2m, 2m, 2m.
+_BETAINC_SHIFTS = np.array([-1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0])[None, :, None] * np.arange(
+    1.0, _BETAINC_MAX_ITER + 1.0
+)[:, None, None]
 
-def _betainc_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+
+def _floor_tiny(values: np.ndarray) -> None:
+    """Lentz's guard: entries below _BETAINC_TINY in magnitude become it."""
+    np.copyto(values, _BETAINC_TINY, where=np.abs(values) < _BETAINC_TINY)
+
+
+def _betainc_cf(a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta, evaluated with the
-    modified Lentz algorithm, vectorized over x.
+    modified Lentz algorithm, elementwise over x.
 
-    Valid (fast-converging) for x < (a+1)/(a+b+2); callers apply the
-    symmetry transform outside that range. Each element stops at the
-    first iteration whose factor lies within _BETAINC_EPS of one; later
-    iterations carry only the elements still running, so converged values
-    are frozen rather than left to jitter by a few ulps while the rest of
-    a large batch converges.
+    Element i has shapes a[pair[i]] and b[pair[i]]: a and b list the
+    distinct pairs. The loop runs over the elements sorted by pair, so
+    each iteration computes its coefficients once per pair and repeats
+    them over each pair's run of elements. Valid (fast-converging) for
+    x < (a+1)/(a+b+2); callers apply the symmetry transform outside that
+    range. Each element stops at the first iteration whose factor lies
+    within _BETAINC_EPS of one and is written out then, so converged
+    values are frozen rather than left to jitter by a few ulps while the
+    rest of a large batch converges. Frozen elements ride along under a
+    mask until half of the arrays are frozen; then the arrays are cut
+    down to the running elements. Elements still running after
+    _BETAINC_MAX_ITER iterations read NaN.
+
+    The coefficients of iteration m are m (b - m) x / ((a - 1 + 2m)(a + 2m))
+    and minus (a + m)(a + b + m) x / ((a + 1 + 2m)(a + 2m)). The minus
+    sign is folded into the second update, 1 - y d in place of 1 + (-y) d,
+    which is exact.
     """
+    out = np.full(x.size, np.nan)
+    index = np.argsort(pair, kind="stable")
+    pair, x = pair[index], x[index]
+    runs = np.bincount(pair, minlength=a.size)
     qab = a + b
     qap = a + 1.0
-    qam = a - 1.0
-    out = np.empty_like(x)
-    active = np.arange(x.size)
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _BETAINC_TINY, where=np.abs(d) < _BETAINC_TINY)
-    d = 1.0 / d
+    rows = np.stack([b, a, np.zeros_like(a), qab, a, a - 1.0, qap])
+    factors = np.empty((4, a.size))  # the numerators, then the denominators
+    dc = np.ones((2, x.size))  # d and c of the recurrence, guarded together
+    d, c = dc
+    np.subtract(1.0, np.repeat(qab, runs) * x / np.repeat(qap, runs), out=d)
+    _floor_tiny(d)
+    np.divide(1.0, d, out=d)
     h = d.copy()
-    for m in range(1, _BETAINC_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _BETAINC_TINY, where=np.abs(d) < _BETAINC_TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _BETAINC_TINY, where=np.abs(c) < _BETAINC_TINY)
-        d = 1.0 / d
+    live = np.ones(x.size, dtype=bool)
+    n_live = x.size
+    for shift in _BETAINC_SHIFTS:
+        shifted = rows + shift
+        np.multiply(shifted[0:2], shifted[2:4], out=factors[0:2])
+        np.multiply(shifted[5:7], shifted[4], out=factors[2:4])
+        spread = np.repeat(factors, runs, axis=1)
+        coef = spread[0:2]
+        coef *= x
+        coef /= spread[2:4]
+        even, odd = coef
+        np.multiply(even, d, out=d)
+        np.divide(even, c, out=c)
+        dc += 1.0
+        _floor_tiny(dc)
+        np.divide(1.0, d, out=d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _BETAINC_TINY, where=np.abs(d) < _BETAINC_TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _BETAINC_TINY, where=np.abs(c) < _BETAINC_TINY)
-        d = 1.0 / d
+        np.multiply(odd, d, out=d)
+        np.divide(odd, c, out=c)
+        np.subtract(1.0, dc, out=dc)
+        _floor_tiny(dc)
+        np.divide(1.0, d, out=d)
         delta = d * c
         h *= delta
         done = np.abs(delta - 1.0) < _BETAINC_EPS
-        if np.any(done):
-            out[active[done]] = h[done]
-            running = ~done
-            if not np.any(running):
+        done &= live
+        converged = np.count_nonzero(done)
+        if converged:
+            out[index[done]] = h[done]
+            live ^= done
+            n_live -= converged
+            if n_live == 0:
                 return out
-            active, x, c, d, h = active[running], x[running], c[running], d[running], h[running]
-    raise InternalConsistencyError(
-        f"incomplete-beta continued fraction failed to converge for a={a}, b={b}"
-    )
+            if 2 * n_live <= live.size:
+                keep = np.flatnonzero(live)
+                pair, x, dc, h, index = pair[keep], x[keep], dc[:, keep], h[keep], index[keep]
+                runs = np.bincount(pair, minlength=a.size)
+                d, c = dc
+                live = np.ones(n_live, dtype=bool)
+    return out
 
 
-def regularized_incomplete_beta(params: BetaParams, x):
+def _owners(
+    params: BetaParams | Sequence[BetaParams], rows: np.ndarray, sizes: Sequence[int] | None
+) -> tuple[tuple[BetaParams, ...], np.ndarray]:
+    """The params as a tuple, and the index into it of every element of
+    rows; see regularized_incomplete_beta."""
+    if isinstance(params, BetaParams):
+        params, sizes = (params,), (rows.shape[0],)
+    elif sizes is None or len(sizes) != len(params):
+        raise DomainError("a sequence of BetaParams needs one size per entry")
+    counts = np.asarray(sizes, dtype=np.intp)
+    if np.any(counts < 0) or counts.sum() != rows.shape[0]:
+        raise DomainError(f"sizes {tuple(sizes)} do not split the {rows.shape[0]} rows of x")
+    return tuple(params), np.repeat(np.arange(len(params)), counts * math.prod(rows.shape[1:]))
+
+
+def regularized_incomplete_beta(
+    params: BetaParams | Sequence[BetaParams], x, sizes: Sequence[int] | None = None
+):
     """Regularized incomplete beta function I_{a,b}(x), the Beta CDF.
 
     Continued-fraction evaluation; for x past the (a+1)/(a+b+2) crossover
     the symmetry I_{a,b}(x) = 1 - I_{b,a}(1-x) keeps the fraction in its
-    fast-converging regime. Accepts scalars or arrays (elementwise).
+    fast-converging regime. The switch is made per element, and direct and
+    reflected elements share one continued-fraction loop. Accepts scalars
+    or arrays (elementwise).
+
+    params is one BetaParams, or a sequence of them with x stacked along
+    its first axis: the first sizes[0] rows of x go with params[0], the
+    next sizes[1] rows with params[1], and so on. Each element gets the
+    same float as in a call of its own.
+
+    Measured limits against scipy.special.betainc, at a = b and x within
+    6 sd of 1/2: the error is below 1e-13 at 1e3, reaches 3e-10 at 1e5
+    and 2e-9 at 6e5. At x = 1/2, where the fraction converges slowest,
+    it needs more than _BETAINC_MAX_ITER iterations from a = b = 9e5 on.
 
     Raises:
-        DomainError: for x outside [0, 1].
+        DomainError: for x outside [0, 1], or sizes that do not split x.
+        InternalConsistencyError: naming an (a, b, x) whose continued
+            fraction did not converge.
     """
-    a, b = params.alpha, params.beta
     arr = np.asarray(x, dtype=float)
     if np.any((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)):
         raise DomainError("regularized_incomplete_beta requires x in [0, 1]")
-    flat = np.atleast_1d(arr).ravel()
+    rows = np.atleast_1d(arr)
+    params, owner = _owners(params, rows, sizes)
+    flat = rows.ravel()
     out = np.empty_like(flat)
     at_zero = flat == 0.0
     at_one = flat == 1.0
@@ -302,18 +376,32 @@ def regularized_incomplete_beta(params: BetaParams, x):
     out[at_one] = 1.0
     inner = ~(at_zero | at_one)
     if np.any(inner):
+        k = len(params)
+        alpha = np.array([p.alpha for p in params])
+        beta = np.array([p.beta for p in params])
+        ln_beta = np.array([_ln_beta(p.alpha, p.beta) for p in params])
         xi = flat[inner]
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        vals = np.empty_like(xi)
-        ln_b = _ln_beta(a, b)
-        if np.any(direct):
-            xd = xi[direct]
-            front = np.exp(a * np.log(xd) + b * np.log1p(-xd) - ln_b) / a
-            vals[direct] = front * _betainc_cf(a, b, xd)
-        if np.any(~direct):
-            xs = xi[~direct]
-            front = np.exp(a * np.log(xs) + b * np.log1p(-xs) - ln_b) / b
-            vals[~direct] = 1.0 - front * _betainc_cf(b, a, 1.0 - xs)
+        owner = owner[inner]
+        direct = xi < ((alpha + 1.0) / (alpha + beta + 2.0))[owner]
+        # Pairs 0..k-1 of the continued fraction are the params, pairs
+        # k..2k-1 the same swapped, for the reflected elements.
+        pair = np.where(direct, owner, owner + k)
+        first, second = np.concatenate([alpha, beta]), np.concatenate([beta, alpha])
+        front = alpha[owner] * np.log(xi)
+        front += beta[owner] * np.log1p(-xi)
+        front -= ln_beta[owner]
+        np.exp(front, out=front)
+        front /= first[pair]
+        vals = front * _betainc_cf(first, second, pair, np.where(direct, xi, 1.0 - xi))
+        reflected = ~direct
+        vals[reflected] = 1.0 - vals[reflected]
+        stuck = np.flatnonzero(np.isnan(vals))
+        if stuck.size:
+            i = stuck[0]
+            raise InternalConsistencyError(
+                "incomplete-beta continued fraction failed to converge for "
+                f"a={alpha[owner[i]]}, b={beta[owner[i]]}, x={xi[i]}"
+            )
         out[inner] = vals
     out = np.clip(out, 0.0, 1.0)
     if np.ndim(x) == 0:

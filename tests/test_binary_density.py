@@ -380,6 +380,208 @@ class TestCdf:
                 )
 
 
+# posterior_cdf_binary at the benchmark's count vectors, both measures,
+# prior concentrations 1 and 1/2, and levels near the closed-form mean
+# -2, -1, 0, 1 and 2 sd: (counts, measure, prior, levels, values). The
+# values were written down from one-level calls before the incomplete
+# beta took its tails in batches, so any change in a float shows here.
+PINNED_CDF = [
+    ((3, 1, 1), MeasureKind.NEW, 1.0, (0.283363, 0.409539, 0.535714, 0.66189, 0.788065), (
+        0.040449063944860066,
+        0.1560375379179776,
+        0.4547482586967182,
+        0.8562906606481553,
+        0.987499463306496,
+    )),
+    ((3, 1, 1), MeasureKind.NEW, 0.5, (0.209113, 0.354556, 0.5, 0.645444, 0.790887), (
+        0.03847933345166927,
+        0.16635372872554063,
+        0.44296947872540593,
+        0.854915138822541,
+        0.9873562841596878,
+    )),
+    ((3, 1, 1), MeasureKind.MODIFIED, 1.0, (0.458512, 0.63997, 0.821429, 0.99, 0.999), (
+        0.05525062539614303,
+        0.1699063166862991,
+        0.38840298512586213,
+        0.8531535198130689,
+        0.9535609785199393,
+    )),
+    ((3, 1, 1), MeasureKind.MODIFIED, 0.5, (0.336816, 0.553024, 0.769231, 0.985438, 0.999), (
+        0.050063866643627955,
+        0.18119680866939464,
+        0.4095719236463494,
+        0.856596877810482,
+        0.962539411681217,
+    )),
+    ((40, 25, 10), MeasureKind.NEW, 1.0, (0.480013, 0.5115, 0.542986, 0.574473, 0.60596), (
+        0.03536304868406253,
+        0.14980836368939632,
+        0.4655459603983028,
+        0.8556314230672053,
+        0.9865416755376797,
+    )),
+    ((40, 25, 10), MeasureKind.NEW, 0.5, (0.476387, 0.508313, 0.54024, 0.572167, 0.604093), (
+        0.03565496065726541,
+        0.15001318593564167,
+        0.4641251377044593,
+        0.8560592372939606,
+        0.986867011870637,
+    )),
+    ((40, 25, 10), MeasureKind.MODIFIED, 1.0, (0.850381, 0.897664, 0.944947, 0.99223, 0.999), (
+        0.0477320241714014,
+        0.15379827611480826,
+        0.4095138055790267,
+        0.8639299786620231,
+        0.9589608062693614,
+    )),
+    ((40, 25, 10), MeasureKind.MODIFIED, 0.5, (0.846309, 0.894767, 0.943225, 0.991683, 0.999), (
+        0.04760628850066717,
+        0.15404316918583,
+        0.4104068359650806,
+        0.8625169773994569,
+        0.9604371611501936,
+    )),
+    ((300, 200, 50), MeasureKind.NEW, 1.0, (0.506796, 0.517015, 0.527234, 0.537453, 0.547672), (
+        0.029514027394259186,
+        0.1563579597525775,
+        0.4824665723447467,
+        0.8445608155633736,
+        0.9837498294985918,
+    )),
+    ((300, 200, 50), MeasureKind.NEW, 0.5, (0.50635, 0.516585, 0.526819, 0.537054, 0.547289), (
+        0.029551633980754066,
+        0.1563768479177596,
+        0.4823600066947552,
+        0.8445829397796994,
+        0.9838007940997011,
+    )),
+    ((300, 200, 50), MeasureKind.MODIFIED, 1.0, (0.930368, 0.946306, 0.962245, 0.978183, 0.994121), (
+        0.036570357576642266,
+        0.15724116776810193,
+        0.4591822872604468,
+        0.8436147789404823,
+        0.9963737358237734,
+    )),
+    ((300, 200, 50), MeasureKind.MODIFIED, 0.5, (0.930079, 0.946075, 0.96207, 0.978066, 0.994061), (
+        0.03655651475160076,
+        0.15725897875357195,
+        0.45922311591323006,
+        0.8436052903252969,
+        0.9963504544937938,
+    )),
+    ((3000, 2000, 500), MeasureKind.NEW, 1.0, (0.520815, 0.524042, 0.527269, 0.530496, 0.533723), (
+        0.025015777925909078,
+        0.1584114041592948,
+        0.4944181093146461,
+        0.8416535200093365,
+        0.9795164172522054,
+    )),
+    ((3000, 2000, 500), MeasureKind.NEW, 0.5, (0.520772, 0.524, 0.527227, 0.530455, 0.533682), (
+        0.025010761650301208,
+        0.15842121064026962,
+        0.49436997832724683,
+        0.8416645947296432,
+        0.9795121925538268,
+    )),
+    ((3000, 2000, 500), MeasureKind.MODIFIED, 1.0, (0.953414, 0.958455, 0.963496, 0.968537, 0.973578), (
+        0.027750790424865408,
+        0.15847849188022803,
+        0.4869087361984596,
+        0.8415188164520261,
+        0.9828637670794256,
+    )),
+    ((3000, 2000, 500), MeasureKind.MODIFIED, 0.5, (0.953393, 0.958436, 0.963479, 0.968522, 0.973565), (
+        0.027748855748579864,
+        0.15848084411802268,
+        0.48692756192699116,
+        0.8415383666375582,
+        0.9828683693521953,
+    )),
+    ((6000, 4000, 1000), MeasureKind.NEW, 1.0, (0.522707, 0.524989, 0.527271, 0.529552, 0.531834), (
+        0.024344957449658703,
+        0.15851300483895656,
+        0.4960748154875778,
+        0.8414449097135351,
+        0.9788555889360092,
+    )),
+    ((6000, 4000, 1000), MeasureKind.NEW, 0.5, (0.522686, 0.524968, 0.52725, 0.529532, 0.531814), (
+        0.024349606024530856,
+        0.15851282101958775,
+        0.4960426246084378,
+        0.8415149667488697,
+        0.9788670250697836,
+    )),
+    ((6000, 4000, 1000), MeasureKind.MODIFIED, 1.0, (0.956437, 0.960002, 0.963566, 0.967131, 0.970695), (
+        0.026349022678022603,
+        0.15858792209988012,
+        0.49071920521060847,
+        0.8414473433632486,
+        0.9811539307799493,
+    )),
+    ((6000, 4000, 1000), MeasureKind.MODIFIED, 0.5, (0.956427, 0.959993, 0.963558, 0.967123, 0.970688), (
+        0.02634720530285535,
+        0.15860418632900397,
+        0.49078707502147445,
+        0.8414439582154313,
+        0.981158013977693,
+    )),
+]
+
+
+@pytest.mark.parametrize("counts, measure, prior, levels, values", PINNED_CDF)
+def test_cdf_floats_are_pinned(counts, measure, prior, levels, values):
+    got = tuple(posterior_cdf_binary(a, BinaryCounts(*counts), prior, measure) for a in levels)
+    assert got == values
+
+
+class TestBatchedCdf:
+    COUNTS = BinaryCounts(40, 25, 10)
+
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_levels_in_one_call_match_one_call_each(self, measure):
+        # Only the quadrature sums see a different row count, so values
+        # agree to about an ulp; both endpoints stay exact.
+        levels = np.concatenate([[0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5], np.linspace(0.4, 0.99, 70)])
+        batch = posterior_cdf_binary(levels, self.COUNTS, 1.0, measure)
+        alone = np.array([posterior_cdf_binary(float(a), self.COUNTS, 1.0, measure) for a in levels])
+        assert batch.shape == levels.shape
+        assert batch[0] == 0.0 and batch[1] == 1.0
+        np.testing.assert_allclose(batch, alone, rtol=0.0, atol=2.3e-16)
+
+    def test_shape_and_type(self):
+        assert type(posterior_cdf_binary(0.5, self.COUNTS)) is float
+        assert type(posterior_cdf_binary(np.float64(0.5), self.COUNTS)) is float
+        grid = np.array([[0.2, 0.5, 0.55], [0.6, 0.0, 1.0]])
+        values = posterior_cdf_binary(grid, self.COUNTS)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+        assert posterior_cdf_binary([], self.COUNTS).shape == (0,)
+
+    def test_rejects_any_level_outside_unit_interval(self):
+        for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, float("nan")]):
+            with pytest.raises(DomainError):
+                posterior_cdf_binary(np.array(bad), self.COUNTS)
+
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_one_incomplete_beta_call_per_chunk(self, measure, monkeypatch):
+        # Both conditional tails and the boundary term go through one
+        # continued-fraction batch per chunk of _CHUNK levels.
+        import ambiq.binary_density as bd
+
+        calls = []
+
+        def counting(params, x, sizes=None):
+            calls.append(np.size(x))
+            return regularized_incomplete_beta(params, x, sizes)
+
+        monkeypatch.setattr(bd, "regularized_incomplete_beta", counting)
+        posterior_cdf_binary(0.7, self.COUNTS, 1.0, measure)
+        assert len(calls) == 1
+        calls.clear()
+        posterior_cdf_binary(np.linspace(0.3, 0.9, bd._CHUNK + 1), self.COUNTS, 1.0, measure)
+        assert len(calls) == 2
+
+
 class TestPanelRule:
     def test_gauss_part_is_the_10_point_rule(self):
         nodes, weights = np.polynomial.legendre.leggauss(10)

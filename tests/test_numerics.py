@@ -1,6 +1,7 @@
 """Numerics layer: special functions against scipy oracles, Beta
 moment helpers against closed forms, the SFC64 generator contract, the
-gamma-method Dirichlet sampler, and the incomplete-beta batch stop rule.
+gamma-method Dirichlet sampler, and the incomplete beta: its batch stop
+rule, its batches over several (a, b) and its non-convergence error.
 
 scipy appears only here and in sibling test modules as an independent
 oracle; the package itself never imports it.
@@ -13,7 +14,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from ambiq.exceptions import DomainError
+from ambiq.exceptions import DomainError, InternalConsistencyError
 from ambiq.numerics import (
     BetaParams,
     DirichletParams,
@@ -155,6 +156,65 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(BetaParams(1.0, 1.0), -0.1)
         with pytest.raises(DomainError):
             regularized_incomplete_beta(BetaParams(1.0, 1.0), 1.1)
+
+    def test_reports_the_element_that_does_not_converge(self):
+        with pytest.raises(InternalConsistencyError, match=r"a=1000000\.0, b=1000000\.0, x=0\.5"):
+            regularized_incomplete_beta(BetaParams(1e6, 1e6), np.array([0.1, 0.5]))
+
+
+def mixed_batch():
+    """Shapes below and above one, x at 0, 1 and on each crossover
+    (a+1)/(a+b+2), as (params, x) pairs."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    shapes = ((0.3, 0.8), (0.5, 0.5), (2.0, 0.4), (1.0, 1.0), (7.5, 3.0), (41.0, 26.0), (301.0, 201.0), (51.0, 502.0))
+    for a, b in shapes:
+        cross = (a + 1.0) / (a + b + 2.0)
+        edges = [0.0, 1.0, cross, np.nextafter(cross, 0.0), np.nextafter(cross, 1.0)]
+        x = np.concatenate([edges, rng.random(30)])
+        pairs.append((BetaParams(a, b), x))
+    return pairs
+
+
+class TestIncompleteBetaBatches:
+    def test_each_element_as_in_a_call_of_its_own(self):
+        pairs = mixed_batch()
+        params = tuple(p for p, _ in pairs)
+        x = np.concatenate([x for _, x in pairs])
+        batch = regularized_incomplete_beta(params, x, [x.size for _, x in pairs])
+        alone = np.concatenate([regularized_incomplete_beta(p, x) for p, x in pairs])
+        assert batch.tobytes() == alone.tobytes()
+
+    def test_matches_scipy(self):
+        pairs = mixed_batch()
+        x = np.concatenate([x for _, x in pairs])
+        a = np.concatenate([np.full(x.size, p.alpha) for p, x in pairs])
+        b = np.concatenate([np.full(x.size, p.beta) for p, x in pairs])
+        batch = regularized_incomplete_beta(tuple(p for p, _ in pairs), x, [x.size for _, x in pairs])
+        np.testing.assert_allclose(batch, scipy.special.betainc(a, b, x), atol=1e-13, rtol=1e-12)
+
+    def test_rows_stack_along_the_first_axis(self):
+        # Trailing axes broadcast: every element of a row uses its params.
+        first, second = BetaParams(0.6, 2.0), BetaParams(30.0, 12.0)
+        x = np.random.default_rng(4).random((5, 3, 2))
+        batch = regularized_incomplete_beta((first, second), x, (2, 3))
+        assert batch.shape == x.shape
+        assert batch[:2].tobytes() == regularized_incomplete_beta(first, x[:2]).tobytes()
+        assert batch[2:].tobytes() == regularized_incomplete_beta(second, x[2:]).tobytes()
+        np.testing.assert_allclose(batch[2:], scipy.special.betainc(30.0, 12.0, x[2:]), atol=1e-13)
+
+    def test_empty_parts(self):
+        params = (BetaParams(2.0, 3.0), BetaParams(1.0, 4.0))
+        alone = regularized_incomplete_beta(params[1], 0.25)
+        assert regularized_incomplete_beta(params, np.array([0.25]), (0, 1))[0] == alone
+        assert regularized_incomplete_beta(params, np.empty(0), (0, 0)).shape == (0,)
+
+    def test_sizes_must_split_x(self):
+        params = (BetaParams(2.0, 3.0), BetaParams(1.0, 4.0))
+        x = np.full(4, 0.5)
+        for sizes in (None, (4,), (1, 2), (5, -1)):
+            with pytest.raises(DomainError):
+                regularized_incomplete_beta(params, x, sizes)
 
 
 class TestMomentHelpers:
