@@ -70,7 +70,6 @@ from .frequentist import (  # noqa: F401
     plugin_estimate,
 )
 from .dataset_io import (  # noqa: F401
-    AnnotationRecord,
     ItemReport,
     LoadResult,
     export_reports,

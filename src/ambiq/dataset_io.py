@@ -34,7 +34,6 @@ from .measures import CategorySchema, MeasureKind
 from .posterior_sampling import MeasureSummary, posterior_summaries
 
 __all__ = [
-    "AnnotationRecord",
     "LoadResult",
     "ItemReport",
     "load_records",
@@ -48,15 +47,6 @@ _FORMATS = ("jsonl", "csv")
 _RANK_KEYS = ("plugin", "posterior_mean")
 # The per-measure columns of a report file, in file order.
 _MEASURE_COLUMNS = tuple(f.name for f in fields(MeasureSummary))
-
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One annotation: which item, optionally who, and the response label."""
-
-    item_id: str
-    response: str
-    annotator_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -101,35 +91,31 @@ class ItemReport:
         return self.counts.total == 0
 
 
-def _record_from_json_line(line: str, line_no: int) -> AnnotationRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRow(line_no, f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise MalformedRow(line_no, "expected a JSON object")
-    if "item_id" not in obj or "response" not in obj:
-        raise MalformedRow(line_no, "missing item_id or response")
-    item_id, response = obj["item_id"], obj["response"]
-    if not isinstance(item_id, (str, int)) or isinstance(item_id, bool):
-        raise MalformedRow(line_no, "item_id must be a string or integer")
-    if not isinstance(response, str) or not response:
-        raise MalformedRow(line_no, "response must be a non-empty string")
-    annotator = obj.get("annotator_id")
-    if annotator is not None and not isinstance(annotator, (str, int)):
-        raise MalformedRow(line_no, "annotator_id must be a string or integer")
-    return AnnotationRecord(
-        item_id=str(item_id),
-        response=response,
-        annotator_id=None if annotator is None else str(annotator),
-    )
+# Both parsers yield one (line_no, item_id, response, annotator_id) tuple
+# per annotation row, annotator_id None when the row names none.
 
 
 def _iter_jsonl(text: str):
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        yield line_no, _record_from_json_line(line, line_no)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRow(line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise MalformedRow(line_no, "expected a JSON object")
+        if "item_id" not in obj or "response" not in obj:
+            raise MalformedRow(line_no, "missing item_id or response")
+        item_id, response = obj["item_id"], obj["response"]
+        if not isinstance(item_id, (str, int)) or isinstance(item_id, bool):
+            raise MalformedRow(line_no, "item_id must be a string or integer")
+        if not isinstance(response, str) or not response:
+            raise MalformedRow(line_no, "response must be a non-empty string")
+        annotator = obj.get("annotator_id")
+        if annotator is not None and not isinstance(annotator, (str, int)):
+            raise MalformedRow(line_no, "annotator_id must be a string or integer")
+        yield line_no, str(item_id), response, None if annotator is None else str(annotator)
 
 
 def _iter_csv(text: str):
@@ -158,7 +144,7 @@ def _iter_csv(text: str):
         annotator = None
         if idx_annotator is not None:
             annotator = row[idx_annotator].strip() or None
-        yield line_no, AnnotationRecord(item_id, response, annotator)
+        yield line_no, item_id, response, annotator
 
 
 def _read_text(path: str) -> str:
@@ -194,29 +180,31 @@ def load_records(
         raise DomainError(f"format must be one of {_FORMATS}, got {format!r}")
     text = _read_text(path)
     rows = _iter_jsonl(text) if format == "jsonl" else _iter_csv(text)
+    # The can't-solve label tallies last, after the C proper labels.
     label_index = {label: i for i, label in enumerate(schema.labels)}
+    label_index[schema.cs_label] = schema.n_proper
     tallies: dict[str, list[int]] = {}
     seen_pairs: set[tuple[str, str]] = set()
     n_rows = 0
     n_duplicates = 0
     n_skipped = 0
-    for line_no, record in rows:
+    for line_no, item_id, response, annotator in rows:
         n_rows += 1
-        if record.response != schema.cs_label and record.response not in label_index:
+        index = label_index.get(response)
+        if index is None:
             if skip_unknown:
                 n_skipped += 1
                 continue
-            raise UnknownLabel(line_no, record.response)
-        if record.annotator_id is not None:
-            pair = (record.item_id, record.annotator_id)
+            raise UnknownLabel(line_no, response)
+        if annotator is not None:
+            pair = (item_id, annotator)
             if pair in seen_pairs:
                 n_duplicates += 1
             seen_pairs.add(pair)
-        tally = tallies.setdefault(record.item_id, [0] * (schema.n_proper + 1))
-        if record.response == schema.cs_label:
-            tally[-1] += 1
-        else:
-            tally[label_index[record.response]] += 1
+        tally = tallies.get(item_id)
+        if tally is None:
+            tally = tallies[item_id] = [0] * (schema.n_proper + 1)
+        tally[index] += 1
     if n_rows == 0:
         raise EmptyFile("no data rows in input")
 
@@ -361,9 +349,10 @@ def export_reports(reports: Sequence[ItemReport], path: str, format: str = "json
     try:
         if format == "json":
             payload = [_report_to_json_obj(r) for r in ordered]
+            # One write: json.dump would make thousands of small ones.
+            text = json.dumps(payload, indent=2) + "\n"
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+                handle.write(text)
         else:
             header = _csv_header(ordered)
             with open(path, "w", encoding="utf-8", newline="") as handle:

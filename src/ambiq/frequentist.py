@@ -299,8 +299,15 @@ def bias_curve(
     bayes_names = {name for name in estimators if name != "plugin"}
     # One posterior sample per repeat serves both Bayes columns; the mean
     # alone needs none for the quadratic measures, whose means are exact.
-    need_sample = "bayes_mode" in bayes_names or measure is MeasureKind.OLD
+    need_sample = bool(bayes_names) and (
+        "bayes_mode" in bayes_names or measure is MeasureKind.OLD
+    )
     plugin_mc = "plugin" in estimators and measure is MeasureKind.OLD
+    if need_sample and mc_samples_mode < 1:
+        raise DomainError(f"mc_samples_mode must be at least 1, got {mc_samples_mode}")
+    # Every repeat's sample is drawn and measured in this one buffer, so no
+    # repeat hands its memory back to malloc for the next to fault in again.
+    buffer = np.empty((n_cat + 4, mc_samples_mode)) if need_sample else None
 
     for n_index, n in enumerate(n_tuple):
         can_enumerate = n <= _EXHAUSTIVE_MAX_N and n_cat + 1 <= _EXHAUSTIVE_MAX_CATEGORIES
@@ -315,13 +322,10 @@ def bias_curve(
                 post = posterior_update(
                     DirichletParams.symmetric(n_cat, prior_beta), _row_counts(row, n_cat)
                 )
-                # The previous repeat's values stay alive until this sample
-                # replaces them. Dropping them first leaves no live block
-                # above the freed draws, so glibc's malloc trims the heap
-                # top and faults it back in on every repeat (about 200
-                # pages each, a fifth of the curve's time).
                 values = (
-                    sample_transformed(post, measure, mc_samples_mode, seed, (n_index, r))
+                    sample_transformed(
+                        post, measure, mc_samples_mode, seed, (n_index, r), out=buffer
+                    )
                     if need_sample
                     else None
                 )

@@ -17,10 +17,12 @@ task ambiguity are computed from such a vector:
 
 All three live in [0, 1], are invariant under permutations of the proper
 categories, and treat q_cs asymmetrically: abstention mass always pushes
-ambiguity up. Each measure is written once, as an array kernel over rows of
-(proper, cs) that the samplers call on millions of vectors at a time; the
-scalar functions are one-row calls of those kernels, so a plug-in value
-and a Monte Carlo draw of the same vector get the same floats.
+ambiguity up. Each measure is written once, in one array kernel over rows
+of (proper, cs), measure_arrays, which computes every requested measure of
+a sample in one pass and can write into a workspace its caller reuses.
+The samplers call it on millions of vectors at a time; the per-measure
+array functions and the scalar functions are calls of it, so a plug-in
+value and a Monte Carlo draw of the same vector get the same floats.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .exceptions import (
     InternalConsistencyError,
     SingleCategoryUnsupported,
 )
-from .numerics import _row_sums
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
@@ -55,6 +56,7 @@ __all__ = [
     "ambiguity_modified_array",
     "ambiguity_old_array",
     "ambiguity_array",
+    "measure_arrays",
 ]
 
 # q_cs at or above this is treated as total unsolvability: the conditional
@@ -159,10 +161,10 @@ class ProbabilityVector:
 def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:
     """The measure named by `kind` at one soft label.
 
-    A one-row call of the array kernel below, so the scalar and the Monte
-    Carlo layers share one copy of each formula.
+    A one-row call of the array kernel measure_arrays, so the scalar and
+    the Monte Carlo layers share one copy of each formula.
     """
-    return float(_MEASURE_ARRAY_FUNCS[kind](np.array([q.proper]), np.array([q.cs]))[0])
+    return float(ambiguity_array(np.array([q.proper]), np.array([q.cs]), kind)[0])
 
 
 def ambiguity_new(q: ProbabilityVector) -> float:
@@ -264,112 +266,140 @@ def normalized_entropy(p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Array fast paths
+# Array kernel
 # ---------------------------------------------------------------------------
 #
-# The Monte-Carlo layers evaluate measures on millions of sampled vectors;
-# these operate on (n, C) proper blocks plus (n,) cs columns in one pass,
-# and the scalar measures above on one row. Inputs are trusted to be rows
-# of a simplex (as produced by the samplers or a ProbabilityVector).
-# Every row reduction adds columns left to right, so a row gets the same
-# floats whether the block is C-ordered or, as the samplers return it,
-# column-major.
+# The Monte-Carlo layers evaluate measures on millions of sampled vectors:
+# measure_arrays takes an (n, C) proper block plus an (n,) cs column and
+# writes every requested measure in one pass, and the scalar measures above
+# are one-row calls of it. Inputs are trusted to be rows of a simplex (as
+# produced by the samplers or a ProbabilityVector). Every row reduction
+# adds columns left to right, so a row gets the same floats whether the
+# block is C-ordered or, as the samplers return it, column-major, and
+# whichever other rows and measures share the call.
 
 
 def _check_array_range(values: np.ndarray, what: str) -> np.ndarray:
+    """Raise on values outside [0, 1] by more than rounding noise, and clip
+    the noise. The clip runs only when some value lies outside [0, 1]: it
+    changes no other value (np.clip keeps -0.0), so skipping it is exact."""
     lo = float(values.min(initial=0.0))
     hi = float(values.max(initial=1.0))
     if lo < -_CLAMP_TOLERANCE or hi > 1.0 + _CLAMP_TOLERANCE:
         raise InternalConsistencyError(f"{what} outside [0, 1]: range [{lo!r}, {hi!r}]")
-    return np.clip(values, 0.0, 1.0, out=values)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(values, 0.0, 1.0, out=values)
+    return values
 
 
-def _row_sums_of_squares(x: np.ndarray) -> np.ndarray:
-    """Sum of squares of each row of a 2-d array, adding the squared
-    columns left to right, so the floats do not depend on the memory
-    layout of x (``einsum`` changes its order with the layout)."""
-    total = np.square(x[:, 0])
-    square = np.empty_like(total)
-    for j in range(1, x.shape[1]):
-        np.square(x[:, j], out=square)
-        total += square
-    return total
+def measure_arrays(
+    proper: np.ndarray,
+    cs: np.ndarray,
+    kinds: Sequence[MeasureKind],
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every measure in `kinds` over rows of (proper, cs), in one pass.
 
+    Returns a (len(kinds), n) array whose row i holds measure kinds[i]; a
+    kind listed twice gets two rows of equal floats. Given `work`, a float
+    array of shape (len(kinds) + 2, n) that does not overlap the inputs,
+    the result is its first len(kinds) rows, and its last two rows take
+    1 - cs and scratch values; so a caller that passes the same workspace
+    for each sample allocates nothing per sample. Without it the result
+    is a new array.
 
-def _set_degenerate_rows(out: np.ndarray, one_minus: np.ndarray) -> None:
-    """Give the measure's degenerate value 1 to the rows whose can't-solve
-    mass is at or above ``DEGENERACY_THRESHOLD`` (or NaN).
+    1 - cs and the degenerate-row test are computed once per call, and
+    the quotient (sum_k q_k^2) / (1 - cs) once for new and modified. Each
+    formula is evaluated on every row; rows whose can't-solve mass is at
+    or above DEGENERACY_THRESHOLD (or NaN) divided by ~0 and then take the
+    degenerate value 1. Every live row gets the floats it gets alone.
 
-    The array functions evaluate their formula on every row, so each live
-    row gets the same floats as when it is computed alone; only the rows
-    set here divided by ~0. All rows are live in the usual case, and then
-    one ``min`` replaces the mask.
+    Raises:
+        SingleCategoryUnsupported: modified or old requested for C = 1.
+        DomainError: a workspace of the wrong shape.
     """
+    proper = np.asarray(proper, dtype=float)
+    cs = np.asarray(cs, dtype=float)
+    n_rows, n_cat = proper.shape
+    for kind in kinds:
+        if kind is not MeasureKind.NEW and n_cat < 2:
+            raise SingleCategoryUnsupported(f"{kind.value} ambiguity needs C >= 2")
+    if work is None:
+        # Separate arrays, so the two scratch rows are freed on return
+        # rather than kept alive by the result.
+        out = np.empty((len(kinds), n_rows))
+        one_minus, scratch = np.empty(n_rows), np.empty(n_rows)
+    elif work.shape != (len(kinds) + 2, n_rows):
+        raise DomainError(
+            f"workspace must have shape {(len(kinds) + 2, n_rows)}, got {work.shape}"
+        )
+    else:
+        out, one_minus, scratch = work[:-2], work[-2], work[-1]
+    np.subtract(1.0, cs, out=one_minus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if any(kind is not MeasureKind.OLD for kind in kinds):
+            # scratch = (sum_k q_k^2) / (1 - cs), the squares added column
+            # by column; out[0] holds each square, as no measure is written
+            # yet.
+            np.square(proper[:, 0], out=scratch)
+            for j in range(1, n_cat):
+                np.square(proper[:, j], out=out[0])
+                scratch += out[0]
+            scratch /= one_minus
+        for row, kind in zip(out, kinds):
+            if kind is MeasureKind.NEW:
+                np.subtract(1.0, scratch, out=row)
+            elif kind is MeasureKind.MODIFIED:
+                np.subtract(one_minus, scratch, out=row)
+                row *= n_cat / (n_cat - 1.0)
+                row += cs
+        # Old last: it takes the scratch row that the quotient held.
+        for row, kind in zip(out, kinds):
+            if kind is not MeasureKind.OLD:
+                continue
+            # Total variation sum_k |p_k - 1/C|, added column by column.
+            for j in range(n_cat):
+                column = row if j == 0 else scratch
+                np.divide(proper[:, j], one_minus, out=column)
+                column -= 1.0 / n_cat
+                np.abs(column, out=column)
+                if j:
+                    row += column
+            # Same left-to-right order as 1 - 0.5 * (1 - cs) * C / (C - 1) * tv.
+            np.multiply(0.5, one_minus, out=scratch)
+            scratch *= n_cat
+            scratch /= n_cat - 1.0
+            row *= scratch
+            np.subtract(1.0, row, out=row)
     floor = 1.0 - DEGENERACY_THRESHOLD
     if not one_minus.min(initial=1.0) > floor:
-        out[~(one_minus > floor)] = 1.0
+        out[:, ~(one_minus > floor)] = 1.0
+    for row, kind in zip(out, kinds):
+        _check_array_range(row, f"ambiguity_{kind.value}")
+    return out
+
+
+def ambiguity_array(
+    proper: np.ndarray,
+    cs: np.ndarray,
+    kind: MeasureKind,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Vectorized measure `kind` over rows of (proper, cs): measure_arrays
+    of that one kind, as a view of `work` (shape (3, n)) when given."""
+    return measure_arrays(proper, cs, (kind,), work)[0]
 
 
 def ambiguity_new_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Vectorized ``ambiguity_new`` over rows of (proper, cs)."""
-    proper = np.asarray(proper, dtype=float)
-    cs = np.asarray(cs, dtype=float)
-    one_minus = 1.0 - cs
-    out = _row_sums_of_squares(proper)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= one_minus
-    np.subtract(1.0, out, out=out)
-    _set_degenerate_rows(out, one_minus)
-    return _check_array_range(out, "ambiguity_new")
+    return ambiguity_array(proper, cs, MeasureKind.NEW)
 
 
 def ambiguity_modified_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Vectorized ``ambiguity_modified``; requires C >= 2."""
-    proper = np.asarray(proper, dtype=float)
-    cs = np.asarray(cs, dtype=float)
-    n_cat = proper.shape[1]
-    if n_cat < 2:
-        raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
-    one_minus = 1.0 - cs
-    out = _row_sums_of_squares(proper)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= one_minus
-        np.subtract(one_minus, out, out=out)
-        out *= n_cat / (n_cat - 1.0)
-        out += cs
-    _set_degenerate_rows(out, one_minus)
-    return _check_array_range(out, "ambiguity_modified")
+    return ambiguity_array(proper, cs, MeasureKind.MODIFIED)
 
 
 def ambiguity_old_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Vectorized ``ambiguity_old``; requires C >= 2."""
-    proper = np.asarray(proper, dtype=float)
-    cs = np.asarray(cs, dtype=float)
-    n_cat = proper.shape[1]
-    if n_cat < 2:
-        raise SingleCategoryUnsupported("old ambiguity needs C >= 2")
-    one_minus = 1.0 - cs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = proper / one_minus[:, None]
-        p -= 1.0 / n_cat
-        np.abs(p, out=p)
-        # Same left-to-right order as 1 - 0.5 * (1 - cs) * C / (C - 1) * tv.
-        out = 0.5 * one_minus
-        out *= n_cat
-        out /= n_cat - 1.0
-        out *= _row_sums(p)
-    np.subtract(1.0, out, out=out)
-    _set_degenerate_rows(out, one_minus)
-    return _check_array_range(out, "ambiguity_old")
-
-
-_MEASURE_ARRAY_FUNCS = {
-    MeasureKind.NEW: ambiguity_new_array,
-    MeasureKind.MODIFIED: ambiguity_modified_array,
-    MeasureKind.OLD: ambiguity_old_array,
-}
-
-
-def ambiguity_array(proper: np.ndarray, cs: np.ndarray, kind: MeasureKind) -> np.ndarray:
-    """Vectorized measure dispatch over rows of (proper, cs)."""
-    return _MEASURE_ARRAY_FUNCS[kind](proper, cs)
+    return ambiguity_array(proper, cs, MeasureKind.OLD)

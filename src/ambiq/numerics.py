@@ -490,10 +490,17 @@ def _dirichlet_draws(
 
 
 def dirichlet_sample(
-    params: DirichletParams, count: int, seed: int, stream: Sequence[int] = ()
+    params: DirichletParams,
+    count: int,
+    seed: int,
+    stream: Sequence[int] = (),
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` probability vectors from Dir(params), deterministically
     per (seed, stream); the generator is make_generator(seed, stream).
+
+    A float array `out` of shape (C + 1, count) receives the draws, as in
+    _dirichlet_draws; the values are the same either way.
 
     Returns:
         (proper, cs): arrays of shape (count, C) and (count,); each row of
@@ -501,4 +508,4 @@ def dirichlet_sample(
     """
     if count < 1:
         raise DomainError(f"count must be >= 1; got {count}")
-    return _dirichlet_draws(params, int(count), make_generator(seed, stream))
+    return _dirichlet_draws(params, int(count), make_generator(seed, stream), out)

@@ -3,11 +3,12 @@
 Everything here flows through one pipeline: draw full probability vectors
 from Dir(params), push them through an ambiguity measure, and summarize
 the resulting scalar sample. sample_transformed(params, measure, count,
-seed, stream) is that draw and push for one stream. Every Monte Carlo
-sample of the package is drawn through it, except the samples of
-posterior_summaries, which share one buffer. Streams are derived from a single user seed
-with explicit spawn keys, so any repeat structure is reproducible without
-coordination between callers.
+seed, stream) is that draw and push for one stream, optionally into a
+buffer the caller reuses. Every Monte Carlo sample of the package is drawn
+through it, except the samples of posterior_summaries, each of which
+feeds several measures at once. Streams are derived from a single user
+seed with explicit spawn keys, so any repeat structure is reproducible
+without coordination between callers.
 
 posterior_summary is the per-count-vector form of that pipeline: one
 sample per count vector, drawn from a stream keyed on the counts
@@ -29,12 +30,13 @@ sort on numpy 2's vectorized np.sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
-from .measures import MeasureKind, ambiguity, ambiguity_array
+from .measures import MeasureKind, ambiguity_array, measure_arrays
 from .numerics import DirichletParams, _dirichlet_draws, dirichlet_sample, make_generator
 from .posterior_analytics import posterior_moments, posterior_update
 
@@ -173,10 +175,19 @@ def sample_transformed(
     count: int,
     seed: int,
     stream: Sequence[int] = (),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `count` ambiguity values from the pushforward of Dir(params),
-    using the stream (seed, stream)."""
-    return ambiguity_array(*dirichlet_sample(params, count, seed, stream), measure)
+    using the stream (seed, stream).
+
+    A float array `out` of shape (C + 4, count) receives the draws in its
+    first C + 1 rows and the measure's workspace in the other three, and
+    the values are a view of it, so a caller drawing many samples of one
+    shape can reuse one buffer. The values are the same either way.
+    """
+    block, work = (None, None) if out is None else np.split(out, [params.n_proper + 1])
+    proper, cs = dirichlet_sample(params, count, seed, stream, out=block)
+    return ambiguity_array(proper, cs, measure, work)
 
 
 def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
@@ -322,17 +333,23 @@ def posterior_summaries(
     """posterior_summary of each distinct count vector, keyed by count vector.
 
     Each distinct vector is summarized once, with the result
-    posterior_summary gives for it alone. The vectors draw their samples
-    into one shared array per number of categories, so summarizing many
-    vectors does not hand each sample's memory back to the system and
-    fault it in again for the next one. That buffer is why this function
-    calls _dirichlet_draws itself instead of going through
-    sample_transformed: one draw feeds several measures, and the buffer
-    outlives each vector's sample.
+    posterior_summary gives for it alone. The vectors share one buffer per
+    number of categories C, of shape (C + 1 + len(measures) + 2,
+    mc_samples): the draw block of _dirichlet_draws, then the workspace of
+    measure_arrays, which computes every requested measure of a sample in
+    one pass. So each vector's values are computed and sorted in place,
+    and summarizing many vectors does not hand memory back to the system
+    and fault it in again for the next one.
+    That buffer is why this function calls _dirichlet_draws itself instead
+    of going through sample_transformed: one draw feeds several measures.
 
     Each measure's values are sorted in place once its mean and sd are
     taken, and the interval is read off the sorted sample by the type 7
-    rule of _sorted_quantiles: the same floats as np.quantile.
+    rule of _sorted_quantiles: the same floats as np.quantile. A measure
+    listed twice has a row of its own, so its second mean is taken from
+    unsorted values too. The plug-in values of all non-empty vectors come
+    from one measure_arrays call per C; the kernel works row by row, so
+    they are the floats of ambiguity at each vector's frequencies.
 
     Raises:
         TooFewSamples: mc_samples below 1000.
@@ -349,30 +366,29 @@ def posterior_summaries(
     if not measures:
         raise DomainError("need at least one measure")
     tail = 0.5 * (1.0 - credible_mass)
-    buffers: dict[int, np.ndarray] = {}
+    distinct = list(dict.fromkeys(count_vectors))
+    plugins = _plugin_values(distinct, measures)
+    buffers: dict[int, list[np.ndarray]] = {}
     summaries = {}
-    for counts in count_vectors:
-        if counts in summaries:
-            continue
-        buffer = buffers.get(counts.n_proper)
-        if buffer is None:
-            buffer = buffers[counts.n_proper] = np.empty((counts.n_proper + 1, mc_samples))
-        posterior = posterior_update(
-            DirichletParams.symmetric(counts.n_proper, prior_beta), counts
-        )
-        rng = make_generator(seed, (counts.n_proper, *counts.proper, counts.cs))
-        proper, cs = _dirichlet_draws(posterior, mc_samples, rng, out=buffer)
-        frequencies = counts.as_probability_vector() if counts.total else None
+    for counts in distinct:
+        n_proper = counts.n_proper
+        if n_proper not in buffers:
+            buffer = np.empty((n_proper + len(measures) + 3, mc_samples))
+            buffers[n_proper] = np.split(buffer, [n_proper + 1])
+        block, work = buffers[n_proper]
+        posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), counts)
+        rng = make_generator(seed, (n_proper, *counts.proper, counts.cs))
+        proper, cs = _dirichlet_draws(posterior, mc_samples, rng, out=block)
+        rows = measure_arrays(proper, cs, measures, work)
         summary = {}
-        for measure in measures:
-            values = ambiguity_array(proper, cs, measure)
+        for measure, values, plugin in zip(measures, rows, plugins.get(counts, repeat(None))):
             # Sorted only after the moments: total variation's mean and sd
             # are pairwise sums, whose last bits depend on the order.
             mean, sd = posterior_mean_sd(posterior, measure, values)
             values.sort()
             lo, hi = _sorted_quantiles(values, (tail, 1.0 - tail))
             summary[measure.value] = MeasureSummary(
-                plugin=None if frequencies is None else ambiguity(frequencies, measure),
+                plugin=plugin,
                 posterior_mean=mean,
                 posterior_sd=sd,
                 credible_lo=float(lo),
@@ -380,6 +396,27 @@ def posterior_summaries(
             )
         summaries[counts] = summary
     return summaries
+
+
+def _plugin_values(
+    count_vectors: Sequence["CountVector"], measures: tuple[MeasureKind, ...]
+) -> dict["CountVector", tuple[float, ...]]:
+    """Each measure at the empirical frequencies of each non-empty count
+    vector, in the order of `measures`: one measure_arrays call per number
+    of categories. A frequency v / n is the float that
+    CountVector.as_probability_vector gives, since both counts are exact
+    in a double."""
+    groups: dict[int, list] = {}
+    for counts in count_vectors:
+        if counts.total:
+            groups.setdefault(counts.n_proper, []).append(counts)
+    plugins = {}
+    for n_proper, group in groups.items():
+        freq = np.array([(*c.proper, c.cs) for c in group], dtype=float)
+        freq /= np.array([[c.total] for c in group], dtype=float)
+        values = measure_arrays(freq[:, :n_proper], freq[:, n_proper], measures)
+        plugins.update(zip(group, zip(*values.tolist())))
+    return plugins
 
 
 def density_with_uncertainty(

@@ -4,11 +4,13 @@ ranking and filtering of reports, and lossless export/import round trips.
 """
 
 import csv
+import io
 import json
 
 import pytest
 
 from ambiq.dataset_io import (
+    _report_to_json_obj,
     export_reports,
     import_reports,
     load_records,
@@ -184,6 +186,72 @@ class TestLoadCsv:
         with pytest.raises(MalformedRow) as excinfo:
             load_records(str(path), format="csv", schema=YES_NO)
         assert excinfo.value.row == 1
+
+
+# One file's annotations as (item_id, annotator_id or None, response);
+# None stands for a blank line. a1 rates q1 twice, q2 has a row without an
+# annotator, and "lizard" is outside the schema.
+ANIMALS = CategorySchema(labels=("cat", "dog", "bird"))
+ANNOTATIONS = [
+    ("q2", "a1", "cat"),
+    ("q1", "a1", "dog"),
+    None,
+    ("q1", "a2", "cs"),
+    ("q1", "a1", "dog"),
+    ("q2", None, "cat"),
+    ("q3", "a3", "lizard"),
+    ("q3", "a3", "bird"),
+    ("q2", "a2", "cs"),
+    ("q3", "a1", "cs"),
+]
+LIZARD_LINE = 7
+
+
+class TestCsvAndJsonlAgree:
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        """The annotations as JSONL, and as CSV with padded fields (CSV
+        fields are stripped, JSON strings are not)."""
+        jsonl, csv_path = tmp_path / "ann.jsonl", tmp_path / "ann.csv"
+        lines, csv_lines = [], ["item_id,annotator_id,response"]
+        for row in ANNOTATIONS:
+            if row is None:
+                lines.append("")
+                csv_lines.append("")
+                continue
+            item_id, annotator, response = row
+            obj = {"item_id": item_id, "response": response}
+            if annotator is not None:
+                obj["annotator_id"] = annotator
+            lines.append(json.dumps(obj))
+            csv_lines.append(f" {item_id} ,{annotator or ' '},  {response}\t")
+        jsonl.write_text("\n".join(lines) + "\n")
+        csv_path.write_text("\n".join(csv_lines) + "\n")
+        return str(jsonl), str(csv_path)
+
+    def test_equal_results(self, paths):
+        jsonl, csv_path = paths
+        from_jsonl = load_records(jsonl, "jsonl", ANIMALS, skip_unknown=True)
+        from_csv = load_records(csv_path, "csv", ANIMALS, skip_unknown=True)
+        assert from_jsonl == from_csv
+        assert from_csv.items == {
+            "q1": CountVector(proper=(0, 2, 0), cs=1),
+            "q2": CountVector(proper=(2, 0, 0), cs=1),
+            "q3": CountVector(proper=(0, 0, 1), cs=1),
+        }
+        assert (from_csv.n_rows, from_csv.n_duplicate_pairs, from_csv.n_unknown_skipped) == (
+            9,
+            1,
+            1,
+        )
+
+    def test_unknown_label_names_its_line(self, paths):
+        # The CSV header is line 1, so every CSV row sits one line lower.
+        jsonl, csv_path = paths
+        for path, fmt, line in ((jsonl, "jsonl", LIZARD_LINE), (csv_path, "csv", LIZARD_LINE + 1)):
+            with pytest.raises(UnknownLabel) as excinfo:
+                load_records(path, fmt, ANIMALS)
+            assert (excinfo.value.row, excinfo.value.label) == (line, "lizard")
 
 
 class TestScoreItems:
@@ -464,6 +532,11 @@ class TestExportImport:
         export_reports(scored_reports, p2, format="json")
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
+        # The bytes json.dump streams to a file, plus a final newline.
+        streamed = io.StringIO()
+        json.dump([_report_to_json_obj(r) for r in scored_reports], streamed, indent=2)
+        with open(p1, "rb") as f1:
+            assert f1.read() == (streamed.getvalue() + "\n").encode("utf-8")
 
     def test_export_to_unwritable_path(self, scored_reports, tmp_path):
         with pytest.raises(DataFileError):

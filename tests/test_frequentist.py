@@ -277,6 +277,12 @@ class TestBiasCurve:
                 mc_repeats=mc_repeats, seed=0,
             )
 
+    @pytest.mark.parametrize("mc_samples_mode", [0, -5])
+    def test_nonpositive_mode_samples_rejected(self, mc_samples_mode):
+        q = ProbabilityVector((0.45, 0.35), 0.20)
+        with pytest.raises(DomainError):
+            bias_curve(q, n_values=(1, 20), mc_repeats=3, mc_samples_mode=mc_samples_mode)
+
     @pytest.mark.parametrize("n_values", [(100, 5), (5, 5), (5, 0)])
     def test_bad_n_values_rejected_before_any_draw(self, n_values, monkeypatch):
         def no_draws(*args, **kwargs):

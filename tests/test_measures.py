@@ -1,7 +1,8 @@
 """Measure layer: hand-computed values for all three measures, the algebraic
 relation between plain and modified ambiguity, degenerate-mass handling,
-validation, normalized entropy, and agreement of the array fast paths with
-the scalar functions.
+validation, normalized entropy, agreement of the array fast paths with
+the scalar functions, and the one-pass kernel that computes several
+measures of a block at once.
 """
 
 import math
@@ -9,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from ambiq.exceptions import DomainError, SingleCategoryUnsupported
+from ambiq.exceptions import DomainError, InternalConsistencyError, SingleCategoryUnsupported
 from ambiq.measures import (
     DEGENERACY_THRESHOLD,
     CategorySchema,
     MeasureKind,
     ProbabilityVector,
+    _check_array_range,
     ambiguity,
     ambiguity_array,
     ambiguity_modified,
@@ -23,6 +25,7 @@ from ambiq.measures import (
     ambiguity_new_array,
     ambiguity_old,
     ambiguity_old_array,
+    measure_arrays,
     modified_from_new,
     normalized_entropy,
 )
@@ -365,3 +368,83 @@ class TestArrayFastPaths:
     def test_single_category_rejected(self):
         with pytest.raises(SingleCategoryUnsupported):
             ambiguity_modified_array(np.ones((3, 1)), np.zeros(3))
+
+
+KIND_LISTS = [
+    tuple(MeasureKind),
+    (MeasureKind.OLD, MeasureKind.NEW),
+    (MeasureKind.MODIFIED, MeasureKind.OLD, MeasureKind.NEW),
+    (MeasureKind.OLD, MeasureKind.OLD),
+    (MeasureKind.NEW, MeasureKind.MODIFIED, MeasureKind.NEW),
+    (MeasureKind.MODIFIED,),
+]
+
+
+class TestMeasureArrays:
+    """The one-pass kernel: every requested measure of a block at once."""
+
+    @staticmethod
+    def block(n_proper, with_degenerate):
+        params = DirichletParams(proper=(0.7,) * n_proper, cs=0.5)
+        proper, cs = dirichlet_sample(params, 3000, seed=10 + n_proper)
+        proper, cs = proper.copy(), cs.copy()
+        if with_degenerate:
+            for row, value in enumerate([1.0, DEGENERACY_THRESHOLD, 1.0 - 1e-13, np.nan]):
+                cs[row] = value
+                proper[row] = 0.0 if np.isnan(value) else (1.0 - value) / n_proper
+        return proper, cs
+
+    @pytest.mark.parametrize("n_proper", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("with_degenerate", [False, True])
+    @pytest.mark.parametrize("kinds", KIND_LISTS)
+    def test_rows_equal_the_per_measure_kernels(self, kinds, with_degenerate, n_proper):
+        proper, cs = self.block(n_proper, with_degenerate)
+        alone = [ambiguity_array(proper, cs, kind) for kind in kinds]
+        out = measure_arrays(proper, cs, kinds)
+        assert out.shape == (len(kinds), len(cs))
+        # A reused workspace holds the last call's values, or anything else.
+        work = np.full((len(kinds) + 2, len(cs)), np.nan)
+        into_work = measure_arrays(proper, cs, kinds, work)
+        assert np.shares_memory(into_work, work)
+        for row, kind, values in zip(range(len(kinds)), kinds, alone):
+            np.testing.assert_array_equal(out[row], values)
+            np.testing.assert_array_equal(into_work[row], values)
+            np.testing.assert_array_equal(values, masked_formula(proper, cs, kind))
+            if with_degenerate:
+                np.testing.assert_array_equal(out[row, :4], 1.0)
+
+    def test_single_category_allows_only_new(self):
+        proper, cs = np.array([[0.6], [0.0]]), np.array([0.4, 1.0])
+        np.testing.assert_array_equal(
+            measure_arrays(proper, cs, (MeasureKind.NEW,))[0], [0.4, 1.0]
+        )
+        for kinds in ((MeasureKind.NEW, MeasureKind.OLD), (MeasureKind.MODIFIED,)):
+            with pytest.raises(SingleCategoryUnsupported):
+                measure_arrays(proper, cs, kinds)
+
+    def test_rejects_a_misshaped_workspace(self):
+        proper, cs = self.block(3, False)
+        with pytest.raises(DomainError):
+            measure_arrays(proper, cs, tuple(MeasureKind), np.empty((4, len(cs))))
+
+    def test_no_rows(self):
+        out = measure_arrays(np.empty((0, 3)), np.empty(0), tuple(MeasureKind))
+        assert out.shape == (3, 0)
+
+
+class TestRangeCheck:
+    def test_clips_only_rounding_noise_outside_the_interval(self):
+        values = np.array([-0.0, 0.25, -1e-13, 1.0 + 1e-13])
+        _check_array_range(values, "x")
+        np.testing.assert_array_equal(values, [0.0, 0.25, 0.0, 1.0])
+        # -0.0 is inside [0, 1]; it keeps its sign whether or not the
+        # clip runs.
+        assert np.signbit(values[0])
+        inside = np.array([-0.0, 0.5])
+        _check_array_range(inside, "x")
+        assert np.signbit(inside[0])
+
+    @pytest.mark.parametrize("bad", [-1e-11, 1.0 + 1e-11])
+    def test_rejects_values_beyond_the_tolerance(self, bad):
+        with pytest.raises(InternalConsistencyError):
+            _check_array_range(np.array([0.5, bad]), "x")

@@ -6,6 +6,7 @@ against closed forms and an independent numpy Dirichlet sample.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ class TestSampleTransformed:
         values = sample_transformed(PARAMS, kind, 3000, 6, stream)
         proper, cs = _dirichlet_draws(PARAMS, 3000, make_generator(6, stream))
         np.testing.assert_array_equal(values, ambiguity_array(proper, cs, kind))
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_reused_buffer_gives_the_same_values(self, kind):
+        out = np.full((PARAMS.n_proper + 4, 3000), np.nan)
+        for stream in [(), (3,), (1, 4)]:
+            values = sample_transformed(PARAMS, kind, 3000, 6, stream, out=out)
+            assert np.shares_memory(values, out)
+            np.testing.assert_array_equal(
+                values, sample_transformed(PARAMS, kind, 3000, 6, stream)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +418,197 @@ class TestPosteriorSummary:
             posterior_summary(self.COUNTS, prior_beta=0.0)
         with pytest.raises(DomainError):
             posterior_summary(self.COUNTS, measures=())
+
+
+# posterior_summaries at C = 1-5, including zero counts, can't-solve-only
+# and empty vectors, under priors 1 and 1/2, with 2000 draws and seed 11:
+# (proper, cs, prior, {measure: (plugin, posterior_mean, posterior_sd,
+# credible_lo, credible_hi)}). The values were written down before the
+# measures of a sample were computed in one pass, so any change in a float
+# shows here.
+PINNED_SUMMARIES = [
+    ((3,), 1, 1.0, {
+        'new': (0.25, 0.33333333333333337, 0.1781741612749496, 0.04677297498093391, 0.7327212518401688),
+    }),
+    ((0,), 2, 1.0, {
+        'new': (1.0, 0.75, 0.19364916731037082, 0.30967579278608953, 0.9923908735135366),
+    }),
+    ((5,), 0, 1.0, {
+        'new': (0.0, 0.1428571428571429, 0.12371791482634867, 0.004608824173574469, 0.46304195545879995),
+    }),
+    ((0,), 0, 1.0, {
+        'new': (None, 0.5, 0.2886751345948129, 0.02176849997624637, 0.979747563584254),
+    }),
+    ((4, 1), 0, 1.0, {
+        'new': (0.31999999999999984, 0.4375, 0.1301041249666333, 0.15205789881962894, 0.6585080784041379),
+        'modified': (0.6399999999999997, 0.75, 0.22047927592204916, 0.24899064363765377, 0.9990207486955238),
+        'old': (0.3999999999999999, 0.5925005297036677, 0.2298344544595567, 0.15833365674578673, 0.9733720805784916),
+    }),
+    ((0, 0), 0, 1.0, {
+        'new': (None, 0.5555555555555556, 0.18921540406584894, 0.14943439444459786, 0.9054919653632213),
+        'modified': (None, 0.7777777777777779, 0.22498285257018444, 0.20747594493615265, 0.9996532080078737),
+        'old': (None, 0.665913423423042, 0.23399890604430743, 0.15314699068545803, 0.9866699874481054),
+    }),
+    ((0, 0), 3, 1.0, {
+        'new': (1.0, 0.7777777777777778, 0.1314684396244359, 0.4729248391374269, 0.9673387096053239),
+        'modified': (1.0, 0.888888888888889, 0.12738033427135795, 0.5339559862169739, 0.9998825869376244),
+        'old': (1.0, 0.8282711603943069, 0.1448317767819675, 0.4911912939110877, 0.9957144814284972),
+    }),
+    ((7, 2), 1, 1.0, {
+        'new': (0.4111111111111112, 0.46153846153846156, 0.11043819363869117, 0.22633025316731972, 0.6420195742299816),
+        'modified': (0.7222222222222224, 0.7692307692307693, 0.18551585732015546, 0.36646005362191936, 0.9991019058116376),
+        'old': (0.5, 0.6080485993714416, 0.1988177123121597, 0.2426896735859442, 0.9731536314686435),
+    }),
+    ((2, 0, 5), 1, 1.0, {
+        'new': (0.4821428571428571, 0.5757575757575757, 0.10175299107560434, 0.3339090988209373, 0.7353040185805076),
+        'modified': (0.6607142857142856, 0.7803030303030302, 0.13344733866324965, 0.44315313286927915, 0.9787370694363133),
+        'old': (0.5, 0.6064410186975211, 0.14255127706454734, 0.3001129248126916, 0.8739093448068612),
+    }),
+    ((0, 0, 0), 0, 1.0, {
+        'new': (None, 0.625, 0.1391941090707506, 0.3095874522404197, 0.8773767498057982),
+        'modified': (None, 0.8125, 0.15761900266148127, 0.40499045439624903, 0.9924371583435929),
+        'old': (None, 0.6696987925209962, 0.1736975433142591, 0.2778443553640068, 0.9443569492882102),
+    }),
+    ((12, 3, 0, 7), 2, 1.0, {
+        'new': (0.6174242424242424, 0.6475095785440613, 0.05520813172118684, 0.5234944109991875, 0.7402645617686339),
+        'modified': (0.7954545454545453, 0.8288633461047255, 0.06842245318964915, 0.6706101536175995, 0.9361966152067958),
+        'old': (0.5555555555555556, 0.6111270280234959, 0.08499278107568199, 0.4524868152015361, 0.769371211999991),
+    }),
+    ((0, 0, 0, 0), 4, 1.0, {
+        'new': (1.0, 0.8222222222222222, 0.08056239708221913, 0.6353753644435938, 0.9395658745018447),
+        'modified': (1.0, 0.9111111111111111, 0.07417981870189147, 0.7083808473305393, 0.9925516328648333),
+        'old': (1.0, 0.8129765130370054, 0.09722233287118495, 0.5891703950801073, 0.9540942891469095),
+    }),
+    ((1, 1, 1, 1, 1), 0, 1.0, {
+        'new': (0.7999999999999999, 0.7520661157024793, 0.05129671646126809, 0.6264678280075626, 0.8275202512638894),
+        'modified': (0.9999999999999999, 0.9173553719008264, 0.05803447806678784, 0.7669109966601099, 0.9876059839456974),
+        'old': (1.0, 0.7246606157643359, 0.09511589848575967, 0.5186981360427808, 0.888198774767745),
+    }),
+    ((30, 2, 9, 0, 4), 6, 1.0, {
+        'new': (0.5638344226579519, 0.6057791537667698, 0.059594162245433485, 0.47629773461393876, 0.7101750930989948),
+        'modified': (0.6753812636165576, 0.7265221878224974, 0.07171857146966337, 0.5692591036465624, 0.8534837861566231),
+        'old': (0.48529411764705876, 0.5155548238696304, 0.06614898633755104, 0.3846662357160261, 0.646635615156248),
+    }),
+    ((3,), 1, 0.5, {
+        'new': (0.25, 0.30000000000000004, 0.18708286933869714, 0.026711863595613415, 0.7239560678387633),
+    }),
+    ((0,), 2, 0.5, {
+        'new': (1.0, 0.8333333333333334, 0.1863389981249825, 0.34820746447715445, 0.9997785669815898),
+    }),
+    ((5,), 0, 0.5, {
+        'new': (0.0, 0.08333333333333337, 0.1044638617546682, 8.441328813407216e-05, 0.38070613426374084),
+    }),
+    ((0,), 0, 0.5, {
+        'new': (None, 0.5, 0.3535533905932738, 0.0013511648550284389, 0.9982118716323023),
+    }),
+    ((4, 1), 0, 0.5, {
+        'new': (0.31999999999999984, 0.37362637362637363, 0.14531902368613392, 0.07945008796583841, 0.6178181162113255),
+        'modified': (0.6399999999999997, 0.6703296703296704, 0.2612289238544097, 0.13478589553678197, 0.9988114414217475),
+        'old': (0.3999999999999999, 0.5156107402864738, 0.25717017471706205, 0.08070883956167428, 0.9674921220658066),
+    }),
+    ((0, 0), 0, 0.5, {
+        'new': (None, 0.5, 0.2581988897471611, 0.02939333868730533, 0.9648623062672613),
+        'modified': (None, 0.6666666666666667, 0.2981423969999719, 0.04661784751482438, 0.9993469863387308),
+        'old': (None, 0.5827653118546637, 0.2915220116170548, 0.02954336449885504, 0.9906434238692916),
+    }),
+    ((0, 0), 3, 0.5, {
+        'new': (1.0, 0.8333333333333334, 0.14213381090374033, 0.475566789593918, 0.9949453516125648),
+        'modified': (1.0, 0.888888888888889, 0.13400504203456187, 0.5122854808254453, 0.9998540377522198),
+        'old': (1.0, 0.8598016579322462, 0.1407388558029264, 0.4802525065991113, 0.9979201549126082),
+    }),
+    ((7, 2), 1, 0.5, {
+        'new': (0.4111111111111112, 0.4268774703557312, 0.12044565016187501, 0.1837663363071961, 0.629561915640146),
+        'modified': (0.7222222222222224, 0.7233201581027667, 0.2077996789200933, 0.29871752246960825, 0.9987204117874239),
+        'old': (0.5, 0.5605913937369544, 0.21457067870195992, 0.19496835170047902, 0.9654781319787209),
+    }),
+    ((2, 0, 5), 1, 0.5, {
+        'new': (0.4821428571428571, 0.5236842105263158, 0.11675785734017108, 0.251777845154702, 0.7173775237953959),
+        'modified': (0.6607142857142856, 0.7105263157894737, 0.15436255413869812, 0.3349374708944676, 0.959602510273592),
+        'old': (0.5, 0.5427963782530854, 0.15248493330613325, 0.22502546675811258, 0.830357873186451),
+    }),
+    ((0, 0, 0), 0, 0.5, {
+        'new': (None, 0.55, 0.20383233072213802, 0.12781634671301004, 0.9146998312436467),
+        'modified': (None, 0.7000000000000001, 0.22990681342044408, 0.16764139408473186, 0.9870648922718035),
+        'old': (None, 0.5662375854068785, 0.2246716336752272, 0.10764584518068548, 0.9428664909526788),
+    }),
+    ((12, 3, 0, 7), 2, 0.5, {
+        'new': (0.6174242424242424, 0.6241509433962265, 0.059309814295192796, 0.48528003716685747, 0.7210736629499219),
+        'modified': (0.7954545454545453, 0.8007547169811321, 0.07384252379879168, 0.6226281622915789, 0.911724913303218),
+        'old': (0.5555555555555556, 0.5774348380287172, 0.08269736835535747, 0.4211855519356168, 0.7323777844091611),
+    }),
+    ((0, 0, 0, 0), 4, 0.5, {
+        'new': (1.0, 0.8461538461538461, 0.10088366960464615, 0.5970205855666594, 0.980266280207176),
+        'modified': (1.0, 0.8974358974358975, 0.09287574500653757, 0.6396991052863751, 0.9931409041579422),
+        'old': (1.0, 0.8313724380702654, 0.11140320837006558, 0.5627673743522085, 0.9814545540324503),
+    }),
+    ((1, 1, 1, 1, 1), 0, 0.5, {
+        'new': (0.7999999999999999, 0.7242647058823529, 0.06518335395630163, 0.562249956118857, 0.8170471444448989),
+        'modified': (0.9999999999999999, 0.8897058823529411, 0.07647870339911375, 0.6920841056522085, 0.9839001490897179),
+        'old': (1.0, 0.674725987207794, 0.11118522292234655, 0.4415605215930679, 0.8721958061134176),
+    }),
+    ((30, 2, 9, 0, 4), 6, 0.5, {
+        'new': (0.5638344226579519, 0.5819969453990073, 0.06289382119650305, 0.45240588958137834, 0.6936638243066795),
+        'modified': (0.6753812636165576, 0.6974035891561665, 0.07569169330613443, 0.5396089120124136, 0.8309204369615545),
+        'old': (0.48529411764705876, 0.48837849015390394, 0.06451015285370629, 0.36161044850439084, 0.6196324729331746),
+    }),
+]
+
+PINNED_KIND_LISTS = [
+    tuple(MeasureKind),
+    (MeasureKind.OLD, MeasureKind.NEW),
+    (MeasureKind.MODIFIED, MeasureKind.OLD, MeasureKind.NEW),
+    # A repeated measure has a row of its own: the second old mean must
+    # not be taken from the first one's sorted values.
+    (MeasureKind.OLD, MeasureKind.OLD),
+    (MeasureKind.NEW, MeasureKind.MODIFIED, MeasureKind.NEW),
+    (MeasureKind.MODIFIED,),
+    (MeasureKind.NEW,),
+]
+
+
+@pytest.mark.parametrize("kinds", PINNED_KIND_LISTS)
+@pytest.mark.parametrize("prior", [1.0, 0.5])
+def test_summary_floats_are_pinned(prior, kinds):
+    pinned = {
+        CountVector(proper, cs): values
+        for proper, cs, beta, values in PINNED_SUMMARIES
+        # C = 1 has the new measure only.
+        if beta == prior and (len(proper) > 1 or kinds == (MeasureKind.NEW,))
+    }
+    # Every vector in one call, so vectors of several C share the call.
+    got = posterior_summaries(pinned, prior, kinds, mc_samples=2000, seed=11)
+    names = list(dict.fromkeys(kind.value for kind in kinds))
+    for counts, values in pinned.items():
+        assert list(got[counts]) == names
+        for name in names:
+            summary = got[counts][name]
+            assert (
+                summary.plugin,
+                summary.posterior_mean,
+                summary.posterior_sd,
+                summary.credible_lo,
+                summary.credible_hi,
+            ) == values[name]
+
+
+def test_memory_does_not_grow_with_vectors():
+    # One buffer per C holds the draws and every measure's values; the
+    # only other sample-sized array is the draws' row sums.
+    n = 20_000
+    vectors = [CountVector(proper=(k, 20 - k, 3, 1), cs=2) for k in range(20)]
+    posterior_summaries(vectors[:1], mc_samples=1000)
+
+    def peak(count_vectors):
+        tracemalloc.start()
+        try:
+            posterior_summaries(count_vectors, mc_samples=n, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    buffer_bytes = (5 + 3 + 2) * n * 8
+    assert peak(vectors) <= peak(vectors[:2]) + 64_000
+    assert peak(vectors) <= buffer_bytes + n * 8 + 64_000
 
 
 class TestMeasureSummary:
