@@ -44,7 +44,7 @@ def main() -> None:
     print("The same posterior, summarized from 100k Monte Carlo draws")
     print("(the closed forms above validate these numbers):")
     for kind in MeasureKind:
-        samples = sample_transformed(posterior, kind, 100_000, seed=0)
+        samples = sample_transformed(posterior, (kind,), 100_000, seed=0)[0]
         summary = summarize(samples, credible_mass=0.95)
         lo, hi, mass = summary.credible_interval
         print(

@@ -258,7 +258,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     if measure is not MeasureKind.OLD:
         moments = posterior_moments(posterior, measure)
         closed = {"mean": moments.mean, "sd": moments.sd}
-    samples = sample_transformed(posterior, measure, args.mc_samples, seed)
+    samples = sample_transformed(posterior, (measure,), args.mc_samples, seed)[0]
     summary = summarize(samples, credible_mass=args.credible_mass)
     method = "closed_form+mc" if closed is not None else "mc_only"
 
@@ -375,7 +375,7 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
         # `posterior`. A root stream never coincides with a substream, of
         # its own base seed or of another's.
         prior = DirichletParams.symmetric(args.n_categories, beta)
-        values = sample_transformed(prior, measure, args.mc_samples, seed + index)
+        values = sample_transformed(prior, (measure,), args.mc_samples, seed + index)[0]
         mean, sd = posterior_mean_sd(prior, measure, values)
         per_beta.append(
             {"beta": beta, "mean": mean, "sd": sd, "mode": histogram_mode(values)}

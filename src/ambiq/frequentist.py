@@ -1,17 +1,18 @@
 """Point estimation of ambiguity from finite annotation samples.
 
 The plug-in estimator applies a measure to the empirical response
-frequencies. For the quadratic-entropy measures its expectation under
-multinomial sampling has a closed form, so its bias is exact and known
-to be negative at every finite sample size: squared frequencies are
-biased-up estimates of squared probabilities, and the measure subtracts
-them. Bayesian alternatives report the posterior mean or mode under a
-symmetric Dirichlet prior; their bias is estimated by Monte Carlo over
-repeated count draws.
+frequencies. Its expectation under multinomial sampling is exact at every
+sample size for all three measures: a closed form for the quadratic-entropy
+measures, and one sum over the can't-solve count of binomial expectations
+for total variation. For the quadratic measures the bias is known to be
+negative at every finite n: squared frequencies are biased-up estimates of
+squared probabilities, and the measure subtracts them. Bayesian
+alternatives report the posterior mean or mode under a symmetric Dirichlet
+prior; their bias is estimated by Monte Carlo over repeated count draws.
 
-Everything that enumerates count vectors exhaustively is deliberately
-capped at small n and few categories; it exists as an oracle to validate
-the closed forms, not as a production path.
+exhaustive_expected_estimator enumerates count vectors exhaustively and is
+deliberately capped at small n and few categories; it exists as an oracle
+to validate the exact expectations, not as a production path.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, EmptySample, TooLarge
-from .measures import (
-    MeasureKind,
-    ProbabilityVector,
-    ambiguity,
-    ambiguity_array,
-    ambiguity_new,
-    modified_from_new,
-)
+from .exceptions import DomainError, EmptySample, SingleCategoryUnsupported, TooLarge
+from .measures import MeasureKind, ProbabilityVector, ambiguity, modified_from_new
 from .numerics import DirichletParams, ln_gamma, make_generator
 from .posterior_analytics import posterior_update
 from .posterior_sampling import histogram_mode, posterior_mean_sd, sample_transformed
@@ -136,34 +130,99 @@ def plugin_estimate(counts: CountVector, measure: MeasureKind = MeasureKind.NEW)
     return ambiguity(counts.as_probability_vector(), measure)
 
 
-def expected_plugin(q: ProbabilityVector, n: int) -> float:
-    """Exact sampling expectation of the quadratic-entropy plug-in.
+def expected_plugin(
+    q: ProbabilityVector, n: int, measure: MeasureKind = MeasureKind.NEW
+) -> float:
+    """Exact sampling expectation of the plug-in estimator of `measure` at
+    n responses drawn from q.
 
-    With S = sum_k q_k^2 over proper categories and c = q_cs,
+    New measure: with S = sum_k q_k^2 over proper categories and c = q_cs,
 
         E = [1 - (1 - c^n)/n] - [1/(1-c) - (1 - c^n)/(n (1-c)^2)] S,
 
-    degenerating to 1 when c = 1. The modified measure's plug-in has
-    expectation modified_from_new(E, c, C), since that measure is linear in
-    (plain measure, q_cs). Total variation has no comparably simple form;
-    use exhaustive_expected_estimator or Monte Carlo.
+    degenerating to 1 when c = 1. Modified measure: modified_from_new(E, c,
+    C), since that measure is linear in (plain measure, can't-solve
+    frequency) and the can't-solve frequency is unbiased.
+
+    Total variation: at counts (n_1..n_C, m) with m < n the plug-in is
+    1 - kappa/n * sum_k |n_k - (n - m)/C|, kappa = C/(2(C - 1)), and at
+    m = n it is 1, which is the same formula with every n_k = 0. Given the
+    can't-solve count m ~ Bin(n, c), each n_k ~ Bin(n - m, q_k / (1 - c)),
+    so E = 1 - kappa/n * sum_m P(m) sum_k E|n_k - (n - m)/C|: O(n^2 C)
+    binomial terms, in memory linear in n. Degenerate q gives 1, as for
+    the new measure.
+
+    Raises:
+        SingleCategoryUnsupported: modified or old for C = 1.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
+    if measure is MeasureKind.OLD:
+        return _expected_plugin_old(q, n)
+    if q.is_degenerate:
+        new = 1.0
+    else:
+        c = q.cs
+        survival = (1.0 - c**n) / n
+        s2 = math.fsum(v * v for v in q.proper)
+        one_minus = 1.0 - c
+        factor = 1.0 / one_minus - survival / one_minus**2
+        new = (1.0 - survival) - factor * s2
+    if measure is MeasureKind.NEW:
+        return new
+    return modified_from_new(new, q.cs, q.n_proper)
+
+
+def _expected_plugin_old(q: ProbabilityVector, n: int) -> float:
+    n_cat = q.n_proper
+    if n_cat < 2:
+        raise SingleCategoryUnsupported("old ambiguity needs C >= 2")
     if q.is_degenerate:
         return 1.0
-    c = q.cs
-    survival = (1.0 - c**n) / n
-    s2 = math.fsum(v * v for v in q.proper)
-    one_minus = 1.0 - c
-    factor = 1.0 / one_minus - survival / one_minus**2
-    return (1.0 - survival) - factor * s2
+    # ln k! for k = 0..n, each from ln_gamma, so no rounding accumulates
+    # along k as it would in a running sum of ln k.
+    ln_fact = np.array([ln_gamma(k + 1.0) for k in range(n + 1)])
+    conditional = np.array(q.proper) / math.fsum(q.proper)
+    cs_pmf = _binomial_pmfs(n, np.array([q.cs]), ln_fact)[0]
+    terms = []
+    # Counts of m whose probability underflows add nothing.
+    for m in np.flatnonzero(cs_pmf):
+        solvable = n - int(m)
+        deviation = np.abs(np.arange(solvable + 1.0) - solvable / n_cat)
+        spread = _binomial_pmfs(solvable, conditional, ln_fact) @ deviation
+        terms.append(cs_pmf[m] * math.fsum(spread.tolist()))
+    kappa = n_cat / (2.0 * (n_cat - 1.0))
+    return 1.0 - kappa / n * math.fsum(terms)
 
 
-def bias_plugin(q: ProbabilityVector, n: int) -> float:
-    """expected_plugin minus the true value; strictly negative unless the
-    true value is an endpoint case, and shrinking like 1/n."""
-    return expected_plugin(q, n) - ambiguity_new(q)
+def _binomial_pmfs(trials: int, probs: np.ndarray, ln_fact: np.ndarray) -> np.ndarray:
+    """Bin(trials, p) probabilities of 0..trials, one row per entry p of
+    probs, from the table ln_fact[k] = ln k!.
+
+    Each row is divided by its sum, which cancels the rounding that all of
+    its terms share (that of ln trials! and of exp at large arguments):
+    ten times closer to exact rational sums at n = 100-300.
+    """
+    k = np.arange(trials + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_pmf = (
+            (ln_fact[trials] - ln_fact[: trials + 1] - ln_fact[trials::-1])
+            + np.multiply.outer(np.log(probs), k)
+            + np.multiply.outer(np.log1p(-probs), trials - k)
+        )
+    # p = 0 or 1 leaves 0 * -inf = NaN at the one count that has all the mass.
+    pmf = np.nan_to_num(np.exp(ln_pmf), nan=1.0)
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    return pmf
+
+
+def bias_plugin(
+    q: ProbabilityVector, n: int, measure: MeasureKind = MeasureKind.NEW
+) -> float:
+    """expected_plugin minus the true value, exact for every measure. For
+    the quadratic measures it is strictly negative unless the true value
+    is an endpoint case, and shrinks like 1/n."""
+    return expected_plugin(q, n, measure) - ambiguity(q, measure)
 
 
 def _compositions(total: int, parts: int):
@@ -176,14 +235,20 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _composition_weights(
-    q: ProbabilityVector, n: int
-) -> tuple[list[tuple[int, ...]], list[float]]:
-    """Every count vector of n responses (proper counts, then cs) that has
-    positive multinomial probability under q, with that probability.
+def exhaustive_expected_estimator(
+    q: ProbabilityVector,
+    n: int,
+    estimator: Callable[[CountVector], float],
+) -> float:
+    """Exact E[estimator(counts)] by enumerating the whole count simplex:
+    an oracle for the exact expectations, used only to check them.
+
+    Multinomial probabilities come from log-gamma factorials, so the sum
+    is exact to rounding even at the enumeration caps.
 
     Raises:
-        TooLarge: beyond n = 12 or 4 total categories.
+        TooLarge: beyond n = 12 or 4 total categories, where enumeration
+            stops being an oracle and starts being a production path.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
@@ -195,37 +260,14 @@ def _composition_weights(
         )
     probs = (*q.proper, q.cs)
     ln_n_fact = ln_gamma(n + 1.0)
-    combos = []
-    weights = []
+    terms = []
     for combo in _compositions(n, m):
         if any(k > 0 and p == 0.0 for k, p in zip(combo, probs)):
             continue
         ln_pmf = ln_n_fact - math.fsum(ln_gamma(k + 1.0) for k in combo)
         ln_pmf += math.fsum(k * math.log(p) for k, p in zip(combo, probs) if k > 0)
-        combos.append(combo)
-        weights.append(math.exp(ln_pmf))
-    return combos, weights
-
-
-def exhaustive_expected_estimator(
-    q: ProbabilityVector,
-    n: int,
-    estimator: Callable[[CountVector], float],
-) -> float:
-    """Exact E[estimator(counts)] by enumerating the whole count simplex.
-
-    Multinomial probabilities come from log-gamma factorials, so the sum
-    is exact to rounding even at the enumeration caps.
-
-    Raises:
-        TooLarge: beyond n = 12 or 4 total categories, where enumeration
-            stops being an oracle and starts being a production path.
-    """
-    combos, weights = _composition_weights(q, n)
-    return math.fsum(
-        w * estimator(CountVector(proper=combo[:-1], cs=combo[-1]))
-        for combo, w in zip(combos, weights)
-    )
+        terms.append(math.exp(ln_pmf) * estimator(CountVector(proper=combo[:-1], cs=combo[-1])))
+    return math.fsum(terms)
 
 
 def bayes_point_estimates(
@@ -244,7 +286,7 @@ def bayes_point_estimates(
     form for any measure.
     """
     post = posterior_update(DirichletParams.symmetric(counts.n_proper, prior_beta), counts)
-    values = sample_transformed(post, measure, mc_samples, seed)
+    values = sample_transformed(post, (measure,), mc_samples, seed)[0]
     mean, _ = posterior_mean_sd(post, measure, values)
     return mean, histogram_mode(values)
 
@@ -267,17 +309,15 @@ def bias_curve(
 ) -> BiasSeries:
     """Bias of the requested estimators at each sample size.
 
-    The plug-in column is exact for the quadratic measures at every n (the
-    closed form of expected_plugin, carried over to the modified measure by
-    its linear relation to the plain one). For total variation it is exact
-    by exhaustive enumeration within the caps and Monte Carlo beyond them.
-    Bayesian columns are always Monte Carlo over the counts: they are
-    redrawn mc_repeats times per sample size from the stream (seed,
-    (n_index,)). Repeat r's posterior mean is closed-form for the
-    quadratic measures; its mode, and its mean for total variation, come
-    from one posterior sample of mc_samples_mode draws from the substream
-    (seed, (n_index, r)), shared by both Bayes columns, so the whole curve
-    is reproducible from the single seed.
+    The plug-in column is exact for every measure at every n, with stderr
+    0: expected_plugin minus the true value. Bayesian columns are always
+    Monte Carlo over the counts: they are redrawn mc_repeats times per
+    sample size from the stream (seed, (n_index,)), and no counts are
+    drawn when only the plug-in is requested. Repeat r's posterior mean is
+    closed-form for the quadratic measures; its mode, and its mean for
+    total variation, come from one posterior sample of mc_samples_mode
+    draws from the substream (seed, (n_index, r)), shared by both Bayes
+    columns, so the whole curve is reproducible from the single seed.
     """
     for name in estimators:
         if name not in ESTIMATOR_NAMES:
@@ -302,7 +342,6 @@ def bias_curve(
     need_sample = bool(bayes_names) and (
         "bayes_mode" in bayes_names or measure is MeasureKind.OLD
     )
-    plugin_mc = "plugin" in estimators and measure is MeasureKind.OLD
     if need_sample and mc_samples_mode < 1:
         raise DomainError(f"mc_samples_mode must be at least 1, got {mc_samples_mode}")
     # Every repeat's sample is drawn and measured in this one buffer, so no
@@ -310,22 +349,17 @@ def bias_curve(
     buffer = np.empty((n_cat + 4, mc_samples_mode)) if need_sample else None
 
     for n_index, n in enumerate(n_tuple):
-        can_enumerate = n <= _EXHAUSTIVE_MAX_N and n_cat + 1 <= _EXHAUSTIVE_MAX_CATEGORIES
-        draws = None
-        if bayes_names or (plugin_mc and not can_enumerate):
-            rng = make_generator(seed, (n_index,))
-            draws = rng.multinomial(n, pvals, size=mc_repeats)
-
         estimates = {name: np.empty(mc_repeats) for name in bayes_names}
         if bayes_names:
+            draws = make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
             for r, row in enumerate(draws):
                 post = posterior_update(
                     DirichletParams.symmetric(n_cat, prior_beta), _row_counts(row, n_cat)
                 )
                 values = (
                     sample_transformed(
-                        post, measure, mc_samples_mode, seed, (n_index, r), out=buffer
-                    )
+                        post, (measure,), mc_samples_mode, seed, (n_index, r), out=buffer
+                    )[0]
                     if need_sample
                     else None
                 )
@@ -336,29 +370,7 @@ def bias_curve(
 
         for name, label in zip(estimators, labels):
             if name == "plugin":
-                if plugin_mc and not can_enumerate:
-                    # Every row's frequencies at once; the same floats as
-                    # plugin_estimate on each row.
-                    values = ambiguity_array(draws[:, :n_cat] / n, draws[:, n_cat] / n, measure)
-                    bias[label].append(float(values.mean()) - truth)
-                    stderr[label].append(float(values.std() / math.sqrt(len(values))))
-                    continue
-                if measure is MeasureKind.NEW:
-                    expectation = expected_plugin(q, n)
-                elif measure is MeasureKind.MODIFIED:
-                    # The modified measure is (C * new - q_cs)/(C - 1) at
-                    # every frequency vector, and the can't-solve frequency
-                    # is unbiased, so the expectation carries over exactly.
-                    expectation = modified_from_new(expected_plugin(q, n), q.cs, n_cat)
-                else:
-                    # Every count vector's frequencies in one kernel call:
-                    # exhaustive_expected_estimator of plugin_estimate, to
-                    # the bit.
-                    combos, weights = _composition_weights(q, n)
-                    freq = np.array(combos) / n
-                    per_vector = ambiguity_array(freq[:, :n_cat], freq[:, n_cat], measure)
-                    expectation = math.fsum(w * v for w, v in zip(weights, per_vector.tolist()))
-                bias[label].append(expectation - truth)
+                bias[label].append(expected_plugin(q, n, measure) - truth)
                 stderr[label].append(0.0)
                 continue
             bias[label].append(float(estimates[name].mean()) - truth)

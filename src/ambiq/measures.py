@@ -20,9 +20,9 @@ categories, and treat q_cs asymmetrically: abstention mass always pushes
 ambiguity up. Each measure is written once, in one array kernel over rows
 of (proper, cs), measure_arrays, which computes every requested measure of
 a sample in one pass and can write into a workspace its caller reuses.
-The samplers call it on millions of vectors at a time; the per-measure
-array functions and the scalar functions are calls of it, so a plug-in
-value and a Monte Carlo draw of the same vector get the same floats.
+The samplers call it on millions of vectors at a time; ambiguity_array
+and the scalar functions are calls of it, so a plug-in value and a Monte
+Carlo draw of the same vector get the same floats.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ __all__ = [
     "ambiguity_old",
     "ambiguity",
     "normalized_entropy",
-    "ambiguity_new_array",
-    "ambiguity_modified_array",
-    "ambiguity_old_array",
     "ambiguity_array",
     "measure_arrays",
 ]
@@ -164,7 +161,7 @@ def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:
     A one-row call of the array kernel measure_arrays, so the scalar and
     the Monte Carlo layers share one copy of each formula.
     """
-    return float(ambiguity_array(np.array([q.proper]), np.array([q.cs]), kind)[0])
+    return float(measure_arrays(np.array([q.proper]), np.array([q.cs]), (kind,))[0, 0])
 
 
 def ambiguity_new(q: ProbabilityVector) -> float:
@@ -388,18 +385,3 @@ def ambiguity_array(
     """Vectorized measure `kind` over rows of (proper, cs): measure_arrays
     of that one kind, as a view of `work` (shape (3, n)) when given."""
     return measure_arrays(proper, cs, (kind,), work)[0]
-
-
-def ambiguity_new_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Vectorized ``ambiguity_new`` over rows of (proper, cs)."""
-    return ambiguity_array(proper, cs, MeasureKind.NEW)
-
-
-def ambiguity_modified_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Vectorized ``ambiguity_modified``; requires C >= 2."""
-    return ambiguity_array(proper, cs, MeasureKind.MODIFIED)
-
-
-def ambiguity_old_array(proper: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Vectorized ``ambiguity_old``; requires C >= 2."""
-    return ambiguity_array(proper, cs, MeasureKind.OLD)

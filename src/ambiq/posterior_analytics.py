@@ -14,9 +14,9 @@ Notation used throughout: E = E(amb), and the two abbreviations
         / [alpha_0 (alpha_0+1) (A+2) (A+3)]
     S = alpha_0 (A+1)^2 / [(alpha_0+1) (A+2) (A+3)]
 
-No closed form exists for the expectation of the total-variation measure
-(it involves incomplete Beta functions); that measure is summarized by
-Monte Carlo only, elsewhere.
+The total-variation measure's posterior moments are not implemented here
+(its mean needs regularized incomplete Beta functions); that measure is
+summarized by Monte Carlo only, elsewhere.
 """
 
 from __future__ import annotations

@@ -2,13 +2,12 @@
 
 Everything here flows through one pipeline: draw full probability vectors
 from Dir(params), push them through an ambiguity measure, and summarize
-the resulting scalar sample. sample_transformed(params, measure, count,
-seed, stream) is that draw and push for one stream, optionally into a
-buffer the caller reuses. Every Monte Carlo sample of the package is drawn
-through it, except the samples of posterior_summaries, each of which
-feeds several measures at once. Streams are derived from a single user
-seed with explicit spawn keys, so any repeat structure is reproducible
-without coordination between callers.
+the resulting scalar sample. sample_transformed(params, measures, count,
+seed, stream) is that draw and push for one stream, one row of values per
+measure, optionally into a buffer the caller reuses. Every Monte Carlo
+sample of the package is drawn through it. Streams are derived from a
+single user seed with explicit spawn keys, so any repeat structure is
+reproducible without coordination between callers.
 
 posterior_summary is the per-count-vector form of that pipeline: one
 sample per count vector, drawn from a stream keyed on the counts
@@ -36,8 +35,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
-from .measures import MeasureKind, ambiguity_array, measure_arrays
-from .numerics import DirichletParams, _dirichlet_draws, dirichlet_sample, make_generator
+from .measures import MeasureKind, measure_arrays
+from .numerics import DirichletParams, dirichlet_sample
 from .posterior_analytics import posterior_moments, posterior_update
 
 if TYPE_CHECKING:
@@ -171,23 +170,26 @@ def histogram_mode(values: np.ndarray) -> float:
 
 def sample_transformed(
     params: DirichletParams,
-    measure: MeasureKind,
+    measures: Sequence[MeasureKind],
     count: int,
     seed: int,
     stream: Sequence[int] = (),
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw `count` ambiguity values from the pushforward of Dir(params),
-    using the stream (seed, stream).
+    """Draw `count` vectors from Dir(params), using the stream (seed,
+    stream), and return every measure in `measures` at each of them: the
+    (len(measures), count) rows of measure_arrays, so one draw feeds
+    several measures.
 
-    A float array `out` of shape (C + 4, count) receives the draws in its
-    first C + 1 rows and the measure's workspace in the other three, and
-    the values are a view of it, so a caller drawing many samples of one
-    shape can reuse one buffer. The values are the same either way.
+    A float array `out` of shape (C + 1 + len(measures) + 2, count)
+    receives the draws in its first C + 1 rows and the measures' workspace
+    in the rest, and the values are a view of it, so a caller drawing many
+    samples of one shape can reuse one buffer. The values are the same
+    either way.
     """
     block, work = (None, None) if out is None else np.split(out, [params.n_proper + 1])
     proper, cs = dirichlet_sample(params, count, seed, stream, out=block)
-    return ambiguity_array(proper, cs, measure, work)
+    return measure_arrays(proper, cs, measures, work)
 
 
 def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
@@ -333,15 +335,11 @@ def posterior_summaries(
     """posterior_summary of each distinct count vector, keyed by count vector.
 
     Each distinct vector is summarized once, with the result
-    posterior_summary gives for it alone. The vectors share one buffer per
-    number of categories C, of shape (C + 1 + len(measures) + 2,
-    mc_samples): the draw block of _dirichlet_draws, then the workspace of
-    measure_arrays, which computes every requested measure of a sample in
-    one pass. So each vector's values are computed and sorted in place,
-    and summarizing many vectors does not hand memory back to the system
-    and fault it in again for the next one.
-    That buffer is why this function calls _dirichlet_draws itself instead
-    of going through sample_transformed: one draw feeds several measures.
+    posterior_summary gives for it alone. The vectors share one
+    sample_transformed buffer per number of categories C, of shape
+    (C + 1 + len(measures) + 2, mc_samples), so each vector's values are
+    computed and sorted in place, and summarizing many vectors does not
+    hand memory back to the system and fault it in again for the next one.
 
     Each measure's values are sorted in place once its mean and sd are
     taken, and the interval is read off the sorted sample by the type 7
@@ -368,18 +366,17 @@ def posterior_summaries(
     tail = 0.5 * (1.0 - credible_mass)
     distinct = list(dict.fromkeys(count_vectors))
     plugins = _plugin_values(distinct, measures)
-    buffers: dict[int, list[np.ndarray]] = {}
+    buffers: dict[int, np.ndarray] = {}
     summaries = {}
     for counts in distinct:
         n_proper = counts.n_proper
         if n_proper not in buffers:
-            buffer = np.empty((n_proper + len(measures) + 3, mc_samples))
-            buffers[n_proper] = np.split(buffer, [n_proper + 1])
-        block, work = buffers[n_proper]
+            buffers[n_proper] = np.empty((n_proper + 1 + len(measures) + 2, mc_samples))
         posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), counts)
-        rng = make_generator(seed, (n_proper, *counts.proper, counts.cs))
-        proper, cs = _dirichlet_draws(posterior, mc_samples, rng, out=block)
-        rows = measure_arrays(proper, cs, measures, work)
+        stream = (n_proper, *counts.proper, counts.cs)
+        rows = sample_transformed(
+            posterior, measures, mc_samples, seed, stream, out=buffers[n_proper]
+        )
         summary = {}
         for measure, values, plugin in zip(measures, rows, plugins.get(counts, repeat(None))):
             # Sorted only after the moments: total variation's mean and sd
@@ -439,7 +436,7 @@ def density_with_uncertainty(
     edges = np.linspace(0.0, 1.0, bins + 1)
     heights = np.empty((repeats, bins))
     for r in range(repeats):
-        values = sample_transformed(params, measure, samples_per_repeat, seed, (r,))
+        values = sample_transformed(params, (measure,), samples_per_repeat, seed, (r,))[0]
         heights[r], _ = np.histogram(values, bins=edges, density=True)
     lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)
     return DensityEstimate(

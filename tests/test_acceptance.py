@@ -38,9 +38,7 @@ from ambiq.measures import (
     ambiguity,
     ambiguity_array,
     ambiguity_modified,
-    ambiguity_modified_array,
     ambiguity_new,
-    ambiguity_new_array,
     ambiguity_old,
 )
 from ambiq.numerics import DirichletParams, dirichlet_sample, make_generator
@@ -167,12 +165,16 @@ class TestCriterion04MomentsVsMonteCarlo:
             proper, cs = dirichlet_sample(params, self.N_DRAWS, seed=4000 + index)
 
             checks = [
-                (ambiguity_new_array(proper, cs), expected_amb(params), var_amb(params))
+                (
+                    ambiguity_array(proper, cs, MeasureKind.NEW),
+                    expected_amb(params),
+                    var_amb(params),
+                )
             ]
             if n_cat >= 2:
                 checks.append(
                     (
-                        ambiguity_modified_array(proper, cs),
+                        ambiguity_array(proper, cs, MeasureKind.MODIFIED),
                         expected_amb_modified(params),
                         var_amb_modified(params),
                     )
@@ -228,8 +230,8 @@ class TestCriterion05BinaryDensity:
 
                 draws = np.sort(
                     sample_transformed(
-                        posterior, measure, self.N_DRAWS, seed=500 + config_index
-                    )
+                        posterior, (measure,), self.N_DRAWS, seed=500 + config_index
+                    )[0]
                 )
                 indices = np.arange(self.STRIDE - 1, self.N_DRAWS, self.STRIDE)
                 inside = (draws[indices] > 0.0) & (draws[indices] < 1.0)
@@ -306,8 +308,8 @@ class TestCriterion08MeasureInequalities:
             proper, cs = dirichlet_sample(
                 DirichletParams.symmetric(n_cat, 1.0), self.N_POINTS, seed=800 + n_cat
             )
-            new = ambiguity_new_array(proper, cs)
-            modified = ambiguity_modified_array(proper, cs)
+            new = ambiguity_array(proper, cs, MeasureKind.NEW)
+            modified = ambiguity_array(proper, cs, MeasureKind.MODIFIED)
             old = ambiguity_array(proper, cs, MeasureKind.OLD)
 
             dominance = float(np.min(modified - new))

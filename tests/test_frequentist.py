@@ -1,16 +1,20 @@
-"""Frequentist estimation layer: the plug-in estimator and its closed-form
-expectation (checked against exhaustive multinomial enumeration), the exact
-bias identity, strict sign and monotonicity of the bias, Bayes point
-estimates against posterior closed forms, and the bias-curve driver.
+"""Frequentist estimation layer: the plug-in estimator and its exact
+expectation for every measure (checked against exhaustive multinomial
+enumeration, and for total variation against scipy's binomial and a large
+multinomial sample), the exact bias identity, strict sign and monotonicity
+of the bias, Bayes point estimates against posterior closed forms, and the
+bias-curve driver.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ambiq import frequentist
-from ambiq.exceptions import DomainError, EmptySample, TooLarge
+from ambiq.exceptions import DomainError, EmptySample, SingleCategoryUnsupported, TooLarge
 from ambiq.frequentist import (
     ESTIMATOR_NAMES,
     BiasSeries,
@@ -345,8 +349,8 @@ OLD_PLUGIN_CASES = [
 
 @pytest.mark.parametrize("q", OLD_PLUGIN_CASES)
 def test_old_plugin_column_equals_enumeration_at_every_n(q):
-    # The column measures every count vector in one kernel call; it must
-    # give exactly the per-vector oracle's floats wherever it enumerates.
+    # Equal to the enumeration oracle within rounding: the column sums
+    # binomial terms, the oracle multinomial ones.
     n_values = tuple(range(1, 13))
     series = bias_curve(q, n_values=n_values, estimators=("plugin",), measure=MeasureKind.OLD)
     truth = ambiguity(q, MeasureKind.OLD)
@@ -355,7 +359,100 @@ def test_old_plugin_column_equals_enumeration_at_every_n(q):
         expectation = exhaustive_expected_estimator(
             q, n, lambda cv: plugin_estimate(cv, MeasureKind.OLD)
         )
-        assert bias == expectation - truth
+        assert bias + truth == pytest.approx(expectation, abs=1e-14)
+        assert bias_plugin(q, n, MeasureKind.OLD) == bias
+
+
+C4_OLD_CASE = ProbabilityVector((0.3, 0.25, 0.2, 0.1), 0.15)
+
+
+def binom_oracle_old_plugin(q, n):
+    """E[old plug-in] from scipy's binomial pmf: the cs count m ~ Bin(n, c),
+    then each proper count ~ Bin(n - m, q_k / (1 - c))."""
+    binom = scipy.stats.binom
+    n_cat = q.n_proper
+    conditional = np.array(q.proper) / (1.0 - q.cs)
+    cs_pmf = binom.pmf(np.arange(n + 1), n, q.cs)
+    total = 0.0
+    for m in range(n + 1):
+        solvable = n - m
+        b = np.arange(solvable + 1)
+        pmf = binom.pmf(b[None, :], solvable, conditional[:, None])
+        total += cs_pmf[m] * float((pmf * np.abs(b - solvable / n_cat)).sum())
+    return 1.0 - n_cat / (2.0 * (n_cat - 1.0)) * total / n
+
+
+@pytest.mark.parametrize("n", [100, 500, 2000])
+@pytest.mark.parametrize("q", [OLD_PLUGIN_CASES[0], OLD_PLUGIN_CASES[3], C4_OLD_CASE])
+def test_old_plugin_matches_binomial_oracle(q, n):
+    assert expected_plugin(q, n, MeasureKind.OLD) == pytest.approx(
+        binom_oracle_old_plugin(q, n), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("n", [5, 20, 100])
+def test_old_plugin_matches_multinomial_sample_at_four_categories(n):
+    # Beyond the enumeration caps in C: an independent 400k-draw sample of
+    # the plug-in, with the total-variation formula written out here.
+    q = C4_OLD_CASE
+    counts = np.random.default_rng(4100 + n).multinomial(n, [*q.proper, q.cs], size=400_000)
+    solvable = n - counts[:, -1]
+    spread = np.abs(counts[:, :-1] - solvable[:, None] / 4.0).sum(axis=1)
+    values = 1.0 - (4.0 / 6.0) * spread / n
+    se = values.std() / math.sqrt(values.size)
+    assert abs(expected_plugin(q, n, MeasureKind.OLD) - values.mean()) < 5.0 * se
+
+
+class TestOldPluginEdgeCases:
+    def test_no_cant_solve_mass(self):
+        # C = 2, q_cs = 0: the plug-in is 1 - |2 n_1 - n| / n, summed
+        # directly with exact binomial coefficients at odd and even n.
+        p = 0.62
+        q = ProbabilityVector((p, 1.0 - p), 0.0)
+        for n in (1, 2, 7, 8, 99, 100):
+            direct = 1.0 - math.fsum(
+                math.comb(n, b) * p**b * (1.0 - p) ** (n - b) * abs(2 * b - n) / n
+                for b in range(n + 1)
+            )
+            assert expected_plugin(q, n, MeasureKind.OLD) == pytest.approx(direct, abs=1e-14)
+
+    @pytest.mark.parametrize("measure", list(MeasureKind))
+    def test_all_mass_on_cant_solve_gives_one(self, measure):
+        q = ProbabilityVector((0.0, 0.0), 1.0)
+        for n in (1, 5, 2000):
+            assert expected_plugin(q, n, measure) == 1.0
+            assert bias_plugin(q, n, measure) == 0.0
+
+    def test_zero_proper_entries(self):
+        # One proper category empty, and all proper mass on one category:
+        # the binomials at p = 0 and p = 1 are point masses.
+        for q in (ProbabilityVector((0.0, 0.5, 0.3), 0.2), ProbabilityVector((0.8, 0.0), 0.2)):
+            for n in (1, 6, 12):
+                enumerated = exhaustive_expected_estimator(
+                    q, n, lambda cv: plugin_estimate(cv, MeasureKind.OLD)
+                )
+                exact = expected_plugin(q, n, MeasureKind.OLD)
+                assert exact == pytest.approx(enumerated, abs=1e-14)
+            exact = expected_plugin(q, 300, MeasureKind.OLD)
+            assert exact == pytest.approx(binom_oracle_old_plugin(q, 300), abs=1e-12)
+
+    def test_single_proper_category_rejected(self):
+        q = ProbabilityVector((0.6,), 0.4)
+        for measure in (MeasureKind.MODIFIED, MeasureKind.OLD):
+            with pytest.raises(SingleCategoryUnsupported):
+                expected_plugin(q, 5, measure)
+        # At C = 1 the new measure is the can't-solve frequency, unbiased.
+        assert expected_plugin(q, 5) == pytest.approx(0.4, abs=1e-15)
+
+    def test_memory_stays_linear_in_n(self):
+        # A full (n + 1)^2 pmf table would take 32 MB here.
+        tracemalloc.start()
+        try:
+            expected_plugin(C4_OLD_CASE, 2000, MeasureKind.OLD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode):
@@ -371,17 +468,7 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode
     bias = {label: [] for label in labels}
     stderr = {label: [] for label in labels}
     for n_index, n in enumerate(n_values):
-        if measure is MeasureKind.NEW:
-            bias["plugin"].append(expected_plugin(q, n) - truth)
-        elif measure is MeasureKind.MODIFIED:
-            n_cat = q.n_proper
-            expectation = (n_cat * expected_plugin(q, n) - q.cs) / (n_cat - 1.0)
-            bias["plugin"].append(expectation - truth)
-        else:
-            expectation = exhaustive_expected_estimator(
-                q, n, lambda cv: plugin_estimate(cv, measure)
-            )
-            bias["plugin"].append(expectation - truth)
+        bias["plugin"].append(expected_plugin(q, n, measure) - truth)
         stderr["plugin"].append(0.0)
         draws = make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
         means = np.empty(mc_repeats)
@@ -446,6 +533,13 @@ def test_bias_curve_draws_each_repeat_substream_once(measure, sfc64_streams):
     assert sorted(sfc64_streams) == sorted(
         [(17, (0,)), (17, (1,))] + [(17, (i, r)) for i in range(2) for r in range(6)]
     )
+
+
+@pytest.mark.parametrize("measure", list(MeasureKind))
+def test_plugin_only_bias_curve_draws_nothing(measure, sfc64_streams):
+    q = ProbabilityVector((0.3, 0.25, 0.2, 0.1), 0.15)
+    bias_curve(q, n_values=(1, 20, 100), estimators=("plugin",), measure=measure, seed=17)
+    assert sfc64_streams == []
 
 
 def test_bias_curve_closed_form_mean_draws_no_posterior_sample(sfc64_streams):

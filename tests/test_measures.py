@@ -20,11 +20,8 @@ from ambiq.measures import (
     ambiguity,
     ambiguity_array,
     ambiguity_modified,
-    ambiguity_modified_array,
     ambiguity_new,
-    ambiguity_new_array,
     ambiguity_old,
-    ambiguity_old_array,
     measure_arrays,
     modified_from_new,
     normalized_entropy,
@@ -286,19 +283,19 @@ class TestArrayFastPaths:
 
     def test_new_matches_scalar(self, batch):
         proper, cs = batch
-        out = ambiguity_new_array(proper, cs)
+        out = ambiguity_array(proper, cs, MeasureKind.NEW)
         np.testing.assert_allclose(out, self.reference(proper, cs, MeasureKind.NEW), atol=1e-13)
 
     def test_modified_matches_scalar(self, batch):
         proper, cs = batch
-        out = ambiguity_modified_array(proper, cs)
+        out = ambiguity_array(proper, cs, MeasureKind.MODIFIED)
         np.testing.assert_allclose(
             out, self.reference(proper, cs, MeasureKind.MODIFIED), atol=1e-13
         )
 
     def test_old_matches_scalar(self, batch):
         proper, cs = batch
-        out = ambiguity_old_array(proper, cs)
+        out = ambiguity_array(proper, cs, MeasureKind.OLD)
         np.testing.assert_allclose(out, self.reference(proper, cs, MeasureKind.OLD), atol=1e-13)
 
     @pytest.mark.parametrize("n_proper", range(1, 10))
@@ -322,9 +319,8 @@ class TestArrayFastPaths:
     def test_degenerate_rows_score_one(self):
         proper = np.array([[0.0, 0.0], [0.5, 0.5]])
         cs = np.array([1.0, 0.0])
-        np.testing.assert_allclose(ambiguity_new_array(proper, cs), [1.0, 0.5])
-        np.testing.assert_allclose(ambiguity_modified_array(proper, cs), [1.0, 1.0])
-        np.testing.assert_allclose(ambiguity_old_array(proper, cs), [1.0, 1.0])
+        for kind, expected in zip(MeasureKind, ([1.0, 0.5], [1.0, 1.0], [1.0, 1.0])):
+            np.testing.assert_allclose(ambiguity_array(proper, cs, kind), expected)
 
     @pytest.mark.parametrize("n_proper", [2, 3, 7, 8, 9])
     @pytest.mark.parametrize("with_degenerate", [False, True])
@@ -361,13 +357,15 @@ class TestArrayFastPaths:
 
     def test_dispatch(self, batch):
         proper, cs = batch
-        np.testing.assert_array_equal(
-            ambiguity_array(proper, cs, MeasureKind.NEW), ambiguity_new_array(proper, cs)
-        )
+        for kind in MeasureKind:
+            np.testing.assert_array_equal(
+                ambiguity_array(proper, cs, kind), measure_arrays(proper, cs, (kind,))[0]
+            )
 
     def test_single_category_rejected(self):
-        with pytest.raises(SingleCategoryUnsupported):
-            ambiguity_modified_array(np.ones((3, 1)), np.zeros(3))
+        for kind in (MeasureKind.MODIFIED, MeasureKind.OLD):
+            with pytest.raises(SingleCategoryUnsupported):
+                ambiguity_array(np.ones((3, 1)), np.zeros(3), kind)
 
 
 KIND_LISTS = [

@@ -13,7 +13,7 @@ import pytest
 
 from ambiq.exceptions import DomainError, TooFewSamples
 from ambiq.frequentist import CountVector
-from ambiq.measures import MeasureKind, ambiguity, ambiguity_array
+from ambiq.measures import MeasureKind, ambiguity, ambiguity_array, measure_arrays
 from ambiq.numerics import DirichletParams, _dirichlet_draws, make_generator
 from ambiq.posterior_analytics import (
     expected_amb,
@@ -41,18 +41,18 @@ PARAMS = DirichletParams(proper=(2.0, 1.0, 3.0), cs=1.0)
 
 class TestSampleTransformed:
     def test_deterministic(self):
-        a = sample_transformed(PARAMS, MeasureKind.NEW, 2000, seed=3)
-        b = sample_transformed(PARAMS, MeasureKind.NEW, 2000, seed=3)
+        a = sample_transformed(PARAMS, (MeasureKind.NEW,), 2000, seed=3)[0]
+        b = sample_transformed(PARAMS, (MeasureKind.NEW,), 2000, seed=3)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_sample(self):
-        a = sample_transformed(PARAMS, MeasureKind.NEW, 2000, seed=3)
-        b = sample_transformed(PARAMS, MeasureKind.NEW, 2000, seed=4)
+        a = sample_transformed(PARAMS, (MeasureKind.NEW,), 2000, seed=3)[0]
+        b = sample_transformed(PARAMS, (MeasureKind.NEW,), 2000, seed=4)[0]
         assert not np.array_equal(a, b)
 
     def test_values_in_unit_interval(self):
         for kind in MeasureKind:
-            values = sample_transformed(PARAMS, kind, 5000, seed=1)
+            values = sample_transformed(PARAMS, (kind,), 5000, seed=1)[0]
             assert values.shape == (5000,)
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
@@ -62,35 +62,51 @@ class TestSampleTransformed:
             (MeasureKind.NEW, expected_amb(PARAMS)),
             (MeasureKind.MODIFIED, expected_amb_modified(PARAMS)),
         ):
-            values = sample_transformed(PARAMS, kind, n, seed=8)
+            values = sample_transformed(PARAMS, (kind,), n, seed=8)[0]
             se = float(np.std(values)) / math.sqrt(n)
             assert float(np.mean(values)) == pytest.approx(expected, abs=4 * se)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(DomainError):
-            sample_transformed(PARAMS, MeasureKind.NEW, 0, seed=0)
+            sample_transformed(PARAMS, (MeasureKind.NEW,), 0, seed=0)
 
     @pytest.mark.parametrize("stream", [(), (3,), (1, 4)])
     @pytest.mark.parametrize("kind", list(MeasureKind))
     def test_is_the_measure_of_the_streams_draws(self, kind, stream):
-        values = sample_transformed(PARAMS, kind, 3000, 6, stream)
+        values = sample_transformed(PARAMS, (kind,), 3000, 6, stream)[0]
         proper, cs = _dirichlet_draws(PARAMS, 3000, make_generator(6, stream))
         np.testing.assert_array_equal(values, ambiguity_array(proper, cs, kind))
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [tuple(MeasureKind), (MeasureKind.OLD, MeasureKind.NEW, MeasureKind.OLD)],
+    )
+    def test_one_draw_feeds_every_measure(self, kinds):
+        # One row per measure, in order, from the stream's one sample; a
+        # buffer of C + 1 + len(kinds) + 2 rows holds draws and workspace.
+        proper, cs = _dirichlet_draws(PARAMS, 3000, make_generator(6, (2,)))
+        expected = measure_arrays(proper, cs, kinds)
+        out = np.full((PARAMS.n_proper + 1 + len(kinds) + 2, 3000), np.nan)
+        for buffer in (None, out):
+            rows = sample_transformed(PARAMS, kinds, 3000, 6, (2,), out=buffer)
+            assert rows.shape == (len(kinds), 3000)
+            np.testing.assert_array_equal(rows, expected)
+        assert np.shares_memory(rows, out)
 
     @pytest.mark.parametrize("kind", list(MeasureKind))
     def test_reused_buffer_gives_the_same_values(self, kind):
         out = np.full((PARAMS.n_proper + 4, 3000), np.nan)
         for stream in [(), (3,), (1, 4)]:
-            values = sample_transformed(PARAMS, kind, 3000, 6, stream, out=out)
+            values = sample_transformed(PARAMS, (kind,), 3000, 6, stream, out=out)[0]
             assert np.shares_memory(values, out)
             np.testing.assert_array_equal(
-                values, sample_transformed(PARAMS, kind, 3000, 6, stream)
+                values, sample_transformed(PARAMS, (kind,), 3000, 6, stream)[0]
             )
 
 
 @pytest.fixture(scope="module")
 def sample():
-    return sample_transformed(PARAMS, MeasureKind.NEW, 50_000, seed=12)
+    return sample_transformed(PARAMS, (MeasureKind.NEW,), 50_000, seed=12)[0]
 
 
 class TestSummarize:
@@ -242,7 +258,7 @@ class TestHistogramMode:
         assert abs(mode - 0.3) < 2.0 / MODE_BINS
 
     def test_unimodal_beta_like_sample(self):
-        values = sample_transformed(PARAMS, MeasureKind.MODIFIED, 100_000, seed=2)
+        values = sample_transformed(PARAMS, (MeasureKind.MODIFIED,), 100_000, seed=2)[0]
         mode = histogram_mode(values)
         assert 0.0 <= mode <= 1.0
 
@@ -627,7 +643,7 @@ class TestPosteriorMeanSd:
     def test_old_measure_needs_a_sample(self):
         with pytest.raises(DomainError):
             posterior_mean_sd(PARAMS, MeasureKind.OLD)
-        values = sample_transformed(PARAMS, MeasureKind.OLD, 2000, seed=1)
+        values = sample_transformed(PARAMS, (MeasureKind.OLD,), 2000, seed=1)[0]
         assert posterior_mean_sd(PARAMS, MeasureKind.OLD, values) == (
             float(values.mean()),
             float(values.std()),
