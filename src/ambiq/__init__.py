@@ -35,7 +35,6 @@ from .posterior_analytics import (  # noqa: F401
     expected_normalized_entropy,
     posterior_moments,
     posterior_update,
-    second_moment_amb,
     var_amb,
     var_amb_modified,
     var_qcs,
@@ -62,7 +61,6 @@ from .binary_density import (  # noqa: F401
 from .frequentist import (  # noqa: F401
     BiasSeries,
     CountVector,
-    bayes_point_estimates,
     bias_curve,
     bias_plugin,
     exhaustive_expected_estimator,

@@ -369,6 +369,12 @@ def density_curve(
     return grid, np.maximum(values, 0.0)
 
 
+# Gauss-Legendre nodes per piece of density_integral's outer rule:
+# comfortably beyond 1e-5 on realistic count patterns, which is what
+# normalization and mean checks need.
+_OUTER_NODES = 96
+
+
 def _outer_rule(n_nodes: int, moment: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes in a and weights (times a**moment) of the outer rule."""
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -389,31 +395,26 @@ def density_integral(
     prior_beta: float = 1.0,
     measure: MeasureKind = MeasureKind.NEW,
     moment: int = 0,
-    n_nodes: int = 96,
 ) -> QuadratureResult:
     """integral of a**moment times the density over (0, 1).
 
     Moment 0 is the normalization check, moment 1 the posterior mean of
     the measure. The outer integral splits at the kink and substitutes
     a = end -/+ s^2 toward each endpoint (taming the modified-measure
-    (1-a)**(-1/2) divergence), then applies a fixed n_nodes-point
-    Gauss-Legendre rule per piece. Accuracy is set by n_nodes; the default
-    is comfortably beyond 1e-5 on realistic count patterns, which is what
-    normalization and mean checks need.
+    (1-a)**(-1/2) divergence), then applies a fixed 96-point
+    Gauss-Legendre rule per piece.
 
     error_estimate covers both levels of the quadrature: the outer rule's
     weighted sum of the inner Gauss-Kronrod error estimates, plus the gap
-    between the value and a coarser outer rule with n_nodes // 2 nodes per
+    between the value and a coarser outer rule with 48 nodes per
     piece (heuristic and conservative: it measures the coarser rule's
     error). The density at the nodes of both outer rules is taken in one
     batched call, and n_evaluations counts both.
     """
     if moment < 0 or moment != int(moment):
         raise DomainError(f"moment must be a nonnegative integer, got {moment!r}")
-    if n_nodes < 2:
-        raise DomainError("n_nodes must be at least 2")
-    points, outer = _outer_rule(n_nodes, moment)
-    coarse_points, coarse_outer = _outer_rule(n_nodes // 2, moment)
+    points, outer = _outer_rule(_OUTER_NODES, moment)
+    coarse_points, coarse_outer = _outer_rule(_OUTER_NODES // 2, moment)
     values, errors, evaluations = _evaluate(
         np.concatenate([points, coarse_points]), counts, prior_beta, measure, cdf=False
     )

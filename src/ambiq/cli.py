@@ -40,7 +40,7 @@ from .dataset_io import (
     rank_and_filter,
     score_items,
 )
-from .exceptions import AmbiqError, DataFileError, DomainError
+from .exceptions import AmbiqError, DataFileError, DomainError, TooFewSamples
 from .frequentist import ESTIMATOR_NAMES, CountVector, bias_curve
 from .measures import (
     CategorySchema,
@@ -51,6 +51,7 @@ from .measures import (
 from .numerics import DirichletParams, make_generator
 from .posterior_analytics import posterior_moments, posterior_update
 from .posterior_sampling import (
+    _MIN_SAMPLES,
     DensityEstimate,
     density_with_uncertainty,
     histogram_mode,
@@ -69,28 +70,19 @@ _SEED_ENV = "AMBIQ_SEED"
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str, option: str) -> list[float]:
+def _parse_list(text: str, option: str, kind: type = float) -> list:
     try:
-        values = [float(token) for token in text.split(",") if token.strip()]
+        values = [kind(token) for token in text.split(",") if token.strip()]
     except ValueError as exc:
-        raise DomainError(f"{option} must be a comma-separated number list: {exc}")
-    if not values:
-        raise DomainError(f"{option} must contain at least one value")
-    return values
-
-
-def _parse_int_list(text: str, option: str) -> list[int]:
-    try:
-        values = [int(token) for token in text.split(",") if token.strip()]
-    except ValueError as exc:
-        raise DomainError(f"{option} must be a comma-separated integer list: {exc}")
+        noun = "integer" if kind is int else "number"
+        raise DomainError(f"{option} must be a comma-separated {noun} list: {exc}")
     if not values:
         raise DomainError(f"{option} must contain at least one value")
     return values
 
 
 def _parse_probability(q_text: str, cs: float | None) -> ProbabilityVector:
-    values = _parse_float_list(q_text, "--q")
+    values = _parse_list(q_text, "--q")
     if cs is None:
         if len(values) < 2:
             raise DomainError(
@@ -103,7 +95,7 @@ def _parse_probability(q_text: str, cs: float | None) -> ProbabilityVector:
 
 def _parse_counts(counts_text: str, cs_count: int) -> CountVector:
     return CountVector(
-        proper=tuple(_parse_int_list(counts_text, "--counts")), cs=cs_count
+        proper=tuple(_parse_list(counts_text, "--counts", int)), cs=cs_count
     )
 
 
@@ -123,7 +115,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise DomainError(f"{_SEED_ENV} must be an integer, got {raw!r}")
 
 
-def _metadata(args: argparse.Namespace, seed: int, **extra) -> dict:
+def _metadata(seed: int, **extra) -> dict:
     rng = type(make_generator(0).bit_generator).__name__.lower()
     meta = {"version": __version__, "rng": rng, "seed": seed}
     meta.update(extra)
@@ -186,7 +178,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             {
                 "measures": values,
                 "input": {"proper": list(q.proper), "cs": q.cs, "source": source},
-                "metadata": _metadata(args, seed),
+                "metadata": _metadata(seed),
             }
         )
     else:
@@ -280,7 +272,6 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
                 "credible_interval": {"lo": lo, "hi": hi, "mass": mass},
             },
             "metadata": _metadata(
-                args,
                 seed,
                 beta=args.beta,
                 measure=measure.value,
@@ -317,7 +308,7 @@ def _cmd_bias_curve(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     q = _parse_probability(args.q, args.cs)
     measure = MeasureKind.parse(args.measure)
-    n_values = _parse_int_list(args.n_values, "--n-values")
+    n_values = _parse_list(args.n_values, "--n-values", int)
     estimators = [token.strip() for token in args.estimators.split(",") if token.strip()]
     series = bias_curve(
         q,
@@ -345,7 +336,7 @@ def _cmd_bias_curve(args: argparse.Namespace) -> int:
             "output": args.output,
             "rows": len(rows),
             "metadata": _metadata(
-                args, seed, beta=args.beta, measure=measure.value, mc_repeats=args.mc_repeats
+                seed, beta=args.beta, measure=measure.value, mc_repeats=args.mc_repeats
             ),
         }
         if args.json:
@@ -363,9 +354,13 @@ def _cmd_bias_curve(args: argparse.Namespace) -> int:
 def _cmd_prior_explore(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     measure = MeasureKind.parse(args.measure)
-    betas = _parse_float_list(args.betas, "--betas")
+    betas = _parse_list(args.betas, "--betas")
     if args.n_categories < 1:
         raise DomainError("--n-categories must be at least 1")
+    # The floor that `posterior` and `score` apply: fewer draws make the
+    # histogram mode and the density band noise.
+    if args.mc_samples < _MIN_SAMPLES:
+        raise TooFewSamples(f"--mc-samples must be at least {_MIN_SAMPLES}")
 
     per_beta = []
     density_rows = []
@@ -393,7 +388,7 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
                 "measure": measure.value,
                 "n_categories": args.n_categories,
                 "priors": per_beta,
-                "metadata": _metadata(args, seed, measure=measure.value),
+                "metadata": _metadata(seed, measure=measure.value),
             }
         )
     else:
@@ -438,7 +433,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         "n_duplicate_pairs": loaded.n_duplicate_pairs,
         "n_unknown_skipped": loaded.n_unknown_skipped,
         "metadata": _metadata(
-            args,
             seed,
             beta=args.beta,
             measures=[m.value for m in measures],
@@ -491,7 +485,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
                 "items": [
                     {"item_id": item_id, "score": score} for item_id, score in scored
                 ],
-                "metadata": _metadata(args, seed, measure=measure.value),
+                "metadata": _metadata(seed, measure=measure.value),
             }
         )
     elif scored:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -378,6 +379,32 @@ def _parse_float(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _imported_report(
+    item_id, counts: CountVector, credible_mass, measures: Mapping[str, MeasureSummary]
+) -> ItemReport:
+    """An ItemReport from one imported row, once its fields hold the values
+    import_reports takes; raises TypeError or ValueError otherwise. The
+    counts were checked by CountVector."""
+    if not isinstance(item_id, str):
+        raise TypeError(f"item_id must be a string, got {item_id!r}")
+    if not (_is_finite_real(credible_mass) and 0.0 < credible_mass < 1.0):
+        raise ValueError(f"credible_mass must be a number in (0, 1), got {credible_mass!r}")
+    for name, summary in measures.items():
+        for column in _MEASURE_COLUMNS:
+            value = getattr(summary, column)
+            if not (_is_finite_real(value) or value is None and column == "plugin"):
+                raise ValueError(f"{name} {column} must be a finite number, got {value!r}")
+    return ItemReport(item_id, counts, credible_mass, measures)
+
+
 def _malformed(row: int, exc: Exception) -> MalformedRow:
     reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
     return MalformedRow(row, reason)
@@ -395,7 +422,11 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
         EmptyFile: a CSV file without a header.
         MalformedRow: a report lacking a field or holding a wrong value, at
             its CSV line or its 1-based position in the JSON array; or a
-            file that is not a JSON array, at the line of the fault.
+            file that is not a JSON array, at the line of the fault. Both
+            formats take the same values: a string item_id, integer counts
+            of at least 0 (not true or false), a finite credible_mass in
+            (0, 1), and a finite number in every measure field, where only
+            a plug-in may be empty (null). NaN and infinities are refused.
     """
     if format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {format!r}")
@@ -412,11 +443,11 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
             try:
                 counts = obj["counts"]
                 reports.append(
-                    ItemReport(
-                        item_id=obj["item_id"],
-                        counts=CountVector(proper=tuple(counts["proper"]), cs=counts["cs"]),
-                        credible_mass=obj["credible_mass"],
-                        measures={
+                    _imported_report(
+                        obj["item_id"],
+                        CountVector(proper=tuple(counts["proper"]), cs=counts["cs"]),
+                        obj["credible_mass"],
+                        {
                             name: MeasureSummary(**values)
                             for name, values in obj["measures"].items()
                         },
@@ -442,13 +473,13 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
         get = lambda col: row[index[col]]
         try:
             reports.append(
-                ItemReport(
-                    item_id=get("item_id"),
-                    counts=CountVector(
+                _imported_report(
+                    get("item_id"),
+                    CountVector(
                         proper=tuple(int(get(c)) for c in count_cols), cs=int(get("count_cs"))
                     ),
-                    credible_mass=float(get("credible_mass")),
-                    measures={
+                    float(get("credible_mass")),
+                    {
                         name: MeasureSummary(
                             **{c: _parse_float(get(f"{name}_{c}")) for c in _MEASURE_COLUMNS}
                         )

@@ -6,9 +6,10 @@ sample size for all three measures: a closed form for the quadratic-entropy
 measures, and one sum over the can't-solve count of binomial expectations
 for total variation. For the quadratic measures the bias is known to be
 negative at every finite n: squared frequencies are biased-up estimates of
-squared probabilities, and the measure subtracts them. Bayesian
-alternatives report the posterior mean or mode under a symmetric Dirichlet
-prior; their bias is estimated by Monte Carlo over repeated count draws.
+squared probabilities, and the measure subtracts them. bias_curve sets the
+plug-in beside the Bayesian alternatives, the posterior mean and mode under
+a symmetric Dirichlet prior, whose bias it estimates by Monte Carlo over
+repeated count draws.
 
 exhaustive_expected_estimator enumerates count vectors exhaustively and is
 deliberately capped at small n and few categories; it exists as an oracle
@@ -37,7 +38,6 @@ __all__ = [
     "expected_plugin",
     "bias_plugin",
     "exhaustive_expected_estimator",
-    "bayes_point_estimates",
     "bias_curve",
 ]
 
@@ -60,7 +60,7 @@ class CountVector:
 
     def __post_init__(self):
         for v in tuple(self.proper) + (self.cs,):
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise DomainError(f"counts must be integers; got {v!r}")
         object.__setattr__(self, "proper", tuple(int(v) for v in self.proper))
         object.__setattr__(self, "cs", int(self.cs))
@@ -268,27 +268,6 @@ def exhaustive_expected_estimator(
         ln_pmf += math.fsum(k * math.log(p) for k, p in zip(combo, probs) if k > 0)
         terms.append(math.exp(ln_pmf) * estimator(CountVector(proper=combo[:-1], cs=combo[-1])))
     return math.fsum(terms)
-
-
-def bayes_point_estimates(
-    counts: CountVector,
-    prior_beta: float = 1.0,
-    measure: MeasureKind = MeasureKind.NEW,
-    seed: int = 0,
-    mc_samples: int = _DEFAULT_MODE_SAMPLES,
-) -> tuple[float, float]:
-    """(posterior mean, posterior mode) of the measure under a symmetric
-    Dirichlet prior.
-
-    The mean is closed-form for the quadratic measures and Monte Carlo
-    for total variation; the mode always comes from the histogram-mode
-    convention on an MC sample, since the pushforward mode has no closed
-    form for any measure.
-    """
-    post = posterior_update(DirichletParams.symmetric(counts.n_proper, prior_beta), counts)
-    values = sample_transformed(post, (measure,), mc_samples, seed)[0]
-    mean, _ = posterior_mean_sd(post, measure, values)
-    return mean, histogram_mode(values)
 
 
 def _estimator_label(name: str, prior_beta: float) -> str:

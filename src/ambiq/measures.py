@@ -376,12 +376,7 @@ def measure_arrays(
     return out
 
 
-def ambiguity_array(
-    proper: np.ndarray,
-    cs: np.ndarray,
-    kind: MeasureKind,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
+def ambiguity_array(proper: np.ndarray, cs: np.ndarray, kind: MeasureKind) -> np.ndarray:
     """Vectorized measure `kind` over rows of (proper, cs): measure_arrays
-    of that one kind, as a view of `work` (shape (3, n)) when given."""
-    return measure_arrays(proper, cs, (kind,), work)[0]
+    of that one kind."""
+    return measure_arrays(proper, cs, (kind,))[0]

@@ -118,9 +118,6 @@ class QuadratureResult:
     error_estimate: float
     n_evaluations: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 # ---------------------------------------------------------------------------
 # Special functions

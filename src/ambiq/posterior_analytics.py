@@ -14,6 +14,9 @@ Notation used throughout: E = E(amb), and the two abbreviations
         / [alpha_0 (alpha_0+1) (A+2) (A+3)]
     S = alpha_0 (A+1)^2 / [(alpha_0+1) (A+2) (A+3)]
 
+The second moment is E(amb^2) = R + S [1 - E]^2 + 2E - 1; subtracting E^2
+gives the variance R + (S - 1) [1 - E]^2, which var_amb evaluates.
+
 The total-variation measure's posterior moments are not implemented here
 (its mean needs regularized incomplete Beta functions); that measure is
 summarized by Monte Carlo only, elsewhere.
@@ -43,7 +46,6 @@ __all__ = [
     "expected_normalized_entropy",
     "expected_amb",
     "expected_amb_modified",
-    "second_moment_amb",
     "var_amb",
     "var_qcs",
     "cov_amb_qcs",
@@ -61,18 +63,16 @@ class PosteriorMoments:
     """First two moments of one ambiguity measure under a Dirichlet law."""
 
     mean: float
-    second_moment: float
     variance: float
     measure: MeasureKind
 
     def __post_init__(self):
         if self.variance < 0.0:
             raise InternalConsistencyError(f"negative variance {self.variance!r}")
-        gap = abs(self.variance - (self.second_moment - self.mean**2))
-        if gap > 1e-10:
-            raise InternalConsistencyError(
-                f"variance inconsistent with moments by {gap:g}"
-            )
+
+    @property
+    def second_moment(self) -> float:
+        return self.variance + self.mean * self.mean
 
     @property
     def sd(self) -> float:
@@ -148,15 +148,9 @@ def _r_and_s(params: DirichletParams) -> tuple[float, float]:
     return r, s
 
 
-def second_moment_amb(params: DirichletParams) -> float:
-    """E(amb^2) = R + S [1 - E]^2 + 2E - 1 with R, S as in the module notes."""
-    r, s = _r_and_s(params)
-    mean = expected_amb(params)
-    return r + s * (1.0 - mean) ** 2 + 2.0 * mean - 1.0
-
-
 def var_amb(params: DirichletParams) -> float:
-    """Var(amb) = R + (S - 1) [1 - E]^2, clamped at 0 for rounding noise."""
+    """Var(amb) = R + (S - 1) [1 - E]^2, E(amb^2) - E^2 by the module notes,
+    clamped at 0 for rounding noise."""
     r, s = _r_and_s(params)
     mean = expected_amb(params)
     value = r + (s - 1.0) * (1.0 - mean) ** 2
@@ -201,7 +195,7 @@ def var_amb_modified(params: DirichletParams) -> float:
 
 
 def posterior_moments(params: DirichletParams, measure: MeasureKind) -> PosteriorMoments:
-    """Bundle mean/second moment/variance for a measure with closed forms.
+    """Bundle mean and variance for a measure with closed forms.
 
     Raises:
         SingleCategoryUnsupported: Modified with C = 1.
@@ -209,13 +203,11 @@ def posterior_moments(params: DirichletParams, measure: MeasureKind) -> Posterio
             elementary moments; summarize it by Monte Carlo instead.
     """
     if measure is MeasureKind.NEW:
-        mean = expected_amb(params)
-        var = var_amb(params)
-        return PosteriorMoments(mean, second_moment_amb(params), var, measure)
+        return PosteriorMoments(expected_amb(params), var_amb(params), measure)
     if measure is MeasureKind.MODIFIED:
-        mean = expected_amb_modified(params)
-        var = var_amb_modified(params)
-        return PosteriorMoments(mean, var + mean * mean, var, measure)
+        return PosteriorMoments(
+            expected_amb_modified(params), var_amb_modified(params), measure
+        )
     raise DomainError(
         "no closed-form moments for the total-variation measure; use Monte Carlo"
     )

@@ -216,16 +216,14 @@ def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.
 
 
 def summarize(
-    samples: Sequence[float] | np.ndarray,
-    credible_mass: float = 0.95,
-    quantile_levels: Sequence[float] = DEFAULT_QUANTILE_LEVELS,
+    samples: Sequence[float] | np.ndarray, credible_mass: float = 0.95
 ) -> PosteriorSummary:
     """Summarize a scalar sample in [0, 1].
 
-    Mean, sd and mode come from the sample as given; the quantiles and the
-    equal-tailed interval from one sorted copy of it, by the type 7 rule
-    of _sorted_quantiles, so they equal np.quantile's. The caller's array
-    is never reordered.
+    Mean, sd and mode come from the sample as given; the quantiles at the
+    DEFAULT_QUANTILE_LEVELS and the equal-tailed interval from one sorted
+    copy of it, by the type 7 rule of _sorted_quantiles, so they equal
+    np.quantile's. The caller's array is never reordered.
 
     Raises:
         TooFewSamples: below 1000 points, where the histogram mode and the
@@ -246,12 +244,9 @@ def summarize(
     mean = float(np.mean(x))
     sd = float(np.std(x))
 
-    levels = tuple(sorted(set(float(p) for p in quantile_levels)))
-    if any(not 0.0 <= p <= 1.0 for p in levels):
-        raise DomainError("quantile levels must lie in [0, 1]")
     ordered = np.sort(x)
-    q_values = _sorted_quantiles(ordered, levels)
-    quantiles = {p: float(v) for p, v in zip(levels, q_values)}
+    q_values = _sorted_quantiles(ordered, DEFAULT_QUANTILE_LEVELS)
+    quantiles = {p: float(v) for p, v in zip(DEFAULT_QUANTILE_LEVELS, q_values)}
 
     tail = 0.5 * (1.0 - credible_mass)
     lo, hi = _sorted_quantiles(ordered, (tail, 1.0 - tail))

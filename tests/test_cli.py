@@ -217,11 +217,32 @@ class TestPriorExploreCommand:
         code, _, _ = run(
             capsys,
             "prior-explore", "--n-categories", "3", "--betas", "0.5,1",
-            "--mc-samples", "200", "--density", str(tmp_path / "band.csv"),
+            "--mc-samples", "1000", "--density", str(tmp_path / "band.csv"),
         )
         assert code == 0
         assert len(streams) == 2 + 2 * 100
         assert len(set(streams)) == len(streams)
+
+    def test_too_few_samples_is_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch):
+        streams = []
+        sfc64 = np.random.SFC64
+
+        def recording_sfc64(seed_sequence):
+            streams.append(seed_sequence.spawn_key)
+            return sfc64(seed_sequence)
+
+        monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
+        band = tmp_path / "band.csv"
+        code, out, err = run(
+            capsys,
+            "prior-explore", "--n-categories", "3", "--mc-samples", "10",
+            "--density", str(band), "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooFewSamples"
+        assert streams == []
+        assert not band.exists()
 
 
 class TestScoreRankPipeline:
@@ -330,6 +351,64 @@ class TestScoreRankPipeline:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "MalformedRow"
+
+    def _rank_rejects(self, capsys, report, fmt, row):
+        """rank on a mangled report exits 2 with MalformedRow at `row`,
+        printing nothing and opening no output file."""
+        ranked = report.parent / f"ranked.{fmt}"
+        code, out, err = run(
+            capsys, "rank", "--input", str(report), "--input-format", fmt,
+            "--output", str(ranked), "--json",
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "MalformedRow"
+        assert error["message"].startswith(f"row {row}:")
+        assert not ranked.exists()
+
+    def _json_report(self, capsys, annotations, tmp_path):
+        report = tmp_path / "report.json"
+        run_json(
+            capsys, "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report),
+        )
+        return report, json.loads(report.read_text())
+
+    def test_rank_rejects_string_posterior_mean(self, capsys, annotations, tmp_path):
+        report, objs = self._json_report(capsys, annotations, tmp_path)
+        objs[1]["measures"]["new"]["posterior_mean"] = "0.5"
+        report.write_text(json.dumps(objs))
+        self._rank_rejects(capsys, report, "json", 2)
+
+    def test_rank_rejects_integer_item_id(self, capsys, annotations, tmp_path):
+        report, objs = self._json_report(capsys, annotations, tmp_path)
+        objs[2]["item_id"] = 3
+        report.write_text(json.dumps(objs))
+        self._rank_rejects(capsys, report, "json", 3)
+
+    @pytest.mark.parametrize("field", ["count", "plugin"])
+    def test_rank_rejects_boolean_count_or_plugin(self, capsys, annotations, tmp_path, field):
+        report, objs = self._json_report(capsys, annotations, tmp_path)
+        if field == "count":
+            objs[0]["counts"]["cs"] = True
+        else:
+            objs[0]["measures"]["new"]["plugin"] = True
+        report.write_text(json.dumps(objs))
+        self._rank_rejects(capsys, report, "json", 1)
+
+    def test_rank_rejects_csv_nan(self, capsys, annotations, tmp_path):
+        report = tmp_path / "report.csv"
+        run_json(
+            capsys, "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--output-format", "csv",
+        )
+        with open(report, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[2][rows[0].index("new_posterior_mean")] = "nan"
+        with open(report, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        self._rank_rejects(capsys, report, "csv", 3)
 
 
 class TestSeedResolution:

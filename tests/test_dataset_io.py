@@ -6,6 +6,7 @@ ranking and filtering of reports, and lossless export/import round trips.
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -599,6 +600,55 @@ class TestImportMalformed:
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="csv")
+        assert excinfo.value.row == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("item_id", 7),
+            ("count_cs", -1),
+            ("count_cs", 1.0),
+            ("credible_mass", 1.0),
+            ("credible_mass", math.inf),
+            ("posterior_mean", math.nan),
+            ("posterior_sd", -math.inf),
+            ("credible_lo", None),
+        ],
+    )
+    def test_json_field_of_wrong_value(self, scored_reports, tmp_path, field, value):
+        path = self._exported(scored_reports, tmp_path, "json")
+        objs = json.loads(path.read_text())
+        if field == "count_cs":
+            objs[1]["counts"]["cs"] = value
+        elif field in ("item_id", "credible_mass"):
+            objs[1][field] = value
+        else:
+            objs[1]["measures"]["modified"][field] = value
+        path.write_text(json.dumps(objs))
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="json")
+        assert excinfo.value.row == 2
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            ("count_1", "true"),
+            ("credible_mass", "0"),
+            ("credible_mass", "nan"),
+            ("new_posterior_mean", "inf"),
+            ("new_credible_hi", ""),
+            ("modified_plugin", "-nan"),
+        ],
+    )
+    def test_csv_field_of_wrong_value(self, scored_reports, tmp_path, column, text):
+        path = self._exported(scored_reports, tmp_path, "csv")
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[2][rows[0].index(column)] = text
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
         with pytest.raises(MalformedRow) as excinfo:
             import_reports(str(path), format="csv")
         assert excinfo.value.row == 3

@@ -2,8 +2,7 @@
 expectation for every measure (checked against exhaustive multinomial
 enumeration, and for total variation against scipy's binomial and a large
 multinomial sample), the exact bias identity, strict sign and monotonicity
-of the bias, Bayes point estimates against posterior closed forms, and the
-bias-curve driver.
+of the bias, and the bias-curve driver.
 """
 
 import math
@@ -19,7 +18,6 @@ from ambiq.frequentist import (
     ESTIMATOR_NAMES,
     BiasSeries,
     CountVector,
-    bayes_point_estimates,
     bias_curve,
     bias_plugin,
     exhaustive_expected_estimator,
@@ -34,7 +32,6 @@ from ambiq.measures import (
     ambiguity_new,
 )
 from ambiq.numerics import DirichletParams, make_generator
-from ambiq.posterior_analytics import expected_amb, expected_amb_modified
 from ambiq.posterior_sampling import MODE_BINS, posterior_mean_sd
 
 
@@ -75,6 +72,12 @@ class TestCountVector:
     def test_rejects_non_integers(self):
         with pytest.raises(DomainError):
             CountVector(proper=(1.5, 2), cs=0)
+
+    def test_rejects_booleans(self):
+        with pytest.raises(DomainError):
+            CountVector(proper=(True, 2), cs=0)
+        with pytest.raises(DomainError):
+            CountVector(proper=(1, 2), cs=False)
 
 
 class TestPluginEstimate:
@@ -186,33 +189,6 @@ class TestExhaustiveEnumeration:
         wide = ProbabilityVector((0.2,) * 4, 0.2)
         with pytest.raises(TooLarge):
             exhaustive_expected_estimator(wide, 3, plugin_estimate)
-
-
-class TestBayesPointEstimates:
-    def test_mean_matches_posterior_closed_form(self):
-        counts = CountVector(proper=(4, 2), cs=1)
-        posterior = DirichletParams(proper=(5.0, 3.0), cs=2.0)
-        mean, mode = bayes_point_estimates(counts, prior_beta=1.0)
-        assert mean == pytest.approx(expected_amb(posterior), abs=1e-12)
-        assert 0.0 <= mode <= 1.0
-
-    def test_modified_measure(self):
-        counts = CountVector(proper=(4, 2), cs=1)
-        posterior = DirichletParams(proper=(5.0, 3.0), cs=2.0)
-        mean, _ = bayes_point_estimates(counts, measure=MeasureKind.MODIFIED)
-        assert mean == pytest.approx(expected_amb_modified(posterior), abs=1e-12)
-
-    def test_old_measure_uses_monte_carlo(self):
-        counts = CountVector(proper=(4, 2), cs=1)
-        mean, mode = bayes_point_estimates(counts, measure=MeasureKind.OLD, seed=3)
-        assert 0.0 <= mean <= 1.0
-        assert 0.0 <= mode <= 1.0
-
-    def test_deterministic(self):
-        counts = CountVector(proper=(2, 1), cs=0)
-        a = bayes_point_estimates(counts, seed=5)
-        b = bayes_point_estimates(counts, seed=5)
-        assert a == b
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,6 @@ from ambiq.posterior_analytics import (
     expected_normalized_entropy,
     posterior_moments,
     posterior_update,
-    second_moment_amb,
     var_amb,
     var_amb_modified,
     var_qcs,
@@ -74,7 +73,8 @@ class TestExpectedAmb:
 
 class TestSecondMomentAndVariance:
     def test_unit_symmetric_oracles(self):
-        assert second_moment_amb(UNIT_SYMMETRIC) == pytest.approx(31.0 / 90.0, abs=1e-15)
+        moments = posterior_moments(UNIT_SYMMETRIC, MeasureKind.NEW)
+        assert moments.second_moment == pytest.approx(31.0 / 90.0, abs=1e-15)
         assert var_amb(UNIT_SYMMETRIC) == pytest.approx(29.0 / 810.0, abs=1e-15)
 
     def test_single_category_reduces_to_beta_variance(self):
@@ -83,15 +83,30 @@ class TestSecondMomentAndVariance:
         assert var_amb(params) == pytest.approx(0.04, abs=1e-15)
 
     def test_variance_consistent_with_moments(self):
+        # The paper's second moment E(amb^2) = R + S (1 - E)^2 + 2E - 1, with
+        # A the proper total and
+        #   R = sum_k a_k(a_k+1)[(a_k+2)(a_k+3) - a_k(a_k+1)]
+        #       / [alpha_0 (alpha_0+1) (A+2) (A+3)],
+        #   S = alpha_0 (A+1)^2 / [(alpha_0+1) (A+2) (A+3)].
         rng = np.random.default_rng(11)
         for _ in range(30):
             n_cat = rng.integers(1, 6)
             params = DirichletParams(
                 proper=tuple(rng.uniform(0.3, 6.0, size=n_cat)), cs=rng.uniform(0.3, 6.0)
             )
-            direct = var_amb(params)
-            via = second_moment_amb(params) - expected_amb(params) ** 2
-            assert direct == pytest.approx(via, abs=1e-12)
+            total = params.total
+            solvable = total - params.cs
+            r = sum(
+                a * (a + 1.0) * ((a + 2.0) * (a + 3.0) - a * (a + 1.0)) for a in params.proper
+            ) / (total * (total + 1.0) * (solvable + 2.0) * (solvable + 3.0))
+            s = total * (solvable + 1.0) ** 2 / (
+                (total + 1.0) * (solvable + 2.0) * (solvable + 3.0)
+            )
+            mean = expected_amb(params)
+            second = r + s * (1.0 - mean) ** 2 + 2.0 * mean - 1.0
+            assert var_amb(params) == pytest.approx(second - mean**2, abs=1e-12)
+            moments = posterior_moments(params, MeasureKind.NEW)
+            assert moments.second_moment == pytest.approx(second, abs=1e-12)
 
     def test_variance_nonnegative_for_concentrated_posteriors(self):
         params = DirichletParams(proper=(400.0, 2.0), cs=1.0)
@@ -262,10 +277,4 @@ class TestPosteriorMoments:
 
     def test_consistency_check_rejects_bad_bundle(self):
         with pytest.raises(InternalConsistencyError):
-            PosteriorMoments(
-                mean=0.5, second_moment=0.5, variance=0.1, measure=MeasureKind.NEW
-            )
-        with pytest.raises(InternalConsistencyError):
-            PosteriorMoments(
-                mean=0.5, second_moment=0.24, variance=-0.01, measure=MeasureKind.NEW
-            )
+            PosteriorMoments(mean=0.5, variance=-0.01, measure=MeasureKind.NEW)
