@@ -21,7 +21,6 @@ from .measures import (  # noqa: F401
     normalized_entropy,
 )
 from .numerics import (  # noqa: F401
-    BetaParams,
     DirichletParams,
     QuadratureResult,
     dirichlet_sample,

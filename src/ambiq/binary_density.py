@@ -39,7 +39,8 @@ and the CDF at many values of a are evaluated in one batch, in chunks of
 32 values of a, so the work is a few numpy passes over arrays of a few MB.
 For the CDF, the two conditional Beta tails at every node and the
 can't-solve boundary term at every a of a chunk are one batch of the
-incomplete beta, so one continued-fraction loop runs per chunk.
+incomplete beta: three rows of nodes, against a column of the three (a, b)
+pairs, so one continued-fraction loop runs per chunk.
 
 The total-variation measure is piecewise linear in pi and not treated
 here; its pushforward is summarized by Monte Carlo elsewhere.
@@ -54,15 +55,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .measures import MeasureKind
-from .numerics import (
-    BetaParams,
-    DirichletParams,
-    QuadratureResult,
-    beta_moment,
-    beta_pdf_pair,
-    beta_variance,
-    regularized_incomplete_beta,
-)
+from .numerics import DirichletParams, QuadratureResult, beta_pdf_pair, regularized_incomplete_beta
 from .posterior_analytics import posterior_moments
 
 __all__ = [
@@ -99,12 +92,16 @@ class BinaryCounts:
         return self.n_plus + self.n_minus + self.n_cs
 
 
-def _beta_params(counts: BinaryCounts, prior_beta: float) -> tuple[BetaParams, BetaParams]:
-    """(conditional-vector Beta, can't-solve Beta) for the posterior."""
-    if prior_beta <= 0.0:
-        raise DomainError(f"prior concentration must be positive, got {prior_beta!r}")
-    cond = BetaParams(counts.n_plus + prior_beta, counts.n_minus + prior_beta)
-    cs = BetaParams(counts.n_cs + prior_beta, counts.n_plus + counts.n_minus + 2.0 * prior_beta)
+# The (a, b) shapes of a Beta distribution.
+Shapes = tuple[float, float]
+
+
+def _beta_params(counts: BinaryCounts, prior_beta: float) -> tuple[Shapes, Shapes]:
+    """(conditional-vector Beta, can't-solve Beta) shapes of the posterior."""
+    if not 0.0 < prior_beta < math.inf:
+        raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
+    cond = (counts.n_plus + prior_beta, counts.n_minus + prior_beta)
+    cs = (counts.n_cs + prior_beta, counts.n_plus + counts.n_minus + 2.0 * prior_beta)
     return cond, cs
 
 
@@ -156,20 +153,27 @@ _BULK_OFFSETS = np.array([0.0, -1.5, 1.5, -3.0, 3.0, -5.0, 5.0, -8.0, 8.0, -12.0
 _CHUNK = 32
 
 
-def _panels(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool):
+def _bulk(shapes: Shapes) -> np.ndarray:
+    """The Beta mean plus each of _BULK_OFFSETS standard deviations."""
+    a, b = shapes
+    s = a + b
+    return a / s + _BULK_OFFSETS * math.sqrt(a * b / (s * s * (s + 1.0)))
+
+
+def _panels(a, lo, cond: Shapes, cs: Shapes, is_new: bool):
     """Integration panels in s for each a, over both halves of [lo, a].
 
     Returns (owner, base, sign, center, half_width) per panel of positive
     width; on the panel, u = base + sign * s**2.
     """
-    x = np.clip(beta_moment(cond, 1) + _BULK_OFFSETS * math.sqrt(beta_variance(cond)), 0.0, 1.0)
+    x = np.clip(_bulk(cond), 0.0, 1.0)
     spread = (1.0 - 2.0 * x) ** 2
     one_minus_a = (1.0 - a)[:, None]
     # The u at which xi(a, u) reaches each x; x = 1/2 on the modified
     # measure maps to -inf, which the clipping below moves onto lo.
     with np.errstate(divide="ignore"):
         u_cond = 1.0 - (2.0 * one_minus_a / (1.0 + spread) if is_new else one_minus_a / spread)
-    u_cs = np.broadcast_to(beta_moment(cs, 1) + _BULK_OFFSETS * math.sqrt(beta_variance(cs)), u_cond.shape)
+    u_cs = np.broadcast_to(_bulk(cs), u_cond.shape)
     breaks = np.concatenate([u_cs, u_cond], axis=1)
     mid = 0.5 * (lo + a)
     zero = np.zeros((a.size, 1))
@@ -188,7 +192,7 @@ def _panels(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool):
     return owner[live], base[live], sign[live], center[live], half_width[live]
 
 
-def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool):
+def _integrate(a, lo, cond: Shapes, cs: Shapes, is_new: bool, cdf: bool):
     """Per-a integral over u in [lo, a] of the density (or CDF) integrand.
 
     Each half of the interval is written in s with u = lo + s**2 or
@@ -197,8 +201,8 @@ def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool)
     modified measure the density's divergent (1-a)**(-1/2) factor is left
     to the caller. The CDF also gets its boundary term P(u <= lo), and
     both conditional tails at every node and the boundary term at every a
-    are one batch of the incomplete beta. Returns (values, error
-    estimates, evaluations).
+    are one batch of the incomplete beta: three rows of x, one per (a, b).
+    Returns (values, error estimates, evaluations).
     """
     owner, base, sign, center, half_width = _panels(a, lo, cond, cs, is_new)
     s = center[:, None] + half_width[:, None] * _NODES
@@ -221,19 +225,22 @@ def _integrate(a, lo, cond: BetaParams, cs: BetaParams, is_new: bool, cdf: bool)
     root = one_minus_r / (2.0 * (1.0 + sqrt_r))
     if cdf:
         # P(pi <= xi) + P(pi >= 1 - xi), both as lower tails at xi, and
-        # P(u <= lo), below which every conditional vector scores at most a.
-        swapped = BetaParams(cond.beta, cond.alpha)
-        nodes = root.size
+        # P(u <= lo), below which every conditional vector scores at most a;
+        # lo is padded with zeros, where I is exactly 0 and costs nothing.
+        x = np.zeros((3, root.size))
+        x[0] = x[1] = root.ravel()
+        x[2, : lo.size] = lo
+        first, second = cond
         tails = regularized_incomplete_beta(
-            (cond, swapped, cs), np.concatenate([root.ravel(), root.ravel(), lo]), (nodes, nodes, lo.size)
+            np.array([[first], [second], [cs[0]]]), np.array([[second], [first], [cs[1]]]), x
         )
-        inner = (tails[:nodes] + tails[nodes : 2 * nodes]).reshape(root.shape)
-        boundary = tails[2 * nodes :]
+        inner = (tails[0] + tails[1]).reshape(root.shape)
+        boundary = tails[2, : lo.size]
     else:
         co_root = 0.5 * (1.0 + sqrt_r)
         jacobian = 0.5 / np.sqrt(w * num) if is_new else 0.25 / np.sqrt(w)
-        inner = (beta_pdf_pair(cond, co_root, root) + beta_pdf_pair(cond, root, co_root)) * jacobian
-    f = (2.0 * s) * beta_pdf_pair(cs, u, w) * inner
+        inner = (beta_pdf_pair(*cond, co_root, root) + beta_pdf_pair(*cond, root, co_root)) * jacobian
+    f = (2.0 * s) * beta_pdf_pair(*cs, u, w) * inner
     kronrod = (f @ _KRONROD_WEIGHTS) * half_width
     gauss = (f @ _GAUSS_WEIGHTS) * half_width
     values = np.bincount(owner, weights=kronrod, minlength=a.size)
@@ -333,7 +340,7 @@ def _curve_grid(counts: BinaryCounts, prior_beta: float, measure: MeasureKind, n
     the point nearest 1/2 moves onto the kink.
     """
     cond, cs = _beta_params(counts, prior_beta)
-    moments = posterior_moments(DirichletParams(proper=(cond.alpha, cond.beta), cs=cs.alpha), measure)
+    moments = posterior_moments(DirichletParams(proper=cond, cs=cs[0]), measure)
     first, last = _CURVE_EDGE, 1.0 - _CURVE_EDGE
     bulk = np.clip(moments.mean + _CURVE_BULK_SD * moments.sd * np.array([-1.0, 1.0]), first, last)
     knots = np.array([first, bulk[0], bulk[1], last])

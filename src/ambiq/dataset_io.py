@@ -274,11 +274,14 @@ def rank_and_filter(
     descending (the "most ambiguous" reading) and <= it when ascending.
 
     Raises:
+        DomainError: an unknown key, or a threshold that is not finite.
         MissingField: a report lacks the requested key/measure value, or
             has a None plug-in (an item scored with no annotations).
     """
     if key not in _RANK_KEYS:
         raise DomainError(f"key must be one of {_RANK_KEYS}, got {key!r}")
+    if threshold is not None and not math.isfinite(threshold):
+        raise DomainError(f"threshold must be a finite number, got {threshold!r}")
     name = measure.value
 
     def value_of(report: ItemReport) -> float:
@@ -323,11 +326,20 @@ def _report_to_json_obj(report: ItemReport) -> dict:
 
 
 def _csv_header(reports: Sequence[ItemReport]) -> list[str]:
-    first = reports[0]
+    """The header of a CSV report file. Each row lays out its own counts
+    and measures, so every report must have the same shape: the number of
+    proper counts and the measure names in order."""
+    shapes = {(r.counts.n_proper, tuple(r.measures)) for r in reports}
+    if len(shapes) > 1:
+        raise DomainError(
+            "CSV export needs reports of one shape (proper counts, measures); "
+            f"got {sorted(shapes)}"
+        )
+    ((n_proper, names),) = shapes
     header = ["item_id", "n_total", "prior_only", "credible_mass"]
-    header += [f"count_{i + 1}" for i in range(first.counts.n_proper)]
+    header += [f"count_{i + 1}" for i in range(n_proper)]
     header.append("count_cs")
-    for name in first.measures:
+    for name in names:
         header += [f"{name}_{column}" for column in _MEASURE_COLUMNS]
     return header
 
@@ -341,6 +353,11 @@ def export_reports(reports: Sequence[ItemReport], path: str, format: str = "json
     per measure and MeasureSummary field). Floats are serialized in shortest round-trip form, and
     the None plug-in of a zero-annotation item becomes null (JSON) or an
     empty field (CSV).
+
+    JSON takes reports of mixed shapes (numbers of proper counts or
+    measure lists), since each object carries its own and reads back
+    whole. CSV has one header for all rows, so a mixed set raises
+    DomainError before the file is opened.
     """
     if format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {format!r}")

@@ -36,12 +36,7 @@ from ambiq.binary_density import (
 )
 from ambiq.exceptions import DomainError
 from ambiq.measures import MeasureKind, ProbabilityVector, ambiguity, ambiguity_array
-from ambiq.numerics import (
-    BetaParams,
-    DirichletParams,
-    make_generator,
-    regularized_incomplete_beta,
-)
+from ambiq.numerics import DirichletParams, make_generator, regularized_incomplete_beta
 from ambiq.posterior_analytics import expected_amb, expected_amb_modified
 from quadrature_oracle import Quadrature, adaptive_simpson
 
@@ -141,18 +136,18 @@ def reference_density(a, counts, beta, measure):
 def simpson_cdf(a, counts, beta, measure):
     """The CDF by adaptive Simpson on u = end -/+ s**2 over both halves of
     [lower_bound(a), a], with per-half absolute tolerance 5e-9."""
-    cond = BetaParams(counts.n_plus + beta, counts.n_minus + beta)
-    cs = BetaParams(counts.n_cs + beta, counts.n_plus + counts.n_minus + 2 * beta)
+    cond = (counts.n_plus + beta, counts.n_minus + beta)
+    cs = (counts.n_cs + beta, counts.n_plus + counts.n_minus + 2 * beta)
     lo = lower_bound(a, measure)
 
     def integrand(u):
         root = xi(a, u, measure)
         tails = (
-            regularized_incomplete_beta(cond, root)
+            regularized_incomplete_beta(*cond, root)
             + 1.0
-            - regularized_incomplete_beta(cond, 1.0 - root)
+            - regularized_incomplete_beta(*cond, 1.0 - root)
         )
-        return scipy.stats.beta.pdf(u, cs.alpha, cs.beta) * tails
+        return scipy.stats.beta.pdf(u, *cs) * tails
 
     mid = 0.5 * (lo + a)
     half = Quadrature(tol=5e-9)
@@ -162,7 +157,7 @@ def simpson_cdf(a, counts, beta, measure):
     right = adaptive_simpson(
         lambda s: integrand(a - s * s) * 2 * s, 1e-8, math.sqrt(a - mid), half
     )
-    return regularized_incomplete_beta(cs, lo) + left.value + right.value
+    return regularized_incomplete_beta(*cs, lo) + left.value + right.value
 
 
 def mc_quantiles(counts, measure, seed):
@@ -535,6 +530,75 @@ def test_cdf_floats_are_pinned(counts, measure, prior, levels, values):
     assert got == values
 
 
+# (counts, measure, ((a, density at a) at points 4, 12, 16, 20 and 28 of
+# a 33-point density_curve), density_integral's moment-1 value), prior 1.
+# The curve's grid and the panel breakpoints both derive from the Beta
+# means and sds, so these floats pin both.
+PINNED_DENSITY = [
+    ((3, 1, 1), MeasureKind.NEW, (
+        (0.12500075, 0.05666342943050019),
+        (0.37500025, 1.1014805170501383),
+        (0.5, 2.8197938618239498),
+        (0.62499975, 2.8165174475592436),
+        (0.87499925, 0.02926517248739832),
+    ), 0.5357142857142886),
+    ((3, 1, 1), MeasureKind.MODIFIED, (
+        (0.12500075, 0.014129896334990677),
+        (0.37500025, 0.2583817599702718),
+        (0.49999999999999994, 0.5063353097280535),
+        (0.62499975, 0.8315508624332715),
+        (0.87499925, 2.0032296549747928),
+    ), 0.8214285714290639),
+    ((300, 200, 50), MeasureKind.NEW, (
+        (0.25000049999999996, 8.230520320169426e-58),
+        (0.48827539286318566, 0.12061173488407666),
+        (0.5234072340600786, 34.97542010758304),
+        (0.5585390752569714, 0.15889651246588377),
+        (0.7499994999999999, 5.280849462122373e-95),
+    ), 0.5272344234772899),
+    ((300, 200, 50), MeasureKind.MODIFIED, (
+        (0.25000049999999996, 3.2909400274207038e-115),
+        (0.7499995, 1.1704816000816795e-13),
+        (0.8581767459530049, 0.00028764483879141896),
+        (0.8936323094647536, 0.05750921167884747),
+        (0.9645434364882512, 25.36506234893356),
+    ), 0.9622446154898298),
+    ((3000, 2000, 500), MeasureKind.NEW, (
+        (0.25000049999999996, 0.0),
+        (0.5136556750719681, 0.03837520313418738),
+        (0.525929953351241, 111.66218334801103),
+        (0.538204231630514, 0.26190056126819045),
+        (0.7499995, 0.0),
+    ), 0.5272687734344053),
+    ((3000, 2000, 500), MeasureKind.MODIFIED, (
+        (0.25000049999999996, 0.0),
+        (0.7499995, 5.436963211110523e-138),
+        (0.9286501111931583, 2.0164338223851187e-06),
+        (0.9464873333948688, 0.5426596330020451),
+        (0.9821617777982896, 0.011345574971260451),
+    ), 0.9634962980130204),
+]
+
+
+@pytest.mark.parametrize("counts, measure, points, mean", PINNED_DENSITY)
+def test_density_floats_are_pinned(counts, measure, points, mean):
+    grid, values = density_curve(BinaryCounts(*counts), 1.0, measure, n_points=33)
+    got = tuple((float(grid[i]), float(values[i])) for i in (4, 12, 16, 20, 28))
+    assert got == points
+    assert density_integral(BinaryCounts(*counts), 1.0, measure, moment=1).value == mean
+
+
+@pytest.mark.parametrize("prior", [0.0, -1.0, math.nan, math.inf])
+def test_prior_must_be_positive_and_finite(prior):
+    counts = BinaryCounts(3, 1, 1)
+    with pytest.raises(DomainError):
+        posterior_cdf_binary(0.5, counts, prior)
+    with pytest.raises(DomainError):
+        posterior_density_binary(0.5, counts, prior)
+    with pytest.raises(DomainError):
+        density_curve(counts, prior)
+
+
 class TestBatchedCdf:
     COUNTS = BinaryCounts(40, 25, 10)
 
@@ -570,9 +634,9 @@ class TestBatchedCdf:
 
         calls = []
 
-        def counting(params, x, sizes=None):
+        def counting(a, b, x):
             calls.append(np.size(x))
-            return regularized_incomplete_beta(params, x, sizes)
+            return regularized_incomplete_beta(a, b, x)
 
         monkeypatch.setattr(bd, "regularized_incomplete_beta", counting)
         posterior_cdf_binary(0.7, self.COUNTS, 1.0, measure)

@@ -299,6 +299,44 @@ class TestScoreRankPipeline:
         assert all(entry["score"] >= 0.5 for entry in ranked["items"])
         assert len(ranked["items"]) == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_rank_refuses_a_threshold_that_is_not_finite(self, capsys, annotations, tmp_path, threshold):
+        report = tmp_path / "report.json"
+        run_json(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--seed", "5",
+        )
+        code, out, err = run(capsys, "rank", "--input", str(report), "--threshold", threshold)
+        assert code == 2
+        assert out == ""
+        assert "threshold" in err
+
+    def test_rank_refuses_csv_export_of_a_mixed_set(self, capsys, annotations, tmp_path):
+        yes_no = tmp_path / "yes_no.json"
+        run_json(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(yes_no), "--seed", "5",
+        )
+        votes = tmp_path / "abc.jsonl"
+        votes.write_text('{"item_id": "r1", "response": "a"}\n{"item_id": "r1", "response": "c"}\n')
+        abc = tmp_path / "abc.json"
+        run_json(
+            capsys,
+            "score", "--input", str(votes), "--labels", "a,b,c", "--measures", "new",
+            "--output", str(abc), "--seed", "5",
+        )
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(json.loads(yes_no.read_text()) + json.loads(abc.read_text())))
+        ranked = tmp_path / "ranked.csv"
+        code, _, err = run(
+            capsys, "rank", "--input", str(mixed), "--output", str(ranked), "--output-format", "csv"
+        )
+        assert code == 2
+        assert "one shape" in err
+        assert not ranked.exists()
+
     def test_skip_unknown_counter_surfaces(self, capsys, tmp_path):
         path = tmp_path / "annotations.jsonl"
         path.write_text(

@@ -422,6 +422,12 @@ class TestRankAndFilter:
         with pytest.raises(DomainError):
             rank_and_filter(scored_reports, key="sd")
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_threshold_must_be_finite(self, scored_reports, threshold, descending):
+        with pytest.raises(DomainError):
+            rank_and_filter(scored_reports, threshold=threshold, descending=descending)
+
     def test_tie_broken_by_item_id(self):
         items = {
             "y": CountVector(proper=(1, 1), cs=0),
@@ -538,6 +544,36 @@ class TestExportImport:
         json.dump([_report_to_json_obj(r) for r in scored_reports], streamed, indent=2)
         with open(p1, "rb") as f1:
             assert f1.read() == (streamed.getvalue() + "\n").encode("utf-8")
+
+    def test_csv_refuses_a_mixed_set_before_opening_the_file(self, scored_reports, tmp_path):
+        # One header cannot describe rows of two shapes: a three-label item
+        # scored on one measure among two-label items scored on two.
+        (other,) = score_items(
+            {"d": CountVector(proper=(2, 1, 0), cs=0)}, measures=(MeasureKind.NEW,), seed=2
+        )
+        path = tmp_path / "mixed.csv"
+        with pytest.raises(DomainError):
+            export_reports([*scored_reports, other], str(path), format="csv")
+        assert not path.exists()
+        # Same counts, measures in another order: the columns would not line up.
+        (swapped,) = score_items(
+            {"d": CountVector(proper=(2, 1), cs=0)},
+            measures=(MeasureKind.MODIFIED, MeasureKind.NEW),
+            seed=2,
+        )
+        with pytest.raises(DomainError):
+            export_reports([*scored_reports, swapped], str(path), format="csv")
+        assert not path.exists()
+
+    def test_json_keeps_a_mixed_set_whole(self, scored_reports, tmp_path):
+        (other,) = score_items(
+            {"d": CountVector(proper=(2, 1, 0), cs=0)}, measures=(MeasureKind.NEW,), seed=2
+        )
+        reports = [*scored_reports, other]
+        path = str(tmp_path / "mixed.json")
+        export_reports(reports, path, format="json")
+        back = import_reports(path, format="json")
+        assert [_measure_blocks(r) for r in back] == [_measure_blocks(r) for r in reports]
 
     def test_export_to_unwritable_path(self, scored_reports, tmp_path):
         with pytest.raises(DataFileError):

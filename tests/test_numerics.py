@@ -1,7 +1,7 @@
-"""Numerics layer: special functions against scipy oracles, Beta
-moment helpers against closed forms, the SFC64 generator contract, the
-gamma-method Dirichlet sampler, and the incomplete beta: its batch stop
-rule, its batches over several (a, b) and its non-convergence error.
+"""Numerics layer: special functions against scipy oracles, the SFC64
+generator contract, the gamma-method Dirichlet sampler, and the incomplete
+beta: its batch stop rule, its broadcasting over several (a, b) and its
+non-convergence error.
 
 scipy appears only here and in sibling test modules as an independent
 oracle; the package itself never imports it.
@@ -16,12 +16,9 @@ import scipy.stats
 
 from ambiq.exceptions import DomainError, InternalConsistencyError
 from ambiq.numerics import (
-    BetaParams,
     DirichletParams,
     _dirichlet_draws,
-    beta_moment,
     beta_pdf_pair,
-    beta_variance,
     digamma,
     dirichlet_sample,
     ln_gamma,
@@ -86,29 +83,28 @@ class TestBetaPdf:
         for _ in range(25):
             a, b = rng.uniform(0.3, 8.0, size=2)
             xs = rng.uniform(0.01, 0.99, size=20)
-            mine = beta_pdf_pair(BetaParams(a, b), xs, 1.0 - xs)
+            mine = beta_pdf_pair(a, b, xs, 1.0 - xs)
             ref = scipy.stats.beta.pdf(xs, a, b)
             np.testing.assert_allclose(mine, ref, rtol=1e-12)
 
     def test_scalar_in_scalar_out(self):
-        out = beta_pdf_pair(BetaParams(2.0, 3.0), 0.5, 0.5)
+        out = beta_pdf_pair(2.0, 3.0, 0.5, 0.5)
         assert isinstance(out, float)
         assert out == pytest.approx(scipy.stats.beta.pdf(0.5, 2.0, 3.0), rel=1e-12)
 
     def test_pair_variant_uses_complement_argument(self):
         # Supplying 1-x directly must avoid the cancellation in 1.0 - x:
         # here 1-x is given as 1e-17, below resolution of float subtraction.
-        params = BetaParams(1.0, 0.5)
         tiny = 1e-17
-        out = beta_pdf_pair(params, 1.0 - tiny, tiny)
+        out = beta_pdf_pair(1.0, 0.5, 1.0 - tiny, tiny)
         expected = math.exp(-0.5 * math.log(tiny) - scipy.special.betaln(1.0, 0.5))
         assert out == pytest.approx(expected, rel=1e-12)
 
     def test_pair_variant_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            beta_pdf_pair(BetaParams(1.0, 1.0), 0.0, 1.0)
+            beta_pdf_pair(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            beta_pdf_pair(BetaParams(1.0, 1.0), 1.0, 0.0)
+            beta_pdf_pair(1.0, 1.0, 1.0, 0.0)
 
 
 class TestRegularizedIncompleteBeta:
@@ -117,136 +113,124 @@ class TestRegularizedIncompleteBeta:
         for _ in range(40):
             a, b = rng.uniform(0.2, 30.0, size=2)
             xs = rng.uniform(0.0, 1.0, size=15)
-            mine = regularized_incomplete_beta(BetaParams(a, b), xs)
+            mine = regularized_incomplete_beta(a, b, xs)
             ref = scipy.special.betainc(a, b, xs)
             np.testing.assert_allclose(mine, ref, atol=1e-13, rtol=1e-12)
 
     def test_endpoints_exact(self):
-        params = BetaParams(0.4, 2.5)
-        assert regularized_incomplete_beta(params, 0.0) == 0.0
-        assert regularized_incomplete_beta(params, 1.0) == 1.0
+        assert regularized_incomplete_beta(0.4, 2.5, 0.0) == 0.0
+        assert regularized_incomplete_beta(0.4, 2.5, 1.0) == 1.0
 
     def test_symmetry_identity(self):
         # I_x(a,b) = 1 - I_{1-x}(b,a)
         for x in (0.12, 0.5, 0.88):
-            left = regularized_incomplete_beta(BetaParams(3.0, 0.7), x)
-            right = 1.0 - regularized_incomplete_beta(BetaParams(0.7, 3.0), 1.0 - x)
+            left = regularized_incomplete_beta(3.0, 0.7, x)
+            right = 1.0 - regularized_incomplete_beta(0.7, 3.0, 1.0 - x)
             assert left == pytest.approx(right, abs=1e-14)
 
     def test_uniform_case_is_identity(self):
         xs = np.linspace(0.0, 1.0, 11)
         np.testing.assert_allclose(
-            regularized_incomplete_beta(BetaParams(1.0, 1.0), xs), xs, atol=1e-15
+            regularized_incomplete_beta(1.0, 1.0, xs), xs, atol=1e-15
         )
 
     def test_large_batch_converges_like_its_elements(self):
         # An element must stop at its own convergence: left iterating, it
         # jitters by a few ulps, and a large batch then never meets the stop
         # rule in one iteration although each element converges alone.
-        params = BetaParams(20001.0, 5001.0)
         xs = np.linspace(0.75, 0.85, 200_001)
-        batch = regularized_incomplete_beta(params, xs)
+        batch = regularized_incomplete_beta(20001.0, 5001.0, xs)
         for i in (0, 51_234, 100_000, 149_999, 200_000):
-            alone = regularized_incomplete_beta(params, float(xs[i]))
+            alone = regularized_incomplete_beta(20001.0, 5001.0, float(xs[i]))
             assert batch[i] == pytest.approx(alone, rel=1e-14, abs=1e-300)
         np.testing.assert_allclose(batch, scipy.special.betainc(20001.0, 5001.0, xs), atol=1e-10)
 
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(BetaParams(1.0, 1.0), -0.1)
+            regularized_incomplete_beta(1.0, 1.0, -0.1)
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(BetaParams(1.0, 1.0), 1.1)
+            regularized_incomplete_beta(1.0, 1.0, 1.1)
 
     def test_reports_the_element_that_does_not_converge(self):
         with pytest.raises(InternalConsistencyError, match=r"a=1000000\.0, b=1000000\.0, x=0\.5"):
-            regularized_incomplete_beta(BetaParams(1e6, 1e6), np.array([0.1, 0.5]))
+            regularized_incomplete_beta(1e6, 1e6, np.array([0.1, 0.5]))
 
 
 def mixed_batch():
-    """Shapes below and above one, x at 0, 1 and on each crossover
-    (a+1)/(a+b+2), as (params, x) pairs."""
+    """Shapes below and above one as (k, 1) columns a and b, and a (k, n)
+    x holding 0, 1 and each row's crossover (a+1)/(a+b+2) with its
+    neighbours."""
     rng = np.random.default_rng(11)
-    pairs = []
-    shapes = ((0.3, 0.8), (0.5, 0.5), (2.0, 0.4), (1.0, 1.0), (7.5, 3.0), (41.0, 26.0), (301.0, 201.0), (51.0, 502.0))
-    for a, b in shapes:
-        cross = (a + 1.0) / (a + b + 2.0)
-        edges = [0.0, 1.0, cross, np.nextafter(cross, 0.0), np.nextafter(cross, 1.0)]
-        x = np.concatenate([edges, rng.random(30)])
-        pairs.append((BetaParams(a, b), x))
-    return pairs
+    shapes = np.array(
+        [(0.3, 0.8), (0.5, 0.5), (2.0, 0.4), (1.0, 1.0), (7.5, 3.0), (41.0, 26.0), (301.0, 201.0), (51.0, 502.0)]
+    )
+    a, b = shapes[:, :1], shapes[:, 1:]
+    cross = (a + 1.0) / (a + b + 2.0)
+    edges = [np.zeros_like(a), np.ones_like(a), cross, np.nextafter(cross, 0.0), np.nextafter(cross, 1.0)]
+    return a, b, np.concatenate([*edges, rng.random((a.size, 30))], axis=1)
 
 
 class TestIncompleteBetaBatches:
     def test_each_element_as_in_a_call_of_its_own(self):
-        pairs = mixed_batch()
-        params = tuple(p for p, _ in pairs)
-        x = np.concatenate([x for _, x in pairs])
-        batch = regularized_incomplete_beta(params, x, [x.size for _, x in pairs])
-        alone = np.concatenate([regularized_incomplete_beta(p, x) for p, x in pairs])
-        assert batch.tobytes() == alone.tobytes()
+        a, b, x = mixed_batch()
+        batch = regularized_incomplete_beta(a, b, x)
+        assert batch.shape == x.shape
+        for i, j in np.ndindex(x.shape):
+            alone = regularized_incomplete_beta(float(a[i, 0]), float(b[i, 0]), float(x[i, j]))
+            assert batch[i, j].tobytes() == np.float64(alone).tobytes(), (i, j)
 
     def test_matches_scipy(self):
-        pairs = mixed_batch()
-        x = np.concatenate([x for _, x in pairs])
-        a = np.concatenate([np.full(x.size, p.alpha) for p, x in pairs])
-        b = np.concatenate([np.full(x.size, p.beta) for p, x in pairs])
-        batch = regularized_incomplete_beta(tuple(p for p, _ in pairs), x, [x.size for _, x in pairs])
+        a, b, x = mixed_batch()
+        batch = regularized_incomplete_beta(a, b, x)
         np.testing.assert_allclose(batch, scipy.special.betainc(a, b, x), atol=1e-13, rtol=1e-12)
 
-    def test_rows_stack_along_the_first_axis(self):
-        # Trailing axes broadcast: every element of a row uses its params.
-        first, second = BetaParams(0.6, 2.0), BetaParams(30.0, 12.0)
-        x = np.random.default_rng(4).random((5, 3, 2))
-        batch = regularized_incomplete_beta((first, second), x, (2, 3))
-        assert batch.shape == x.shape
-        assert batch[:2].tobytes() == regularized_incomplete_beta(first, x[:2]).tobytes()
-        assert batch[2:].tobytes() == regularized_incomplete_beta(second, x[2:]).tobytes()
-        np.testing.assert_allclose(batch[2:], scipy.special.betainc(30.0, 12.0, x[2:]), atol=1e-13)
+    def test_grid_of_shapes_matches_scipy(self):
+        # A (6, 1) a against a (1, 5) b is a 6 x 5 grid of pairs; x of shape
+        # (4, 1, 1) sends each value of x through every pair.
+        a = np.array([0.3, 0.9, 2.0, 12.0, 80.0, 400.0])[:, None]
+        b = np.array([0.5, 1.0, 3.5, 40.0, 250.0])[None, :]
+        x = np.array([0.01, 0.3, 0.62, 0.97])[:, None, None]
+        grid = regularized_incomplete_beta(a, b, x)
+        assert grid.shape == (4, 6, 5)
+        np.testing.assert_allclose(grid, scipy.special.betainc(a, b, x), atol=1e-13, rtol=1e-12)
 
-    def test_empty_parts(self):
-        params = (BetaParams(2.0, 3.0), BetaParams(1.0, 4.0))
-        alone = regularized_incomplete_beta(params[1], 0.25)
-        assert regularized_incomplete_beta(params, np.array([0.25]), (0, 1))[0] == alone
-        assert regularized_incomplete_beta(params, np.empty(0), (0, 0)).shape == (0,)
+    def test_scalars_give_a_float(self):
+        value = regularized_incomplete_beta(2.0, 3.0, 0.25)
+        assert type(value) is float
+        assert value == pytest.approx(scipy.special.betainc(2.0, 3.0, 0.25), abs=1e-15)
 
-    def test_sizes_must_split_x(self):
-        params = (BetaParams(2.0, 3.0), BetaParams(1.0, 4.0))
-        x = np.full(4, 0.5)
-        for sizes in (None, (4,), (1, 2), (5, -1)):
-            with pytest.raises(DomainError):
-                regularized_incomplete_beta(params, x, sizes)
+    def test_empty_x(self):
+        assert regularized_incomplete_beta(2.0, 3.0, np.empty(0)).shape == (0,)
 
-
-class TestMomentHelpers:
-    def test_beta_moment_first_two(self):
-        params = BetaParams(2.0, 3.0)
-        assert beta_moment(params, 0) == 1.0
-        assert beta_moment(params, 1) == pytest.approx(2.0 / 5.0, abs=1e-15)
-        assert beta_moment(params, 2) == pytest.approx(2.0 * 3.0 / (5.0 * 6.0), abs=1e-15)
-
-    def test_beta_variance_consistent_with_moments(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a, b = rng.uniform(0.2, 9.0, size=2)
-            params = BetaParams(a, b)
-            direct = beta_variance(params)
-            via_moments = beta_moment(params, 2) - beta_moment(params, 1) ** 2
-            assert direct == pytest.approx(via_moments, abs=1e-15)
-
-    def test_beta_moment_rejects_negative_order(self):
+    def test_shapes_must_broadcast(self):
         with pytest.raises(DomainError):
-            beta_moment(BetaParams(1.0, 1.0), -1)
+            regularized_incomplete_beta(np.ones(3), np.ones(2), 0.5)
+        with pytest.raises(DomainError):
+            regularized_incomplete_beta(np.ones((3, 1)), 1.0, np.full((2, 4), 0.5))
+
+
+BAD_SHAPES = (0.0, -2.0, math.nan, math.inf, -math.inf)
+
+
+class TestBetaShapeValidation:
+    @pytest.mark.parametrize("bad", BAD_SHAPES)
+    def test_incomplete_beta_needs_positive_finite_shapes(self, bad):
+        with pytest.raises(DomainError):
+            regularized_incomplete_beta(bad, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            regularized_incomplete_beta(1.0, bad, 0.5)
+        with pytest.raises(DomainError):
+            regularized_incomplete_beta(np.array([2.0, bad]), 1.0, np.array([[0.5], [0.0]]))
+
+    @pytest.mark.parametrize("bad", BAD_SHAPES)
+    def test_beta_pdf_needs_positive_finite_shapes(self, bad):
+        with pytest.raises(DomainError):
+            beta_pdf_pair(bad, 1.0, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            beta_pdf_pair(1.0, bad, 0.5, 0.5)
 
 
 class TestParamValidation:
-    def test_beta_params_positive(self):
-        with pytest.raises(DomainError):
-            BetaParams(0.0, 1.0)
-        with pytest.raises(DomainError):
-            BetaParams(1.0, -2.0)
-        with pytest.raises(DomainError):
-            BetaParams(math.inf, 1.0)
-
     def test_dirichlet_params_positive(self):
         with pytest.raises(DomainError):
             DirichletParams(proper=(1.0, 0.0), cs=1.0)
@@ -301,11 +285,9 @@ class TestDirichletSample:
         proper, cs = dirichlet_sample(params, 400_000, seed=9)
         n = proper.shape[0]
         for column, alpha in ((proper[:, 0], 2.0), (proper[:, 1], 3.0), (cs, 1.0)):
-            marginal = BetaParams(alpha, params.total - alpha)
-            se = math.sqrt(beta_variance(marginal) / n)
-            assert float(np.mean(column)) == pytest.approx(
-                beta_moment(marginal, 1), abs=4 * se
-            )
+            s = params.total
+            se = math.sqrt(alpha * (s - alpha) / (s * s * (s + 1.0)) / n)
+            assert float(np.mean(column)) == pytest.approx(alpha / s, abs=4 * se)
 
     def test_deterministic(self):
         params = DirichletParams.symmetric(2, 1.0)
