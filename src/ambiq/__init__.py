@@ -41,14 +41,11 @@ from .posterior_analytics import (  # noqa: F401
 from .posterior_sampling import (  # noqa: F401
     DensityEstimate,
     MeasureSummary,
-    PosteriorSummary,
     density_with_uncertainty,
     histogram_mode,
     posterior_mean_sd,
     posterior_summaries,
-    posterior_summary,
     sample_transformed,
-    summarize,
 )
 from .binary_density import (  # noqa: F401
     BinaryCounts,

@@ -53,16 +53,18 @@ from .posterior_analytics import posterior_moments, posterior_update
 from .posterior_sampling import (
     _MIN_SAMPLES,
     DensityEstimate,
+    _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
     posterior_mean_sd,
     sample_transformed,
-    summarize,
 )
 
 __all__ = ["main"]
 
 _SEED_ENV = "AMBIQ_SEED"
+# The quantile levels `posterior` reports.
+_QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +72,14 @@ _SEED_ENV = "AMBIQ_SEED"
 # ---------------------------------------------------------------------------
 
 
-def _parse_list(text: str, option: str, kind: type = float) -> list:
+def _parse_list(text: str, option: str, kind=float) -> list:
+    """The comma-separated entries of an option, each stripped and passed
+    through kind; empty entries are skipped, and no entry at all is an
+    error."""
     try:
-        values = [kind(token) for token in text.split(",") if token.strip()]
+        values = [kind(token.strip()) for token in text.split(",") if token.strip()]
     except ValueError as exc:
-        noun = "integer" if kind is int else "number"
+        noun = {int: "integer", float: "number"}.get(kind, "value")
         raise DomainError(f"{option} must be a comma-separated {noun} list: {exc}")
     if not values:
         raise DomainError(f"{option} must contain at least one value")
@@ -99,8 +104,11 @@ def _parse_counts(counts_text: str, cs_count: int) -> CountVector:
     )
 
 
-def _parse_measures(text: str) -> list[MeasureKind]:
-    return [MeasureKind.parse(token.strip()) for token in text.split(",") if token.strip()]
+def _check_mc_samples(mc_samples: int) -> None:
+    """The floor on --mc-samples: fewer draws make the histogram mode, the
+    tail quantiles and the density band noise."""
+    if mc_samples < _MIN_SAMPLES:
+        raise TooFewSamples(f"--mc-samples must be at least {_MIN_SAMPLES}")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -171,7 +179,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         counts = _parse_counts(args.counts, args.cs_count)
         q = counts.as_probability_vector()
         source = "plug-in frequencies"
-    measures = _parse_measures(args.measures)
+    measures = _parse_list(args.measures, "--measures", MeasureKind.parse)
     values = {m.value: ambiguity(q, m) for m in measures}
     if args.json:
         _emit_json(
@@ -250,25 +258,30 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     if measure is not MeasureKind.OLD:
         moments = posterior_moments(posterior, measure)
         closed = {"mean": moments.mean, "sd": moments.sd}
-    samples = sample_transformed(posterior, (measure,), args.mc_samples, seed)[0]
-    summary = summarize(samples, credible_mass=args.credible_mass)
+    _check_mc_samples(args.mc_samples)
+    mass = args.credible_mass
+    if not 0.0 < mass < 1.0:
+        raise DomainError(f"credible mass {mass!r} outside (0, 1)")
+    values = sample_transformed(posterior, (measure,), args.mc_samples, seed)[0]
+    # Moments and mode of the sample as drawn, then one sort for every level.
+    mc = {"mean": float(values.mean()), "sd": float(values.std()), "mode": histogram_mode(values)}
+    values.sort()
+    tail = 0.5 * (1.0 - mass)
+    *quantiles, lo, hi = _sorted_quantiles(values, (*_QUANTILE_LEVELS, tail, 1.0 - tail)).tolist()
     method = "closed_form+mc" if closed is not None else "mc_only"
 
     density_method = None
     if args.density is not None:
         density_method = _density_to_file(args, posterior, counts, measure, seed)
 
-    lo, hi, mass = summary.credible_interval
     if args.json:
         payload = {
             "measure": measure.value,
             "method": method,
             "closed_form": closed,
             "mc": {
-                "mean": summary.mean,
-                "sd": summary.sd,
-                "mode": summary.mode,
-                "quantiles": {str(k): v for k, v in summary.quantiles.items()},
+                **mc,
+                "quantiles": {str(k): v for k, v in zip(_QUANTILE_LEVELS, quantiles)},
                 "credible_interval": {"lo": lo, "hi": hi, "mass": mass},
             },
             "metadata": _metadata(
@@ -286,9 +299,9 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
             rows.append(("closed_mean", _fmt6(closed["mean"])))
             rows.append(("closed_sd", _fmt6(closed["sd"])))
         rows += [
-            ("mc_mean", _fmt6(summary.mean)),
-            ("mc_sd", _fmt6(summary.sd)),
-            ("mc_mode", _fmt6(summary.mode)),
+            ("mc_mean", _fmt6(mc["mean"])),
+            ("mc_sd", _fmt6(mc["sd"])),
+            ("mc_mode", _fmt6(mc["mode"])),
             (f"ci_{mass:g}", f"[{_fmt6(lo)}, {_fmt6(hi)}]"),
             ("seed", str(seed)),
             ("beta", f"{args.beta:g}"),
@@ -309,7 +322,7 @@ def _cmd_bias_curve(args: argparse.Namespace) -> int:
     q = _parse_probability(args.q, args.cs)
     measure = MeasureKind.parse(args.measure)
     n_values = _parse_list(args.n_values, "--n-values", int)
-    estimators = [token.strip() for token in args.estimators.split(",") if token.strip()]
+    estimators = _parse_list(args.estimators, "--estimators", str)
     series = bias_curve(
         q,
         n_values,
@@ -357,10 +370,7 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
     betas = _parse_list(args.betas, "--betas")
     if args.n_categories < 1:
         raise DomainError("--n-categories must be at least 1")
-    # The floor that `posterior` and `score` apply: fewer draws make the
-    # histogram mode and the density band noise.
-    if args.mc_samples < _MIN_SAMPLES:
-        raise TooFewSamples(f"--mc-samples must be at least {_MIN_SAMPLES}")
+    _check_mc_samples(args.mc_samples)
 
     per_beta = []
     density_rows = []
@@ -407,14 +417,14 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
 
 
 def _schema_from_args(args: argparse.Namespace) -> CategorySchema:
-    labels = [token.strip() for token in args.labels.split(",") if token.strip()]
+    labels = _parse_list(args.labels, "--labels", str)
     return CategorySchema(labels=tuple(labels), cs_label=args.cs_label)
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     schema = _schema_from_args(args)
-    measures = _parse_measures(args.measures)
+    measures = _parse_list(args.measures, "--measures", MeasureKind.parse)
     loaded = load_records(args.input, args.format, schema, skip_unknown=args.skip_unknown)
     reports = score_items(
         loaded.items,

@@ -236,8 +236,8 @@ def score_items(
 ) -> list[ItemReport]:
     """Score every item: plug-in point estimates plus posterior summaries.
 
-    Each item gets posterior_summary of its count vector, computed once
-    per distinct vector by posterior_summaries: means and sds are exact
+    Each item gets the posterior_summaries entry of its count vector,
+    computed once per distinct vector: means and sds are exact
     for the quadratic measures and Monte Carlo for total variation, and
     equal-tailed intervals come from one MC sample per count vector,
     shared across measures. That sample is drawn from the stream
@@ -325,17 +325,9 @@ def _report_to_json_obj(report: ItemReport) -> dict:
     }
 
 
-def _csv_header(reports: Sequence[ItemReport]) -> list[str]:
-    """The header of a CSV report file. Each row lays out its own counts
-    and measures, so every report must have the same shape: the number of
-    proper counts and the measure names in order."""
-    shapes = {(r.counts.n_proper, tuple(r.measures)) for r in reports}
-    if len(shapes) > 1:
-        raise DomainError(
-            "CSV export needs reports of one shape (proper counts, measures); "
-            f"got {sorted(shapes)}"
-        )
-    ((n_proper, names),) = shapes
+def _csv_header(n_proper: int, names: Sequence[str]) -> list[str]:
+    """The header of a CSV report file whose reports have n_proper proper
+    counts and the measures `names`, in order."""
     header = ["item_id", "n_total", "prior_only", "credible_mass"]
     header += [f"count_{i + 1}" for i in range(n_proper)]
     header.append("count_cs")
@@ -372,7 +364,14 @@ def export_reports(reports: Sequence[ItemReport], path: str, format: str = "json
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
-            header = _csv_header(ordered)
+            # One header serves every row, so every report needs one shape.
+            shapes = {(r.counts.n_proper, tuple(r.measures)) for r in ordered}
+            if len(shapes) > 1:
+                raise DomainError(
+                    "CSV export needs reports of one shape (proper counts, measures); "
+                    f"got {sorted(shapes)}"
+                )
+            header = _csv_header(*shapes.pop())
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(header)
@@ -405,13 +404,20 @@ def _is_finite_real(value) -> bool:
 
 
 def _imported_report(
-    item_id, counts: CountVector, credible_mass, measures: Mapping[str, MeasureSummary]
+    item_id, counts: CountVector, n_total, prior_only, credible_mass,
+    measures: Mapping[str, MeasureSummary],
 ) -> ItemReport:
     """An ItemReport from one imported row, once its fields hold the values
     import_reports takes; raises TypeError or ValueError otherwise. The
-    counts were checked by CountVector."""
+    counts were checked by CountVector; n_total and prior_only must be the
+    integer and the bool that export writes for them."""
     if not isinstance(item_id, str):
         raise TypeError(f"item_id must be a string, got {item_id!r}")
+    total = counts.total
+    if type(n_total) is not int or n_total != total:
+        raise ValueError(f"n_total {n_total!r} disagrees with counts totalling {total}")
+    if prior_only is not (total == 0):
+        raise ValueError(f"prior_only {prior_only!r} disagrees with counts totalling {total}")
     if not (_is_finite_real(credible_mass) and 0.0 < credible_mass < 1.0):
         raise ValueError(f"credible_mass must be a number in (0, 1), got {credible_mass!r}")
     for name, summary in measures.items():
@@ -438,10 +444,13 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
         DataFileError: unreadable path.
         EmptyFile: a CSV file without a header.
         MalformedRow: a report lacking a field or holding a wrong value, at
-            its CSV line or its 1-based position in the JSON array; or a
-            file that is not a JSON array, at the line of the fault. Both
-            formats take the same values: a string item_id, integer counts
-            of at least 0 (not true or false), a finite credible_mass in
+            its CSV line or its 1-based position in the JSON array; a file
+            that is not a JSON array, at the line of the fault; or a CSV
+            header other than the one export writes for the shape it names
+            (number of count_ columns, measures with a _plugin column), at
+            line 1. Both formats take the same values: a string item_id,
+            integer counts of at least 0 (not true or false), the n_total
+            and prior_only of those counts, a finite credible_mass in
             (0, 1), and a finite number in every measure field, where only
             a plug-in may be empty (null). NaN and infinities are refused.
     """
@@ -463,6 +472,8 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
                     _imported_report(
                         obj["item_id"],
                         CountVector(proper=tuple(counts["proper"]), cs=counts["cs"]),
+                        obj["n_total"],
+                        obj["prior_only"],
                         obj["credible_mass"],
                         {
                             name: MeasureSummary(**values)
@@ -479,8 +490,13 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
         header = next(reader)
     except StopIteration:
         raise EmptyFile("no rows in report CSV") from None
-    count_cols = [h for h in header if h.startswith("count_") and h != "count_cs"]
+    # The shape the header claims, held to the layout export writes for it.
+    n_proper = sum(h.startswith("count_") for h in header) - 1
     measure_names = [h[: -len("_plugin")] for h in header if h.endswith("_plugin")]
+    layout = _csv_header(n_proper, measure_names)
+    if header != layout:
+        raise MalformedRow(1, f"expected the report header {','.join(layout)}")
+    count_cols = [h for h in header if h.startswith("count_") and h != "count_cs"]
     index = {name: i for i, name in enumerate(header)}
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -488,6 +504,7 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
         if len(row) != len(header):
             raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
         get = lambda col: row[index[col]]
+        flag = get("prior_only")
         try:
             reports.append(
                 _imported_report(
@@ -495,6 +512,8 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
                     CountVector(
                         proper=tuple(int(get(c)) for c in count_cols), cs=int(get("count_cs"))
                     ),
+                    int(get("n_total")),
+                    {"true": True, "false": False}.get(flag, flag),
                     float(get("credible_mass")),
                     {
                         name: MeasureSummary(

@@ -305,6 +305,8 @@ def bias_curve(
         raise DomainError("need at least one estimator")
     if mc_repeats < 1:
         raise DomainError(f"mc_repeats must be at least 1, got {mc_repeats}")
+    if not 0.0 < prior_beta < math.inf:
+        raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
     n_tuple = tuple(int(n) for n in n_values)
     _check_sample_sizes(n_tuple)
     truth = ambiguity(q, measure)

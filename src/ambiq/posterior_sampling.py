@@ -9,28 +9,29 @@ sample of the package is drawn through it. Streams are derived from a
 single user seed with explicit spawn keys, so any repeat structure is
 reproducible without coordination between callers.
 
-posterior_summary is the per-count-vector form of that pipeline: one
-sample per count vector, drawn from a stream keyed on the counts
-themselves, feeds every measure's interval, while the quadratic measures
-take their mean and sd from the closed forms. Its result depends only on
-(counts, prior, measures, sample size, credible mass, seed), so
-posterior_summaries computes it once per distinct count vector of a
-whole file.
+posterior_summaries is the per-count-vector summary, and MeasureSummary
+its record: one sample per distinct count vector, drawn from a stream
+keyed on the counts themselves, feeds every measure's interval, while the
+quadratic measures take their mean and sd from the closed forms. A
+vector's summary depends only on (counts, prior, measures, sample size,
+credible mass, seed), never on the other vectors it is summarized with.
 
-Quantiles and credible intervals are read off one sorted copy of the
-sample by Hyndman and Fan's type 7 rule (linear interpolation between
-order statistics at virtual index (n - 1) p), with numpy's own arithmetic,
-so they are the same floats np.quantile gives for the same sample. One
-sort serves every level; np.quantile partitions the sample around the
-order statistics of each level on every call, which costs more than the
-sort on numpy 2's vectorized np.sort.
+Quantiles and credible intervals are read off a sorted sample by
+_sorted_quantiles, Hyndman and Fan's type 7 rule (linear interpolation
+between order statistics at virtual index (n - 1) p), with numpy's own
+arithmetic, so they are the same floats np.quantile gives for the same
+sample. One sort serves every level; np.quantile partitions the sample
+around the order statistics of each level on every call, which costs more
+than the sort on numpy 2's vectorized np.sort. Means and sds are taken
+before the sort: a pairwise sum's last bits depend on the order of its
+terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -43,15 +44,12 @@ if TYPE_CHECKING:
     from .frequentist import CountVector
 
 __all__ = [
-    "PosteriorSummary",
     "MeasureSummary",
     "DensityEstimate",
     "MODE_BINS",
     "sample_transformed",
-    "summarize",
     "histogram_mode",
     "posterior_mean_sd",
-    "posterior_summary",
     "posterior_summaries",
     "density_with_uncertainty",
 ]
@@ -61,35 +59,7 @@ __all__ = [
 # fixed bin count keeps the convention stable across sample sizes.
 MODE_BINS = 256
 
-DEFAULT_QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
-
 _MIN_SAMPLES = 1000
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Scalar Monte Carlo summary of a transformed posterior sample.
-
-    mean/sd are plain sample moments; quantiles use linear interpolation
-    between order statistics; the credible interval is equal-tailed.
-    """
-
-    mean: float
-    mode: float
-    sd: float
-    quantiles: Mapping[float, float]
-    credible_interval: tuple[float, float, float]
-
-    def __post_init__(self):
-        lo, hi, mass = self.credible_interval
-        if not (0.0 < mass < 1.0):
-            raise DomainError(f"credible mass {mass!r} outside (0, 1)")
-        if lo > hi:
-            raise DomainError(f"credible interval [{lo!r}, {hi!r}] inverted")
-        levels = sorted(self.quantiles)
-        values = [self.quantiles[p] for p in levels]
-        if any(b < a for a, b in zip(values, values[1:])):
-            raise DomainError("quantile values not monotone in level")
 
 
 @dataclass(frozen=True)
@@ -215,53 +185,6 @@ def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.
     return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
-def summarize(
-    samples: Sequence[float] | np.ndarray, credible_mass: float = 0.95
-) -> PosteriorSummary:
-    """Summarize a scalar sample in [0, 1].
-
-    Mean, sd and mode come from the sample as given; the quantiles at the
-    DEFAULT_QUANTILE_LEVELS and the equal-tailed interval from one sorted
-    copy of it, by the type 7 rule of _sorted_quantiles, so they equal
-    np.quantile's. The caller's array is never reordered.
-
-    Raises:
-        TooFewSamples: below 1000 points, where the histogram mode and the
-            tail quantiles are too noisy to report.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"expected a 1-d sample, got shape {x.shape}")
-    if x.size < _MIN_SAMPLES:
-        raise TooFewSamples(f"need at least {_MIN_SAMPLES} samples, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample contains non-finite values")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise DomainError("sample values must lie in [0, 1]")
-    if not (0.0 < credible_mass < 1.0):
-        raise DomainError(f"credible mass {credible_mass!r} outside (0, 1)")
-
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
-
-    ordered = np.sort(x)
-    q_values = _sorted_quantiles(ordered, DEFAULT_QUANTILE_LEVELS)
-    quantiles = {p: float(v) for p, v in zip(DEFAULT_QUANTILE_LEVELS, q_values)}
-
-    tail = 0.5 * (1.0 - credible_mass)
-    lo, hi = _sorted_quantiles(ordered, (tail, 1.0 - tail))
-
-    mode = histogram_mode(x)
-
-    return PosteriorSummary(
-        mean=mean,
-        mode=mode,
-        sd=sd,
-        quantiles=quantiles,
-        credible_interval=(float(lo), float(hi), float(credible_mass)),
-    )
-
-
 def posterior_mean_sd(
     params: DirichletParams,
     measure: MeasureKind,
@@ -281,40 +204,6 @@ def posterior_mean_sd(
     return moments.mean, moments.sd
 
 
-def posterior_summary(
-    counts: "CountVector",
-    prior_beta: float = 1.0,
-    measures: Sequence[MeasureKind] = (
-        MeasureKind.NEW,
-        MeasureKind.MODIFIED,
-        MeasureKind.OLD,
-    ),
-    mc_samples: int = 20_000,
-    credible_mass: float = 0.95,
-    seed: int = 0,
-) -> dict[str, MeasureSummary]:
-    """Plug-in value and posterior summary of each measure for one count vector.
-
-    The posterior is Dir(prior_beta + counts) under a symmetric prior. One
-    sample of mc_samples posterior vectors serves every measure: it gives
-    the equal-tailed interval of each, and the mean and sd of total
-    variation; the quadratic measures take their mean and sd from the
-    closed forms. The sample comes from the stream (seed, (C, *proper,
-    cs)), keyed on the counts, so equal count vectors get equal summaries
-    wherever they occur. Returns one MeasureSummary per measure, keyed by
-    measure name, in the order given.
-
-    Raises:
-        TooFewSamples: mc_samples below 1000.
-        DomainError: credible_mass outside (0, 1), a nonpositive prior, or
-            no measures.
-    """
-    summaries = posterior_summaries(
-        (counts,), prior_beta, measures, mc_samples, credible_mass, seed
-    )
-    return summaries[counts]
-
-
 def posterior_summaries(
     count_vectors: Iterable["CountVector"],
     prior_beta: float = 1.0,
@@ -327,14 +216,25 @@ def posterior_summaries(
     credible_mass: float = 0.95,
     seed: int = 0,
 ) -> dict["CountVector", dict[str, MeasureSummary]]:
-    """posterior_summary of each distinct count vector, keyed by count vector.
+    """Plug-in value and posterior summary of each measure for each
+    distinct count vector, keyed by count vector.
 
-    Each distinct vector is summarized once, with the result
-    posterior_summary gives for it alone. The vectors share one
-    sample_transformed buffer per number of categories C, of shape
-    (C + 1 + len(measures) + 2, mc_samples), so each vector's values are
-    computed and sorted in place, and summarizing many vectors does not
-    hand memory back to the system and fault it in again for the next one.
+    The posterior is Dir(prior_beta + counts) under a symmetric prior. One
+    sample of mc_samples posterior vectors serves every measure: it gives
+    the equal-tailed interval of each, and the mean and sd of total
+    variation; the quadratic measures take their mean and sd from the
+    closed forms. The sample comes from the stream (seed, (C, *proper,
+    cs)), keyed on the counts, so equal count vectors get equal summaries
+    wherever they occur, and ``posterior_summaries((counts,), ...)[counts]``
+    is the summary of one vector. Each value is one MeasureSummary per
+    measure, keyed by measure name, in the order given.
+
+    Each distinct vector is summarized once, with the result it gets
+    alone. The vectors share one sample_transformed buffer per number of
+    categories C, of shape (C + 1 + len(measures) + 2, mc_samples), so
+    each vector's values are computed and sorted in place, and summarizing
+    many vectors does not hand memory back to the system and fault it in
+    again for the next one.
 
     Each measure's values are sorted in place once its mean and sd are
     taken, and the interval is read off the sorted sample by the type 7

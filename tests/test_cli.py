@@ -11,9 +11,14 @@ import json
 import numpy as np
 import pytest
 
+import ambiq.cli
 import ambiq.frequentist
 from ambiq.cli import main
-from ambiq.numerics import make_generator
+from ambiq.frequentist import CountVector
+from ambiq.measures import MeasureKind
+from ambiq.numerics import DirichletParams, make_generator
+from ambiq.posterior_analytics import posterior_update
+from ambiq.posterior_sampling import histogram_mode, sample_transformed
 
 
 def run(capsys, *argv):
@@ -127,6 +132,307 @@ class TestPosteriorCommand:
         assert header == ["bin_lo", "bin_hi", "median_density", "iqr_lo", "iqr_hi"]
 
 
+# `posterior` stdout at four configurations, recorded before its Monte Carlo
+# block was read off one sorted sample: (arguments, table, JSON payload).
+PINNED_POSTERIOR = [
+    (
+        "--counts 4,2,7 --cs-count 1 --measure old --credible-mass 0.9 --seed 3",
+        (
+            "measure  old\n"
+            "method   mc_only\n"
+            "mc_mean  0.717361\n"
+            "mc_sd    0.121680\n"
+            "mc_mode  0.736328\n"
+            "ci_0.9   [0.504266, 0.909774]\n"
+            "seed     3\n"
+            "beta     1\n"
+        ),
+        {
+            "measure": "old",
+            "method": "mc_only",
+            "closed_form": None,
+            "mc": {
+                "mean": 0.7173608802791324,
+                "sd": 0.1216802603028577,
+                "mode": 0.736328125,
+                "quantiles": {
+                    "0.025": 0.4561589553607349,
+                    "0.25": 0.6399979916747993,
+                    "0.5": 0.7213910400773301,
+                    "0.75": 0.8038599734953034,
+                    "0.975": 0.9351388818930292,
+                },
+                "credible_interval": {
+                    "lo": 0.5042658853614175,
+                    "hi": 0.9097740752190023,
+                    "mass": 0.9,
+                },
+            },
+            "metadata": {
+                "version": "0.1.0",
+                "rng": "sfc64",
+                "seed": 3,
+                "beta": 1.0,
+                "measure": "old",
+                "mc_samples": 100000,
+                "density_method": None,
+            },
+        },
+    ),
+    (
+        "--counts 4,2,7,1 --cs-count 1 --measure modified --beta 0.5 --seed 1",
+        (
+            "measure      modified\n"
+            "method       closed_form+mc\n"
+            "closed_mean  0.852101\n"
+            "closed_sd    0.085533\n"
+            "mc_mean      0.851898\n"
+            "mc_sd        0.085794\n"
+            "mc_mode      0.896484\n"
+            "ci_0.95      [0.641178, 0.975339]\n"
+            "seed         1\n"
+            "beta         0.5\n"
+        ),
+        {
+            "measure": "modified",
+            "method": "closed_form+mc",
+            "closed_form": {"mean": 0.8521008403361344, "sd": 0.08553321529505073},
+            "mc": {
+                "mean": 0.8518981149349859,
+                "sd": 0.08579413460596941,
+                "mode": 0.896484375,
+                "quantiles": {
+                    "0.025": 0.6411784237719872,
+                    "0.25": 0.8060322284261874,
+                    "0.5": 0.8669616876295505,
+                    "0.75": 0.9137214538689047,
+                    "0.975": 0.9753385796273721,
+                },
+                "credible_interval": {
+                    "lo": 0.6411784237719873,
+                    "hi": 0.9753385796273721,
+                    "mass": 0.95,
+                },
+            },
+            "metadata": {
+                "version": "0.1.0",
+                "rng": "sfc64",
+                "seed": 1,
+                "beta": 0.5,
+                "measure": "modified",
+                "mc_samples": 100000,
+                "density_method": None,
+            },
+        },
+    ),
+    (
+        "--counts 3000,2000 --cs-count 500 --measure new --beta 0.5 --credible-mass 0.9 --seed 2",
+        (
+            "measure      new\n"
+            "method       closed_form+mc\n"
+            "closed_mean  0.527227\n"
+            "closed_sd    0.003228\n"
+            "mc_mean      0.527222\n"
+            "mc_sd        0.003237\n"
+            "mc_mode      0.525391\n"
+            "ci_0.9       [0.521831, 0.532473]\n"
+            "seed         2\n"
+            "beta         0.5\n"
+        ),
+        {
+            "measure": "new",
+            "method": "closed_form+mc",
+            "closed_form": {"mean": 0.5272271351388556, "sd": 0.003227502126666598},
+            "mc": {
+                "mean": 0.5272221404689913,
+                "sd": 0.003236634064698387,
+                "mode": 0.525390625,
+                "quantiles": {
+                    "0.025": 0.5207425475153281,
+                    "0.25": 0.5250707449668197,
+                    "0.5": 0.5272589392445522,
+                    "0.75": 0.529424528501492,
+                    "0.975": 0.5334170420592801,
+                },
+                "credible_interval": {
+                    "lo": 0.5218306424901399,
+                    "hi": 0.5324726790515893,
+                    "mass": 0.9,
+                },
+            },
+            "metadata": {
+                "version": "0.1.0",
+                "rng": "sfc64",
+                "seed": 2,
+                "beta": 0.5,
+                "measure": "new",
+                "mc_samples": 100000,
+                "density_method": None,
+            },
+        },
+    ),
+    (
+        "--counts 0,0,0 --cs-count 0 --measure new --beta 0.5 --seed 0",
+        (
+            "measure      new\n"
+            "method       closed_form+mc\n"
+            "closed_mean  0.550000\n"
+            "closed_sd    0.203832\n"
+            "mc_mean      0.550835\n"
+            "mc_sd        0.204397\n"
+            "mc_mode      0.517578\n"
+            "ci_0.95      [0.110061, 0.922817]\n"
+            "seed         0\n"
+            "beta         0.5\n"
+        ),
+        {
+            "measure": "new",
+            "method": "closed_form+mc",
+            "closed_form": {"mean": 0.55, "sd": 0.20383233072213802},
+            "mc": {
+                "mean": 0.5508353292179636,
+                "sd": 0.20439654690282852,
+                "mode": 0.517578125,
+                "quantiles": {
+                    "0.025": 0.11006129345874106,
+                    "0.25": 0.42728026874619973,
+                    "0.5": 0.5653815137247524,
+                    "0.75": 0.6872922852673342,
+                    "0.975": 0.9228170877609582,
+                },
+                "credible_interval": {
+                    "lo": 0.11006129345874109,
+                    "hi": 0.9228170877609582,
+                    "mass": 0.95,
+                },
+            },
+            "metadata": {
+                "version": "0.1.0",
+                "rng": "sfc64",
+                "seed": 0,
+                "beta": 0.5,
+                "measure": "new",
+                "mc_samples": 100000,
+                "density_method": None,
+            },
+        },
+    ),
+]
+
+
+class TestPosteriorMcBlock:
+    """The `mc` block of `posterior`: the moments and histogram mode of the
+    sample as drawn, and its quantiles by np.quantile's rule."""
+
+    @pytest.mark.parametrize("argv, table, payload", PINNED_POSTERIOR)
+    def test_stdout_is_pinned(self, capsys, argv, table, payload):
+        assert run(capsys, "posterior", *argv.split()) == (0, table, "")
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, "posterior", *argv.split(), "--json") == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "measure, mass", [("new", 0.95), ("modified", 0.5), ("old", 0.9)]
+    )
+    def test_block_is_numpy_on_the_root_stream(self, capsys, measure, mass):
+        code, payload, _ = run_json(
+            capsys,
+            "posterior", "--counts", "4,2,7", "--cs-count", "1", "--measure", measure,
+            "--credible-mass", str(mass), "--mc-samples", "50000", "--seed", "12",
+        )
+        assert code == 0
+        posterior = posterior_update(
+            DirichletParams.symmetric(3, 1.0), CountVector(proper=(4, 2, 7), cs=1)
+        )
+        values = sample_transformed(posterior, (MeasureKind(measure),), 50_000, 12)[0]
+        mc = payload["mc"]
+        assert mc["mean"] == float(np.mean(values))
+        assert mc["sd"] == float(np.std(values))
+        assert mc["mode"] == histogram_mode(values)
+        levels = (0.025, 0.25, 0.5, 0.75, 0.975)
+        assert mc["quantiles"] == {str(p): float(np.quantile(values, p)) for p in levels}
+        tail = 0.5 * (1.0 - mass)  # as `posterior` computes it
+        lo, hi = np.quantile(values, [tail, 1.0 - tail])
+        assert mc["credible_interval"] == {"lo": float(lo), "hi": float(hi), "mass": mass}
+        inside = np.mean((values >= lo) & (values <= hi))
+        assert inside == pytest.approx(mass, abs=0.01)
+        if payload["closed_form"] is not None:
+            # Sanity against the exact moments at this sample size.
+            assert mc["mean"] == pytest.approx(payload["closed_form"]["mean"], abs=0.01)
+            assert mc["sd"] == pytest.approx(payload["closed_form"]["sd"], abs=0.01)
+
+    @pytest.mark.parametrize(
+        "option, value, error, message",
+        [
+            ("--mc-samples", "999", "TooFewSamples", "--mc-samples must be at least 1000"),
+            ("--credible-mass", "1", "DomainError", "credible mass 1.0 outside (0, 1)"),
+            ("--credible-mass", "0", "DomainError", "credible mass 0.0 outside (0, 1)"),
+            ("--credible-mass", "nan", "DomainError", "credible mass nan outside (0, 1)"),
+        ],
+    )
+    def test_refuses_bad_settings_before_drawing(
+        self, capsys, monkeypatch, tmp_path, option, value, error, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(ambiq.cli, "sample_transformed", no_draws)
+        density = tmp_path / "density.csv"
+        code, out, err = run(
+            capsys,
+            "posterior", "--counts", "3,1", "--cs-count", "1", "--measure", "old",
+            "--density", str(density), option, value, "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": error, "message": message}
+        assert not density.exists()
+
+
+class TestListOptions:
+    """Every comma-separated option goes through one parser: an empty list
+    exits 2 and names its option, in table and JSON mode alike."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("measure", "--counts", "1,1", "--measures", ","), "--measures"),
+            (
+                ("bias-curve", "--q", "0.5,0.3,0.2", "--n-values", "1,2", "--estimators", " , "),
+                "--estimators",
+            ),
+            (("score", "--input", "votes.jsonl", "--labels", ",", "--output", "r.json"), "--labels"),
+            (
+                (
+                    "score", "--input", "votes.jsonl", "--labels", "yes,no",
+                    "--measures", ",,", "--output", "r.json",
+                ),
+                "--measures",
+            ),
+        ],
+    )
+    def test_an_empty_list_names_its_option(self, capsys, monkeypatch, tmp_path, argv, option):
+        monkeypatch.chdir(tmp_path)
+        message = f"{option} must contain at least one value"
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "DomainError", "message": message}
+
+    def test_an_unknown_measure_is_not_called_a_number(self, capsys):
+        code, out, err = run(capsys, "measure", "--q", "0.5,0.5,0", "--measures", "new,bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --measures ")
+        assert "'bogus'" in err
+        assert "number" not in err
+
+    def test_entries_are_stripped(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "measure", "--q", "0.5,0.5,0", "--measures", " old , new "
+        )
+        assert code == 0
+        assert list(payload["measures"]) == ["old", "new"]
+
+
 class TestBiasCurveCommand:
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run(
@@ -164,6 +470,19 @@ class TestBiasCurveCommand:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
+    def test_prior_must_be_positive_and_finite(self, capsys, beta):
+        code, out, err = run(
+            capsys,
+            "bias-curve", "--q", "0.5,0.3,0.2", "--n-values", "1,2",
+            "--estimators", "plugin", "--beta", beta, "--json",
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "DomainError"
+        assert "prior concentration" in error["message"]
 
     def test_decreasing_n_values_is_exit_2_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -311,6 +630,20 @@ class TestScoreRankPipeline:
         assert code == 2
         assert out == ""
         assert "threshold" in err
+
+    def test_rank_refuses_a_csv_report_with_swapped_count_names(
+        self, capsys, annotations, tmp_path
+    ):
+        report = tmp_path / "report.csv"
+        run_json(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--output-format", "csv",
+        )
+        text = report.read_text()
+        assert ",count_1,count_2," in text.splitlines()[0]
+        report.write_text(text.replace(",count_1,count_2,", ",count_2,count_1,", 1))
+        self._rank_rejects(capsys, report, "csv", 1)
 
     def test_rank_refuses_csv_export_of_a_mixed_set(self, capsys, annotations, tmp_path):
         yes_no = tmp_path / "yes_no.json"

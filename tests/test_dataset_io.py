@@ -594,6 +594,16 @@ class TestImportMalformed:
         export_reports(reports, str(path), format=fmt)
         return path
 
+    @staticmethod
+    def _csv_rows(path):
+        with open(path, encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+
+    @staticmethod
+    def _write_csv_rows(path, rows):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+
     def test_json_element_without_measures(self, scored_reports, tmp_path):
         path = self._exported(scored_reports, tmp_path, "json")
         objs = json.loads(path.read_text())
@@ -628,8 +638,87 @@ class TestImportMalformed:
             csv.writer(handle).writerows([r[:drop] + r[drop + 1:] for r in rows])
         with pytest.raises(MalformedRow) as excinfo:
             import_reports(str(path), format="csv")
-        assert excinfo.value.row == 2
+        # The header is refused before any row is read.
+        assert excinfo.value.row == 1
         assert "count_cs" in excinfo.value.reason
+
+    def test_csv_with_swapped_count_names(self, tmp_path):
+        # Read in header order, count_1 = 2 would go to the second label.
+        reports = score_items(
+            {"a": CountVector(proper=(2, 1), cs=0)}, measures=(MeasureKind.NEW,), seed=0
+        )
+        path = self._exported(reports, tmp_path, "csv")
+        rows = self._csv_rows(path)
+        i, j = rows[0].index("count_1"), rows[0].index("count_2")
+        rows[0][i], rows[0][j] = rows[0][j], rows[0][i]
+        self._write_csv_rows(path, rows)
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="csv")
+        assert excinfo.value.row == 1
+
+    @pytest.mark.parametrize("mangle", ["swap_fields", "swap_plugins", "extra", "no_measure"])
+    def test_csv_header_must_be_the_export_layout(self, scored_reports, tmp_path, mangle):
+        path = self._exported(scored_reports, tmp_path, "csv")
+        rows = self._csv_rows(path)
+        header = rows[0]
+        if mangle == "swap_fields":
+            i, j = header.index("new_posterior_mean"), header.index("new_posterior_sd")
+            header[i], header[j] = header[j], header[i]
+        elif mangle == "swap_plugins":
+            i, j = header.index("new_plugin"), header.index("modified_plugin")
+            header[i], header[j] = header[j], header[i]
+        elif mangle == "extra":
+            rows = [row + ["note"] for row in rows]
+        else:
+            rows = [row[:-1] for row in rows]
+        self._write_csv_rows(path, rows)
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format="csv")
+        assert excinfo.value.row == 1
+
+    @pytest.mark.parametrize(
+        "fmt, field, value",
+        [
+            ("json", "n_total", 99),
+            ("json", "n_total", 3.0),
+            ("json", "n_total", True),
+            ("csv", "n_total", "99"),
+            ("json", "prior_only", True),
+            ("json", "prior_only", "false"),
+            ("json", "prior_only", None),
+            ("csv", "prior_only", "true"),
+            ("csv", "prior_only", "False"),
+            ("csv", "prior_only", ""),
+        ],
+    )
+    def test_totals_must_agree_with_counts(self, tmp_path, fmt, field, value):
+        reports = score_items(
+            {"a": CountVector(proper=(2, 1), cs=0)}, measures=(MeasureKind.NEW,), seed=0
+        )
+        path = self._exported(reports, tmp_path, fmt)
+        if fmt == "json":
+            objs = json.loads(path.read_text())
+            objs[0][field] = value
+            path.write_text(json.dumps(objs))
+        else:
+            rows = self._csv_rows(path)
+            rows[1][rows[0].index(field)] = value
+            self._write_csv_rows(path, rows)
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format=fmt)
+        assert excinfo.value.row == (1 if fmt == "json" else 2)
+        assert field in excinfo.value.reason
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_prior_only_item_must_say_so(self, tmp_path, fmt):
+        reports = score_items(
+            {"z": CountVector(proper=(0, 0), cs=0)}, measures=(MeasureKind.NEW,), seed=0
+        )
+        path = self._exported(reports, tmp_path, fmt)
+        path.write_text(path.read_text().replace("true", "false"))
+        with pytest.raises(MalformedRow) as excinfo:
+            import_reports(str(path), format=fmt)
+        assert "prior_only" in excinfo.value.reason
 
     def test_csv_row_shorter_than_header(self, scored_reports, tmp_path):
         path = self._exported(scored_reports, tmp_path, "csv")

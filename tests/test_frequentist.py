@@ -273,6 +273,18 @@ class TestBiasCurve:
         with pytest.raises(DomainError):
             bias_curve(q, n_values=n_values, mc_repeats=3, seed=0)
 
+    @pytest.mark.parametrize("prior_beta", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("estimators", [("plugin",), ("plugin", "bayes_mean")])
+    def test_prior_must_be_positive_and_finite(self, prior_beta, estimators, monkeypatch):
+        # Refused before any work, even when no Bayes column would use it.
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before validating prior_beta")
+
+        monkeypatch.setattr(frequentist, "ambiguity", no_work)
+        q = ProbabilityVector((0.5, 0.3), 0.2)
+        with pytest.raises(DomainError):
+            bias_curve(q, n_values=(1, 2), estimators=estimators, prior_beta=prior_beta)
+
     def test_estimator_names_constant(self):
         assert ESTIMATOR_NAMES == ("plugin", "bayes_mean", "bayes_mode")
 

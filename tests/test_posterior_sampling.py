@@ -1,8 +1,8 @@
 """Monte Carlo posterior layer: transformed-sample determinism and range,
-sample means against closed-form moments, scalar summaries (including the
-constant-sample mode convention), the histogram mode, the repeat-based
-density uncertainty bands, and the per-count-vector posterior summary
-against closed forms and an independent numpy Dirichlet sample.
+sample means against closed-form moments, sorted-sample quantiles against
+np.quantile (including a constant sample), the histogram mode, the
+repeat-based density uncertainty bands, and the per-count-vector posterior
+summary against closed forms and an independent numpy Dirichlet sample.
 """
 
 import math
@@ -19,21 +19,17 @@ from ambiq.posterior_analytics import (
     expected_amb,
     expected_amb_modified,
     posterior_moments,
-    var_amb,
 )
 from ambiq.posterior_sampling import (
     MODE_BINS,
     DensityEstimate,
     MeasureSummary,
-    PosteriorSummary,
     _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
     posterior_mean_sd,
     posterior_summaries,
-    posterior_summary,
     sample_transformed,
-    summarize,
 )
 
 PARAMS = DirichletParams(proper=(2.0, 1.0, 3.0), cs=1.0)
@@ -104,97 +100,11 @@ class TestSampleTransformed:
             )
 
 
-@pytest.fixture(scope="module")
-def sample():
-    return sample_transformed(PARAMS, (MeasureKind.NEW,), 50_000, seed=12)[0]
-
-
-class TestSummarize:
-
-    def test_moments(self, sample):
-        out = summarize(sample)
-        assert out.mean == pytest.approx(float(np.mean(sample)), abs=1e-15)
-        assert out.sd == pytest.approx(float(np.std(sample)), abs=1e-15)
-        # Sanity against the analytic posterior moments at this sample size.
-        assert out.mean == pytest.approx(expected_amb(PARAMS), abs=0.01)
-        assert out.sd == pytest.approx(math.sqrt(var_amb(PARAMS)), abs=0.01)
-
-    def test_default_quantile_levels(self, sample):
-        out = summarize(sample)
-        assert set(out.quantiles) == {0.025, 0.25, 0.5, 0.75, 0.975}
-        for level, value in out.quantiles.items():
-            assert value == float(np.quantile(sample, level))
-
-    def test_credible_interval_equal_tailed(self, sample):
-        out = summarize(sample, credible_mass=0.9)
-        lo, hi, mass = out.credible_interval
-        assert mass == 0.9
-        tail = 0.5 * (1.0 - 0.9)  # 0.04999999999999999, as summarize computes it
-        assert lo == float(np.quantile(sample, tail))
-        assert hi == float(np.quantile(sample, 1.0 - tail))
-        inside = np.mean((sample >= lo) & (sample <= hi))
-        assert inside == pytest.approx(0.9, abs=0.01)
-
-    def test_constant_sample_mode_is_the_constant(self):
-        values = np.full(2000, 0.37)
-        out = summarize(values)
-        assert out.mode == 0.37
-        assert out.sd == pytest.approx(0.0, abs=1e-15)
-        assert out.credible_interval[0] == 0.37
-        assert out.credible_interval[1] == 0.37
-
-    def test_leaves_the_sample_unchanged(self, sample):
-        before = sample.copy()
-        summarize(sample)
-        np.testing.assert_array_equal(sample, before)
-
-    def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
-            summarize(np.linspace(0.0, 1.0, 999))
-
-    def test_rejects_out_of_range_values(self):
-        values = np.linspace(0.0, 1.0, 2000).copy()
-        values[7] = 1.5
-        with pytest.raises(DomainError):
-            summarize(values)
-
-    def test_rejects_nan(self):
-        values = np.linspace(0.0, 1.0, 2000).copy()
-        values[0] = math.nan
-        with pytest.raises(DomainError):
-            summarize(values)
-
-    def test_rejects_bad_credible_mass(self):
-        values = np.linspace(0.0, 1.0, 2000)
-        with pytest.raises(DomainError):
-            summarize(values, credible_mass=1.0)
-        with pytest.raises(DomainError):
-            summarize(values, credible_mass=0.0)
-
-    def test_summary_type_validates(self):
-        with pytest.raises(DomainError):
-            PosteriorSummary(
-                mean=0.5,
-                mode=0.5,
-                sd=0.1,
-                quantiles={0.25: 0.6, 0.75: 0.4},
-                credible_interval=(0.3, 0.7, 0.95),
-            )
-        with pytest.raises(DomainError):
-            PosteriorSummary(
-                mean=0.5,
-                mode=0.5,
-                sd=0.1,
-                quantiles={0.5: 0.5},
-                credible_interval=(0.7, 0.3, 0.95),
-            )
-
-
 class TestSortedQuantiles:
     """_sorted_quantiles against np.quantile, compared as floats with ==."""
 
     # Fixed levels, then the (tail, 1 - tail) pair of each credible mass,
-    # computed as posterior_summaries and summarize compute them.
+    # computed as posterior_summaries and `ambiq posterior` compute them.
     LEVELS = [0.0, 1.0, 0.025, 0.25, 0.5, 0.75, 0.975, 0.1, 1.0 / 3.0] + [
         level
         for mass in (0.5, 0.9, 0.95, 0.99)
@@ -222,6 +132,14 @@ class TestSortedQuantiles:
             x = rng.random(n)
             levels = rng.random(50)
             assert _sorted_quantiles(np.sort(x), levels).tolist() == np.quantile(x, levels).tolist()
+
+    def test_constant_sample(self):
+        # Every quantile, the credible interval's ends included, and the
+        # histogram mode of a constant sample are the constant.
+        values = np.full(2000, 0.37)
+        assert set(_sorted_quantiles(values, self.LEVELS).tolist()) == {0.37}
+        assert histogram_mode(values) == 0.37
+        assert float(np.std(values)) == pytest.approx(0.0, abs=1e-15)
 
     def test_no_levels(self):
         assert _sorted_quantiles(np.sort(np.random.default_rng(2).random(10)), ()).size == 0
@@ -331,13 +249,18 @@ class TestDensityWithUncertainty:
             )
 
 
+def summary_of(counts, **settings):
+    """posterior_summaries of one count vector."""
+    return posterior_summaries((counts,), **settings)[counts]
+
+
 class TestPosteriorSummary:
     COUNTS = CountVector(proper=(4, 0, 2), cs=1)
     POSTERIOR = DirichletParams(proper=(5.0, 1.0, 3.0), cs=2.0)
 
     @pytest.fixture(scope="class")
     def summary(self):
-        return posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
+        return summary_of(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -396,9 +319,9 @@ class TestPosteriorSummary:
             assert summary[kind.value].plugin == ambiguity(q, kind)
 
     def test_stream_keyed_on_counts(self, summary):
-        again = posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
+        again = summary_of(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
         assert again == summary
-        other_seed = posterior_summary(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=5)
+        other_seed = summary_of(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=5)
         assert other_seed["old"].posterior_mean != summary["old"].posterior_mean
 
     def test_many_vectors_match_one_at_a_time(self):
@@ -411,10 +334,10 @@ class TestPosteriorSummary:
         together = posterior_summaries(vectors, mc_samples=2000, seed=7)
         assert list(together) == [vectors[0], vectors[1], vectors[3]]
         for counts in vectors:
-            assert together[counts] == posterior_summary(counts, mc_samples=2000, seed=7)
+            assert together[counts] == summary_of(counts, mc_samples=2000, seed=7)
 
     def test_prior_only_counts(self):
-        out = posterior_summary(CountVector(proper=(0, 0), cs=0), measures=(MeasureKind.NEW,))
+        out = summary_of(CountVector(proper=(0, 0), cs=0), measures=(MeasureKind.NEW,))
         assert list(out) == ["new"]
         assert out["new"].plugin is None
         # Prior Dir(1, 1 | 1): mean 5/9.
@@ -422,13 +345,13 @@ class TestPosteriorSummary:
 
     def test_rejects_bad_settings(self):
         with pytest.raises(TooFewSamples):
-            posterior_summary(self.COUNTS, mc_samples=999)
+            summary_of(self.COUNTS, mc_samples=999)
         with pytest.raises(DomainError):
-            posterior_summary(self.COUNTS, credible_mass=1.0)
+            summary_of(self.COUNTS, credible_mass=1.0)
         with pytest.raises(DomainError):
-            posterior_summary(self.COUNTS, prior_beta=0.0)
+            summary_of(self.COUNTS, prior_beta=0.0)
         with pytest.raises(DomainError):
-            posterior_summary(self.COUNTS, measures=())
+            summary_of(self.COUNTS, measures=())
 
 
 # posterior_summaries at C = 1-5, including zero counts, can't-solve-only
