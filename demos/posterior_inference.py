@@ -19,7 +19,7 @@ from ambiq import (
     MeasureKind,
     expected_normalized_entropy,
     histogram_mode,
-    posterior_moments,
+    posterior_mean_sd,
     posterior_update,
     sample_transformed,
 )
@@ -39,8 +39,8 @@ def main() -> None:
 
     print("Closed-form posterior moments of the ambiguity value:")
     for kind in (MeasureKind.NEW, MeasureKind.MODIFIED):
-        moments = posterior_moments(posterior, kind)
-        print(f"  {kind.value:<9} mean {moments.mean:.4f}   sd {moments.sd:.4f}")
+        mean, sd = posterior_mean_sd(posterior, kind)
+        print(f"  {kind.value:<9} mean {mean:.4f}   sd {sd:.4f}")
     print()
 
     print("The same posterior, summarized from 100k Monte Carlo draws")
@@ -70,8 +70,8 @@ def main() -> None:
             proper=(counts.proper[0] * scale, counts.proper[1] * scale),
             cs=counts.cs * scale,
         )
-        moments = posterior_moments(posterior_update(prior, scaled), MeasureKind.NEW)
-        print(f"  {scaled.total:>4} {moments.mean:>8.4f} {moments.sd:>8.4f}")
+        mean, sd = posterior_mean_sd(posterior_update(prior, scaled), MeasureKind.NEW)
+        print(f"  {scaled.total:>4} {mean:>8.4f} {sd:>8.4f}")
 
 
 if __name__ == "__main__":

@@ -27,12 +27,11 @@ from .numerics import (  # noqa: F401
     make_generator,
 )
 from .posterior_analytics import (  # noqa: F401
-    PosteriorMoments,
     cov_amb_qcs,
     expected_amb,
     expected_amb_modified,
     expected_normalized_entropy,
-    posterior_moments,
+    posterior_mean_sd,
     posterior_update,
     var_amb,
     var_amb_modified,
@@ -43,7 +42,6 @@ from .posterior_sampling import (  # noqa: F401
     MeasureSummary,
     density_with_uncertainty,
     histogram_mode,
-    posterior_mean_sd,
     posterior_summaries,
     sample_transformed,
 )

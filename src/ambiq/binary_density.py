@@ -56,7 +56,7 @@ import numpy as np
 from .exceptions import DomainError
 from .measures import MeasureKind
 from .numerics import DirichletParams, QuadratureResult, beta_pdf_pair, regularized_incomplete_beta
-from .posterior_analytics import posterior_moments
+from .posterior_analytics import posterior_mean_sd
 
 __all__ = [
     "BinaryCounts",
@@ -340,9 +340,9 @@ def _curve_grid(counts: BinaryCounts, prior_beta: float, measure: MeasureKind, n
     the point nearest 1/2 moves onto the kink.
     """
     cond, cs = _beta_params(counts, prior_beta)
-    moments = posterior_moments(DirichletParams(proper=cond, cs=cs[0]), measure)
+    mean, sd = posterior_mean_sd(DirichletParams(proper=cond, cs=cs[0]), measure)
     first, last = _CURVE_EDGE, 1.0 - _CURVE_EDGE
-    bulk = np.clip(moments.mean + _CURVE_BULK_SD * moments.sd * np.array([-1.0, 1.0]), first, last)
+    bulk = np.clip(mean + _CURVE_BULK_SD * sd * np.array([-1.0, 1.0]), first, last)
     knots = np.array([first, bulk[0], bulk[1], last])
     # Share of the points at or below each knot: half spread evenly over
     # the whole range, half over the bulk.

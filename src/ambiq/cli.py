@@ -49,14 +49,13 @@ from .measures import (
     ambiguity,
 )
 from .numerics import DirichletParams, make_generator
-from .posterior_analytics import posterior_moments, posterior_update
+from .posterior_analytics import posterior_mean_sd, posterior_update
 from .posterior_sampling import (
     _MIN_SAMPLES,
     DensityEstimate,
     _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
-    posterior_mean_sd,
     sample_transformed,
 )
 
@@ -256,8 +255,8 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     # the Monte Carlo path alone and the output says so.
     closed = None
     if measure is not MeasureKind.OLD:
-        moments = posterior_moments(posterior, measure)
-        closed = {"mean": moments.mean, "sd": moments.sd}
+        mean, sd = posterior_mean_sd(posterior, measure)
+        closed = {"mean": mean, "sd": sd}
     _check_mc_samples(args.mc_samples)
     mass = args.credible_mass
     if not 0.0 < mass < 1.0:

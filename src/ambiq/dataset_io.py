@@ -62,7 +62,6 @@ class LoadResult:
     """
 
     items: Mapping[str, CountVector]
-    schema: CategorySchema
     n_rows: int
     n_duplicate_pairs: int
     n_unknown_skipped: int
@@ -215,7 +214,6 @@ def load_records(
     }
     return LoadResult(
         items=items,
-        schema=schema,
         n_rows=n_rows,
         n_duplicate_pairs=n_duplicates,
         n_unknown_skipped=n_skipped,

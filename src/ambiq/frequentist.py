@@ -19,7 +19,7 @@ to validate the exact expectations, not as a production path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -27,8 +27,8 @@ import numpy as np
 from .exceptions import DomainError, EmptySample, SingleCategoryUnsupported, TooLarge
 from .measures import MeasureKind, ProbabilityVector, ambiguity, modified_from_new
 from .numerics import DirichletParams, ln_gamma, make_generator
-from .posterior_analytics import posterior_update
-from .posterior_sampling import histogram_mode, posterior_mean_sd, sample_transformed
+from .posterior_analytics import posterior_mean_sd, posterior_update
+from .posterior_sampling import histogram_mode, sample_transformed
 
 __all__ = [
     "CountVector",
@@ -104,7 +104,6 @@ class BiasSeries:
     labels: tuple[str, ...]
     bias: Mapping[str, tuple[float, ...]]
     stderr: Mapping[str, tuple[float, ...]]
-    measure: MeasureKind = field(default=MeasureKind.NEW)
 
     def __post_init__(self):
         _check_sample_sizes(self.n_values)
@@ -298,9 +297,11 @@ def bias_curve(
     draws from the substream (seed, (n_index, r)), shared by both Bayes
     columns, so the whole curve is reproducible from the single seed.
     """
-    for name in estimators:
+    for index, name in enumerate(estimators):
         if name not in ESTIMATOR_NAMES:
             raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
+        if name in estimators[:index]:
+            raise DomainError(f"estimator {name!r} is listed more than once")
     if not estimators:
         raise DomainError("need at least one estimator")
     if mc_repeats < 1:
@@ -362,7 +363,6 @@ def bias_curve(
         labels=labels,
         bias={k: tuple(v) for k, v in bias.items()},
         stderr={k: tuple(v) for k, v in stderr.items()},
-        measure=measure,
     )
 
 

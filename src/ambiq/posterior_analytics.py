@@ -17,15 +17,15 @@ Notation used throughout: E = E(amb), and the two abbreviations
 The second moment is E(amb^2) = R + S [1 - E]^2 + 2E - 1; subtracting E^2
 gives the variance R + (S - 1) [1 - E]^2, which var_amb evaluates.
 
-The total-variation measure's posterior moments are not implemented here
-(its mean needs regularized incomplete Beta functions); that measure is
-summarized by Monte Carlo only, elsewhere.
+posterior_mean_sd is the package's one (mean, sd) of a measure under a
+Dirichlet: the closed forms below for the quadratic measures, and for
+total variation, which has none (its mean needs regularized incomplete
+Beta functions), the moments of a Monte Carlo sample the caller draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .exceptions import (
@@ -38,10 +38,11 @@ from .measures import MeasureKind, modified_from_new
 from .numerics import DirichletParams, digamma
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .frequentist import CountVector
 
 __all__ = [
-    "PosteriorMoments",
     "posterior_update",
     "expected_normalized_entropy",
     "expected_amb",
@@ -50,33 +51,12 @@ __all__ = [
     "var_qcs",
     "cov_amb_qcs",
     "var_amb_modified",
-    "posterior_moments",
+    "posterior_mean_sd",
 ]
 
 # Negative-variance rounding noise below this is clamped to zero; anything
 # larger means a transcription bug in a formula, and we want to hear it.
 _VARIANCE_NOISE = 1e-12
-
-
-@dataclass(frozen=True)
-class PosteriorMoments:
-    """First two moments of one ambiguity measure under a Dirichlet law."""
-
-    mean: float
-    variance: float
-    measure: MeasureKind
-
-    def __post_init__(self):
-        if self.variance < 0.0:
-            raise InternalConsistencyError(f"negative variance {self.variance!r}")
-
-    @property
-    def second_moment(self) -> float:
-        return self.variance + self.mean * self.mean
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
 
 
 def posterior_update(prior: DirichletParams, counts: "CountVector") -> DirichletParams:
@@ -194,20 +174,25 @@ def var_amb_modified(params: DirichletParams) -> float:
     return max(0.0, value)
 
 
-def posterior_moments(params: DirichletParams, measure: MeasureKind) -> PosteriorMoments:
-    """Bundle mean and variance for a measure with closed forms.
+def posterior_mean_sd(
+    params: DirichletParams,
+    measure: MeasureKind,
+    values: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """(mean, sd) of a measure under Dir(params).
+
+    The quadratic measures use the closed-form moments and ignore values;
+    total variation has none, so its mean and sd are the moments of the
+    Monte Carlo sample `values`, drawn from Dir(params) by the caller.
 
     Raises:
         SingleCategoryUnsupported: Modified with C = 1.
-        DomainError: for the total-variation measure, which has no
-            elementary moments; summarize it by Monte Carlo instead.
+        DomainError: total variation without a sample.
     """
     if measure is MeasureKind.NEW:
-        return PosteriorMoments(expected_amb(params), var_amb(params), measure)
+        return expected_amb(params), math.sqrt(var_amb(params))
     if measure is MeasureKind.MODIFIED:
-        return PosteriorMoments(
-            expected_amb_modified(params), var_amb_modified(params), measure
-        )
-    raise DomainError(
-        "no closed-form moments for the total-variation measure; use Monte Carlo"
-    )
+        return expected_amb_modified(params), math.sqrt(var_amb_modified(params))
+    if values is None:
+        raise DomainError("the total-variation measure needs a Monte Carlo sample")
+    return float(values.mean()), float(values.std())

@@ -11,10 +11,12 @@ reproducible without coordination between callers.
 
 posterior_summaries is the per-count-vector summary, and MeasureSummary
 its record: one sample per distinct count vector, drawn from a stream
-keyed on the counts themselves, feeds every measure's interval, while the
-quadratic measures take their mean and sd from the closed forms. A
-vector's summary depends only on (counts, prior, measures, sample size,
-credible mass, seed), never on the other vectors it is summarized with.
+keyed on the counts themselves, feeds every measure's interval. Each
+measure's mean and sd come from posterior_analytics.posterior_mean_sd:
+the closed forms for the quadratic measures, and that same sample's
+moments for total variation, which has no closed form. A vector's summary
+depends only on (counts, prior, measures, sample size, credible mass,
+seed), never on the other vectors it is summarized with.
 
 Quantiles and credible intervals are read off a sorted sample by
 _sorted_quantiles, Hyndman and Fan's type 7 rule (linear interpolation
@@ -38,7 +40,7 @@ import numpy as np
 from .exceptions import DomainError, TooFewSamples
 from .measures import MeasureKind, measure_arrays
 from .numerics import DirichletParams, dirichlet_sample
-from .posterior_analytics import posterior_moments, posterior_update
+from .posterior_analytics import posterior_mean_sd, posterior_update
 
 if TYPE_CHECKING:
     from .frequentist import CountVector
@@ -49,7 +51,6 @@ __all__ = [
     "MODE_BINS",
     "sample_transformed",
     "histogram_mode",
-    "posterior_mean_sd",
     "posterior_summaries",
     "density_with_uncertainty",
 ]
@@ -183,25 +184,6 @@ def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.
     b = sorted_values[np.where(top, -1, i + 1)]
     d = b - a
     return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
-
-
-def posterior_mean_sd(
-    params: DirichletParams,
-    measure: MeasureKind,
-    values: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """(mean, sd) of a measure under Dir(params).
-
-    The quadratic measures use the closed-form moments and ignore values;
-    total variation has none, so its mean and sd are the moments of the
-    Monte Carlo sample `values`, drawn from Dir(params) by the caller.
-    """
-    if measure is MeasureKind.OLD:
-        if values is None:
-            raise DomainError("the total-variation measure needs a Monte Carlo sample")
-        return float(values.mean()), float(values.std())
-    moments = posterior_moments(params, measure)
-    return moments.mean, moments.sd
 
 
 def posterior_summaries(

@@ -484,6 +484,21 @@ class TestBiasCurveCommand:
         assert error["error"] == "DomainError"
         assert "prior concentration" in error["message"]
 
+    @pytest.mark.parametrize("name", ["plugin", "bayes_mean"])
+    def test_repeated_estimator_is_exit_2_before_any_draw(self, capsys, name, sfc64_streams):
+        code, out, err = run(
+            capsys,
+            "bias-curve", "--q", "0.5,0.3,0.2", "--n-values", "1,2",
+            "--estimators", f"{name},{name}", "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": f"estimator '{name}' is listed more than once",
+        }
+        assert sfc64_streams == []
+
     def test_decreasing_n_values_is_exit_2_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a posterior sample before validating --n-values")
@@ -497,7 +512,91 @@ class TestBiasCurveCommand:
         assert json.loads(err)["error"] == "DomainError"
 
 
+# `prior-explore` stdout, table and JSON, for each measure: the quadratic
+# measures' mean and sd are closed forms, total variation's are the moments
+# of the table's sample.
+PINNED_PRIOR_EXPLORE = [
+    (
+        "--n-categories 3 --betas 0.5,1 --measure new --mc-samples 5000 --seed 3",
+        (
+            "beta      mean      sd        mode\n"
+            "0.5       0.550000  0.203832  0.556641\n"
+            "1         0.625000  0.139194  0.638672\n"
+        ),
+        {
+            "measure": "new",
+            "n_categories": 3,
+            "priors": [
+                {"beta": 0.5, "mean": 0.55, "sd": 0.20383233072213802, "mode": 0.556640625},
+                {"beta": 1.0, "mean": 0.625, "sd": 0.1391941090707506, "mode": 0.638671875},
+            ],
+            "metadata": {"version": "0.1.0", "rng": "sfc64", "seed": 3, "measure": "new"},
+        },
+    ),
+    (
+        "--n-categories 2 --betas 0.5,2 --measure modified --mc-samples 5000 --seed 1",
+        (
+            "beta      mean      sd        mode\n"
+            "0.5       0.666667  0.298142  0.998047\n"
+            "2         0.866667  0.151785  0.998047\n"
+        ),
+        {
+            "measure": "modified",
+            "n_categories": 2,
+            "priors": [
+                {
+                    "beta": 0.5,
+                    "mean": 0.6666666666666667,
+                    "sd": 0.2981423969999719,
+                    "mode": 0.998046875,
+                },
+                {
+                    "beta": 2.0,
+                    "mean": 0.8666666666666667,
+                    "sd": 0.1517845471477067,
+                    "mode": 0.998046875,
+                },
+            ],
+            "metadata": {"version": "0.1.0", "rng": "sfc64", "seed": 1, "measure": "modified"},
+        },
+    ),
+    (
+        "--n-categories 4 --betas 0.5,1 --measure old --mc-samples 5000 --seed 3",
+        (
+            "beta      mean      sd        mode\n"
+            "0.5       0.562776  0.186707  0.673828\n"
+            "1         0.663250  0.144061  0.740234\n"
+        ),
+        {
+            "measure": "old",
+            "n_categories": 4,
+            "priors": [
+                {
+                    "beta": 0.5,
+                    "mean": 0.5627762377747643,
+                    "sd": 0.18670736989792494,
+                    "mode": 0.673828125,
+                },
+                {
+                    "beta": 1.0,
+                    "mean": 0.6632501372181996,
+                    "sd": 0.14406108302586468,
+                    "mode": 0.740234375,
+                },
+            ],
+            "metadata": {"version": "0.1.0", "rng": "sfc64", "seed": 3, "measure": "old"},
+        },
+    ),
+]
+
+
 class TestPriorExploreCommand:
+    @pytest.mark.parametrize("argv, table, payload", PINNED_PRIOR_EXPLORE)
+    def test_stdout_is_pinned(self, capsys, argv, table, payload):
+        assert run(capsys, "prior-explore", *argv.split()) == (0, table, "")
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, "prior-explore", *argv.split(), "--json") == (0, expected, "")
+
     def test_per_beta_entries(self, capsys):
         code, payload, _ = run_json(
             capsys,
@@ -522,35 +621,19 @@ class TestPriorExploreCommand:
         assert payload["priors"][0]["mean"] == pytest.approx(5.0 / 9.0, abs=1e-12)
 
 
-    def test_table_and_density_draw_different_streams(self, capsys, tmp_path, monkeypatch):
+    def test_table_and_density_draw_different_streams(self, capsys, tmp_path, sfc64_streams):
         # The table's sample and every density repeat must come from their
         # own streams: record the seed and spawn key of every generator.
-        streams = []
-        sfc64 = np.random.SFC64
-
-        def recording_sfc64(seed_sequence):
-            streams.append((seed_sequence.entropy, seed_sequence.spawn_key))
-            return sfc64(seed_sequence)
-
-        monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
         code, _, _ = run(
             capsys,
             "prior-explore", "--n-categories", "3", "--betas", "0.5,1",
             "--mc-samples", "1000", "--density", str(tmp_path / "band.csv"),
         )
         assert code == 0
-        assert len(streams) == 2 + 2 * 100
-        assert len(set(streams)) == len(streams)
+        assert len(sfc64_streams) == 2 + 2 * 100
+        assert len(set(sfc64_streams)) == len(sfc64_streams)
 
-    def test_too_few_samples_is_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch):
-        streams = []
-        sfc64 = np.random.SFC64
-
-        def recording_sfc64(seed_sequence):
-            streams.append(seed_sequence.spawn_key)
-            return sfc64(seed_sequence)
-
-        monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
+    def test_too_few_samples_is_exit_2_before_any_draw(self, capsys, tmp_path, sfc64_streams):
         band = tmp_path / "band.csv"
         code, out, err = run(
             capsys,
@@ -560,7 +643,7 @@ class TestPriorExploreCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "TooFewSamples"
-        assert streams == []
+        assert sfc64_streams == []
         assert not band.exists()
 
 

@@ -32,7 +32,8 @@ from ambiq.measures import (
     ambiguity_new,
 )
 from ambiq.numerics import DirichletParams, make_generator
-from ambiq.posterior_sampling import MODE_BINS, posterior_mean_sd
+from ambiq.posterior_analytics import posterior_mean_sd
+from ambiq.posterior_sampling import MODE_BINS
 
 
 def random_q(rng, n_proper=2, max_cs=0.9):
@@ -245,6 +246,16 @@ class TestBiasCurve:
         q = ProbabilityVector((0.6, 0.3), 0.1)
         with pytest.raises(DomainError):
             bias_curve(q, n_values=(1, 2), estimators=("bogus",), mc_repeats=5, seed=0)
+
+    @pytest.mark.parametrize(
+        "estimators",
+        [("plugin", "plugin"), ("bayes_mean", "bayes_mean"), ("plugin", "bayes_mode", "bayes_mode")],
+    )
+    def test_repeated_estimator_rejected_before_any_draw(self, estimators, sfc64_streams):
+        q = ProbabilityVector((0.5, 0.3), 0.2)
+        with pytest.raises(DomainError, match=f"estimator '{estimators[-1]}' is listed more"):
+            bias_curve(q, n_values=(1, 2), estimators=estimators, mc_repeats=3, seed=0)
+        assert sfc64_streams == []
 
     @pytest.mark.parametrize("mc_repeats", [0, -1])
     def test_nonpositive_repeats_rejected(self, mc_repeats):
@@ -486,7 +497,6 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode
         labels=labels,
         bias={k: tuple(v) for k, v in bias.items()},
         stderr={k: tuple(v) for k, v in stderr.items()},
-        measure=measure,
     )
 
 
@@ -496,20 +506,6 @@ def test_bias_curve_equals_reference_loop(measure):
     kwargs = dict(measure=measure, mc_repeats=6, seed=17, mc_samples_mode=2000)
     expected = reference_bias_curve(q, (2, 7), **kwargs)
     assert bias_curve(q, n_values=(2, 7), **kwargs) == expected
-
-
-@pytest.fixture()
-def sfc64_streams(monkeypatch):
-    """(seed, spawn key) of every SFC64 generator built during the test."""
-    streams = []
-    sfc64 = np.random.SFC64
-
-    def recording_sfc64(seed_sequence):
-        streams.append((seed_sequence.entropy, seed_sequence.spawn_key))
-        return sfc64(seed_sequence)
-
-    monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
-    return streams
 
 
 @pytest.mark.parametrize("measure", list(MeasureKind))

@@ -20,7 +20,6 @@ import scipy.special
 
 from ambiq.exceptions import (
     DomainError,
-    InternalConsistencyError,
     ShapeMismatch,
     SingleCategoryUnsupported,
 )
@@ -28,12 +27,11 @@ from ambiq.frequentist import CountVector
 from ambiq.measures import MeasureKind, ambiguity_array
 from ambiq.numerics import DirichletParams, dirichlet_sample
 from ambiq.posterior_analytics import (
-    PosteriorMoments,
     cov_amb_qcs,
     expected_amb,
     expected_amb_modified,
     expected_normalized_entropy,
-    posterior_moments,
+    posterior_mean_sd,
     posterior_update,
     var_amb,
     var_amb_modified,
@@ -73,8 +71,8 @@ class TestExpectedAmb:
 
 class TestSecondMomentAndVariance:
     def test_unit_symmetric_oracles(self):
-        moments = posterior_moments(UNIT_SYMMETRIC, MeasureKind.NEW)
-        assert moments.second_moment == pytest.approx(31.0 / 90.0, abs=1e-15)
+        mean, sd = posterior_mean_sd(UNIT_SYMMETRIC, MeasureKind.NEW)
+        assert sd * sd + mean * mean == pytest.approx(31.0 / 90.0, abs=1e-15)
         assert var_amb(UNIT_SYMMETRIC) == pytest.approx(29.0 / 810.0, abs=1e-15)
 
     def test_single_category_reduces_to_beta_variance(self):
@@ -105,8 +103,8 @@ class TestSecondMomentAndVariance:
             mean = expected_amb(params)
             second = r + s * (1.0 - mean) ** 2 + 2.0 * mean - 1.0
             assert var_amb(params) == pytest.approx(second - mean**2, abs=1e-12)
-            moments = posterior_moments(params, MeasureKind.NEW)
-            assert moments.second_moment == pytest.approx(second, abs=1e-12)
+            mean, sd = posterior_mean_sd(params, MeasureKind.NEW)
+            assert sd * sd + mean * mean == pytest.approx(second, abs=1e-12)
 
     def test_variance_nonnegative_for_concentrated_posteriors(self):
         params = DirichletParams(proper=(400.0, 2.0), cs=1.0)
@@ -258,23 +256,18 @@ class TestPosteriorUpdate:
             posterior_update(prior, CountVector(proper=(1, 2, 3), cs=0))
 
 
-class TestPosteriorMoments:
-    def test_bundles_match_components(self):
+class TestPosteriorMeanSd:
+    def test_quadratic_measures_are_the_closed_forms(self):
         params = DirichletParams(proper=(2.0, 3.0, 1.0), cs=1.5)
-        new = posterior_moments(params, MeasureKind.NEW)
-        assert new.mean == expected_amb(params)
-        assert new.variance == pytest.approx(var_amb(params), abs=1e-15)
-        assert new.measure is MeasureKind.NEW
-        assert new.sd == pytest.approx(math.sqrt(new.variance))
-
-        modified = posterior_moments(params, MeasureKind.MODIFIED)
-        assert modified.mean == expected_amb_modified(params)
-        assert modified.variance == pytest.approx(var_amb_modified(params), abs=1e-15)
+        assert posterior_mean_sd(params, MeasureKind.NEW) == (
+            expected_amb(params),
+            math.sqrt(var_amb(params)),
+        )
+        assert posterior_mean_sd(params, MeasureKind.MODIFIED) == (
+            expected_amb_modified(params),
+            math.sqrt(var_amb_modified(params)),
+        )
 
     def test_old_measure_has_no_closed_form(self):
         with pytest.raises(DomainError):
-            posterior_moments(DirichletParams.symmetric(2, 1.0), MeasureKind.OLD)
-
-    def test_consistency_check_rejects_bad_bundle(self):
-        with pytest.raises(InternalConsistencyError):
-            PosteriorMoments(mean=0.5, variance=-0.01, measure=MeasureKind.NEW)
+            posterior_mean_sd(DirichletParams.symmetric(2, 1.0), MeasureKind.OLD)
