@@ -11,6 +11,7 @@ summaries, and an exact posterior density for binary tasks.
 from .exceptions import *  # noqa: F401,F403
 from .measures import (  # noqa: F401
     CategorySchema,
+    CountVector,
     MeasureKind,
     ProbabilityVector,
     ambiguity,
@@ -54,7 +55,6 @@ from .binary_density import (  # noqa: F401
 )
 from .frequentist import (  # noqa: F401
     BiasSeries,
-    CountVector,
     bias_curve,
     bias_plugin,
     exhaustive_expected_estimator,

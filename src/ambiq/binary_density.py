@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .measures import MeasureKind
+from .measures import CountVector, MeasureKind
 from .numerics import DirichletParams, QuadratureResult, beta_pdf_pair, regularized_incomplete_beta
 from .posterior_analytics import posterior_mean_sd
 
@@ -82,10 +82,8 @@ class BinaryCounts:
     n_cs: int
 
     def __post_init__(self):
-        for name in ("n_plus", "n_minus", "n_cs"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+        # Checked by the rule of every count record.
+        CountVector((self.n_plus, self.n_minus), self.n_cs)
 
     @property
     def total(self) -> int:

@@ -41,9 +41,10 @@ from .dataset_io import (
     score_items,
 )
 from .exceptions import AmbiqError, DataFileError, DomainError, TooFewSamples
-from .frequentist import ESTIMATOR_NAMES, CountVector, bias_curve
+from .frequentist import ESTIMATOR_NAMES, bias_curve
 from .measures import (
     CategorySchema,
+    CountVector,
     MeasureKind,
     ProbabilityVector,
     ambiguity,

@@ -30,8 +30,7 @@ from .exceptions import (
     MissingField,
     UnknownLabel,
 )
-from .frequentist import CountVector
-from .measures import CategorySchema, MeasureKind
+from .measures import CategorySchema, CountVector, MeasureKind
 from .posterior_sampling import MeasureSummary, posterior_summaries
 
 __all__ = [
@@ -223,11 +222,7 @@ def load_records(
 def score_items(
     items: Mapping[str, CountVector],
     prior_beta: float = 1.0,
-    measures: Sequence[MeasureKind] = (
-        MeasureKind.NEW,
-        MeasureKind.MODIFIED,
-        MeasureKind.OLD,
-    ),
+    measures: Sequence[MeasureKind] = tuple(MeasureKind),
     credible_mass: float = 0.95,
     mc_samples: int = 20_000,
     seed: int = 0,
@@ -246,8 +241,8 @@ def score_items(
 
     Raises:
         TooFewSamples: mc_samples below 1000.
-        DomainError: credible_mass outside (0, 1), a nonpositive prior, or
-            no measures.
+        DomainError: credible_mass outside (0, 1), a prior that is not
+            positive and finite, or no measures.
     """
     summaries = posterior_summaries(
         items.values(), prior_beta, measures, mc_samples, credible_mass, seed

@@ -9,7 +9,7 @@ negative at every finite n: squared frequencies are biased-up estimates of
 squared probabilities, and the measure subtracts them. bias_curve sets the
 plug-in beside the Bayesian alternatives, the posterior mean and mode under
 a symmetric Dirichlet prior, whose bias it estimates by Monte Carlo over
-repeated count draws.
+repeated count draws. Counts arrive as measures.CountVector records.
 
 exhaustive_expected_estimator enumerates count vectors exhaustively and is
 deliberately capped at small n and few categories; it exists as an oracle
@@ -24,14 +24,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, EmptySample, SingleCategoryUnsupported, TooLarge
-from .measures import MeasureKind, ProbabilityVector, ambiguity, modified_from_new
+from .exceptions import DomainError, SingleCategoryUnsupported, TooLarge
+from .measures import CountVector, MeasureKind, ProbabilityVector, ambiguity, modified_from_new
 from .numerics import DirichletParams, ln_gamma, make_generator
 from .posterior_analytics import posterior_mean_sd, posterior_update
-from .posterior_sampling import histogram_mode, sample_transformed
+from .posterior_sampling import _sample_buffer, histogram_mode, sample_transformed
 
 __all__ = [
-    "CountVector",
     "BiasSeries",
     "ESTIMATOR_NAMES",
     "plugin_estimate",
@@ -48,47 +47,8 @@ _EXHAUSTIVE_MAX_CATEGORIES = 4
 
 ESTIMATOR_NAMES = ("plugin", "bayes_mean", "bayes_mode")
 
-_DEFAULT_MODE_SAMPLES = 20_000
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Response counts: one integer per proper category plus can't-solve."""
-
-    proper: tuple[int, ...]
-    cs: int = 0
-
-    def __post_init__(self):
-        for v in tuple(self.proper) + (self.cs,):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise DomainError(f"counts must be integers; got {v!r}")
-        object.__setattr__(self, "proper", tuple(int(v) for v in self.proper))
-        object.__setattr__(self, "cs", int(self.cs))
-        if len(self.proper) < 1:
-            raise DomainError("need at least one proper category")
-        if any(v < 0 for v in self.proper) or self.cs < 0:
-            raise DomainError("counts must be nonnegative")
-
-    @property
-    def n_proper(self) -> int:
-        return len(self.proper)
-
-    @property
-    def total(self) -> int:
-        return sum(self.proper) + self.cs
-
-    def as_probability_vector(self) -> ProbabilityVector:
-        """Empirical frequencies.
-
-        Raises:
-            EmptySample: with no responses there is no frequency vector.
-        """
-        n = self.total
-        if n == 0:
-            raise EmptySample("cannot form frequencies from zero responses")
-        return ProbabilityVector(
-            proper=tuple(v / n for v in self.proper), cs=self.cs / n
-        )
+# Draws in each bias_curve repeat's posterior sample.
+_MODE_SAMPLES = 20_000
 
 
 @dataclass(frozen=True)
@@ -283,7 +243,6 @@ def bias_curve(
     measure: MeasureKind = MeasureKind.NEW,
     mc_repeats: int = 200,
     seed: int = 0,
-    mc_samples_mode: int = _DEFAULT_MODE_SAMPLES,
 ) -> BiasSeries:
     """Bias of the requested estimators at each sample size.
 
@@ -293,7 +252,7 @@ def bias_curve(
     sample size from the stream (seed, (n_index,)), and no counts are
     drawn when only the plug-in is requested. Repeat r's posterior mean is
     closed-form for the quadratic measures; its mode, and its mean for
-    total variation, come from one posterior sample of mc_samples_mode
+    total variation, come from one posterior sample of 20 000
     draws from the substream (seed, (n_index, r)), shared by both Bayes
     columns, so the whole curve is reproducible from the single seed.
     """
@@ -324,11 +283,9 @@ def bias_curve(
     need_sample = bool(bayes_names) and (
         "bayes_mode" in bayes_names or measure is MeasureKind.OLD
     )
-    if need_sample and mc_samples_mode < 1:
-        raise DomainError(f"mc_samples_mode must be at least 1, got {mc_samples_mode}")
     # Every repeat's sample is drawn and measured in this one buffer, so no
     # repeat hands its memory back to malloc for the next to fault in again.
-    buffer = np.empty((n_cat + 4, mc_samples_mode)) if need_sample else None
+    buffer = _sample_buffer(n_cat, 1, _MODE_SAMPLES) if need_sample else None
 
     for n_index, n in enumerate(n_tuple):
         estimates = {name: np.empty(mc_repeats) for name in bayes_names}
@@ -340,7 +297,7 @@ def bias_curve(
                 )
                 values = (
                     sample_transformed(
-                        post, (measure,), mc_samples_mode, seed, (n_index, r), out=buffer
+                        post, (measure,), _MODE_SAMPLES, seed, (n_index, r), out=buffer
                     )[0]
                     if need_sample
                     else None

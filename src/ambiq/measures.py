@@ -17,12 +17,14 @@ task ambiguity are computed from such a vector:
 
 All three live in [0, 1], are invariant under permutations of the proper
 categories, and treat q_cs asymmetrically: abstention mass always pushes
-ambiguity up. Each measure is written once, in one array kernel over rows
-of (proper, cs), measure_arrays, which computes every requested measure of
-a sample in one pass and can write into a workspace its caller reuses.
-The samplers call it on millions of vectors at a time; ambiguity_array
-and the scalar functions are calls of it, so a plug-in value and a Monte
-Carlo draw of the same vector get the same floats.
+ambiguity up. CountVector, the response counts that estimators and
+posteriors take, sits beside the ProbabilityVector of its frequencies.
+Each measure is written once, in one array kernel over rows of (proper,
+cs), measure_arrays, which computes every requested measure of a sample in
+one pass and can write into a workspace its caller reuses. The samplers
+call it on millions of vectors at a time; ambiguity_array and the scalar
+functions are calls of it, so a plug-in value and a Monte Carlo draw of
+the same vector get the same floats.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 
 from .exceptions import (
     DomainError,
+    EmptySample,
     InternalConsistencyError,
     SingleCategoryUnsupported,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "SIMPLEX_TOLERANCE",
     "CategorySchema",
     "ProbabilityVector",
+    "CountVector",
     "MeasureKind",
     "ambiguity_new",
     "ambiguity_modified",
@@ -153,6 +157,46 @@ class ProbabilityVector:
     def is_degenerate(self) -> bool:
         """True when effectively all mass sits on can't-solve."""
         return self.cs >= DEGENERACY_THRESHOLD
+
+
+@dataclass(frozen=True)
+class CountVector:
+    """Response counts: one integer per proper category plus can't-solve."""
+
+    proper: tuple[int, ...]
+    cs: int = 0
+
+    def __post_init__(self):
+        for v in tuple(self.proper) + (self.cs,):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise DomainError(f"counts must be integers; got {v!r}")
+        object.__setattr__(self, "proper", tuple(int(v) for v in self.proper))
+        object.__setattr__(self, "cs", int(self.cs))
+        if len(self.proper) < 1:
+            raise DomainError("need at least one proper category")
+        if any(v < 0 for v in self.proper) or self.cs < 0:
+            raise DomainError("counts must be nonnegative")
+
+    @property
+    def n_proper(self) -> int:
+        return len(self.proper)
+
+    @property
+    def total(self) -> int:
+        return sum(self.proper) + self.cs
+
+    def as_probability_vector(self) -> ProbabilityVector:
+        """Empirical frequencies.
+
+        Raises:
+            EmptySample: with no responses there is no frequency vector.
+        """
+        n = self.total
+        if n == 0:
+            raise EmptySample("cannot form frequencies from zero responses")
+        return ProbabilityVector(
+            proper=tuple(v / n for v in self.proper), cs=self.cs / n
+        )
 
 
 def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:

@@ -426,12 +426,21 @@ def _dirichlet_draws(
     contiguous. A float array `out` of shape (C + 1, count) receives the
     block instead of a new array, and the results are views of it; the
     values are the same either way.
+
+    Raises:
+        DomainError: a vector whose gammas all underflow to 0 (concentrations near 0.001).
     """
     alpha = params.as_array()
     g = np.empty((alpha.size, count)) if out is None else out
     for row, shape in zip(g, alpha):
         rng.standard_gamma(shape, size=count, out=row)
-    g /= _row_sums(g.T)
+    total = _row_sums(g.T)
+    if not total.all():
+        raise DomainError(
+            f"{count - np.count_nonzero(total)} of {count} Dirichlet draws underflowed "
+            f"to all-zero gamma variates at concentrations {tuple(alpha.tolist())}"
+        )
+    g /= total
     return g[:-1].T, g[-1]
 
 

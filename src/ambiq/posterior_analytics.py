@@ -26,7 +26,8 @@ Beta functions), the moments of a Monte Carlo sample the caller draws.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .exceptions import (
     DomainError,
@@ -34,13 +35,8 @@ from .exceptions import (
     ShapeMismatch,
     SingleCategoryUnsupported,
 )
-from .measures import MeasureKind, modified_from_new
+from .measures import CountVector, MeasureKind, modified_from_new
 from .numerics import DirichletParams, digamma
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .frequentist import CountVector
 
 __all__ = [
     "posterior_update",
@@ -59,7 +55,7 @@ __all__ = [
 _VARIANCE_NOISE = 1e-12
 
 
-def posterior_update(prior: DirichletParams, counts: "CountVector") -> DirichletParams:
+def posterior_update(prior: DirichletParams, counts: CountVector) -> DirichletParams:
     """Conjugate update: returns Dir(prior + counts), componentwise.
 
     Raises:

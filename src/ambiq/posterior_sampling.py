@@ -4,9 +4,9 @@ Everything here flows through one pipeline: draw full probability vectors
 from Dir(params), push them through an ambiguity measure, and summarize
 the resulting scalar sample. sample_transformed(params, measures, count,
 seed, stream) is that draw and push for one stream, one row of values per
-measure, optionally into a buffer the caller reuses. Every Monte Carlo
-sample of the package is drawn through it. Streams are derived from a
-single user seed with explicit spawn keys, so any repeat structure is
+measure, optionally into a _sample_buffer the caller reuses. Every Monte
+Carlo sample of the package is drawn through it. Streams are derived from
+a single user seed with explicit spawn keys, so any repeat structure is
 reproducible without coordination between callers.
 
 posterior_summaries is the per-count-vector summary, and MeasureSummary
@@ -33,17 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
-from .measures import MeasureKind, measure_arrays
+from .measures import CountVector, MeasureKind, measure_arrays
 from .numerics import DirichletParams, dirichlet_sample
 from .posterior_analytics import posterior_mean_sd, posterior_update
-
-if TYPE_CHECKING:
-    from .frequentist import CountVector
 
 __all__ = [
     "MeasureSummary",
@@ -152,7 +149,7 @@ def sample_transformed(
     (len(measures), count) rows of measure_arrays, so one draw feeds
     several measures.
 
-    A float array `out` of shape (C + 1 + len(measures) + 2, count)
+    A float array `out` from _sample_buffer(C, len(measures), count)
     receives the draws in its first C + 1 rows and the measures' workspace
     in the rest, and the values are a view of it, so a caller drawing many
     samples of one shape can reuse one buffer. The values are the same
@@ -161,6 +158,11 @@ def sample_transformed(
     block, work = (None, None) if out is None else np.split(out, [params.n_proper + 1])
     proper, cs = dirichlet_sample(params, count, seed, stream, out=block)
     return measure_arrays(proper, cs, measures, work)
+
+
+def _sample_buffer(n_proper: int, n_measures: int, count: int) -> np.ndarray:
+    """`out` for sample_transformed: C + 1 rows of draws, then n_measures + 2 of workspace."""
+    return np.empty((n_proper + 1 + n_measures + 2, count))
 
 
 def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
@@ -187,17 +189,13 @@ def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.
 
 
 def posterior_summaries(
-    count_vectors: Iterable["CountVector"],
+    count_vectors: Iterable[CountVector],
     prior_beta: float = 1.0,
-    measures: Sequence[MeasureKind] = (
-        MeasureKind.NEW,
-        MeasureKind.MODIFIED,
-        MeasureKind.OLD,
-    ),
+    measures: Sequence[MeasureKind] = tuple(MeasureKind),
     mc_samples: int = 20_000,
     credible_mass: float = 0.95,
     seed: int = 0,
-) -> dict["CountVector", dict[str, MeasureSummary]]:
+) -> dict[CountVector, dict[str, MeasureSummary]]:
     """Plug-in value and posterior summary of each measure for each
     distinct count vector, keyed by count vector.
 
@@ -212,11 +210,10 @@ def posterior_summaries(
     measure, keyed by measure name, in the order given.
 
     Each distinct vector is summarized once, with the result it gets
-    alone. The vectors share one sample_transformed buffer per number of
-    categories C, of shape (C + 1 + len(measures) + 2, mc_samples), so
-    each vector's values are computed and sorted in place, and summarizing
-    many vectors does not hand memory back to the system and fault it in
-    again for the next one.
+    alone. The vectors share one _sample_buffer per number of categories
+    C, so each vector's values are computed and sorted in place, and
+    summarizing many vectors does not hand memory back to the system and
+    fault it in again for the next one.
 
     Each measure's values are sorted in place once its mean and sd are
     taken, and the interval is read off the sorted sample by the type 7
@@ -228,16 +225,16 @@ def posterior_summaries(
 
     Raises:
         TooFewSamples: mc_samples below 1000.
-        DomainError: credible_mass outside (0, 1), a nonpositive prior, or
-            no measures.
+        DomainError: credible_mass outside (0, 1), a prior that is not
+            positive and finite, or no measures.
     """
     measures = tuple(measures)
     if mc_samples < _MIN_SAMPLES:
         raise TooFewSamples(f"mc_samples must be at least {_MIN_SAMPLES}")
     if not 0.0 < credible_mass < 1.0:
         raise DomainError(f"credible mass {credible_mass!r} outside (0, 1)")
-    if prior_beta <= 0.0:
-        raise DomainError(f"prior concentration must be positive, got {prior_beta!r}")
+    if not 0.0 < prior_beta < np.inf:
+        raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
     if not measures:
         raise DomainError("need at least one measure")
     tail = 0.5 * (1.0 - credible_mass)
@@ -248,7 +245,7 @@ def posterior_summaries(
     for counts in distinct:
         n_proper = counts.n_proper
         if n_proper not in buffers:
-            buffers[n_proper] = np.empty((n_proper + 1 + len(measures) + 2, mc_samples))
+            buffers[n_proper] = _sample_buffer(n_proper, len(measures), mc_samples)
         posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), counts)
         stream = (n_proper, *counts.proper, counts.cs)
         rows = sample_transformed(
@@ -273,8 +270,8 @@ def posterior_summaries(
 
 
 def _plugin_values(
-    count_vectors: Sequence["CountVector"], measures: tuple[MeasureKind, ...]
-) -> dict["CountVector", tuple[float, ...]]:
+    count_vectors: Sequence[CountVector], measures: tuple[MeasureKind, ...]
+) -> dict[CountVector, tuple[float, ...]]:
     """Each measure at the empirical frequencies of each non-empty count
     vector, in the order of `measures`: one measure_arrays call per number
     of categories. A frequency v / n is the float that
@@ -297,22 +294,20 @@ def density_with_uncertainty(
     params: DirichletParams,
     measure: MeasureKind,
     samples_per_repeat: int = 100_000,
-    bins: int = 256,
-    repeats: int = 100,
     seed: int = 0,
 ) -> DensityEstimate:
     """Histogram density of the transformed posterior with an IQR band.
 
-    Repeat r draws from the stream (seed, (r,)), so the repeats are
-    independent and individually reproducible. Each repeat's histogram is
+    Repeat r of 100 draws samples_per_repeat values from the stream (seed,
+    (r,)) and histograms them on the mode's MODE_BINS bins of [0, 1],
     normalized to integrate to one; the returned band summarizes the
-    per-bin spread across repeats.
+    per-bin spread across these independent, reproducible repeats.
     """
-    if samples_per_repeat < 1 or bins < 1 or repeats < 1:
-        raise DomainError("samples_per_repeat, bins, and repeats must be positive")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    heights = np.empty((repeats, bins))
-    for r in range(repeats):
+    if samples_per_repeat < 1:
+        raise DomainError("samples_per_repeat must be positive")
+    edges = np.linspace(0.0, 1.0, MODE_BINS + 1)
+    heights = np.empty((100, MODE_BINS))
+    for r in range(len(heights)):
         values = sample_transformed(params, (measure,), samples_per_repeat, seed, (r,))[0]
         heights[r], _ = np.histogram(values, bins=edges, density=True)
     lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)

@@ -739,3 +739,8 @@ class TestBinaryCounts:
     def test_rejects_float(self):
         with pytest.raises(DomainError):
             BinaryCounts(1.5, 0, 0)
+
+    def test_rejects_boolean(self):
+        # The rule of CountVector, which refuses booleans as counts.
+        with pytest.raises(DomainError):
+            BinaryCounts(True, 1, 1)

@@ -7,6 +7,7 @@ validation (2) versus file-access (3) failures.
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ import pytest
 import ambiq.cli
 import ambiq.frequentist
 from ambiq.cli import main
-from ambiq.frequentist import CountVector
-from ambiq.measures import MeasureKind
+from ambiq.measures import CountVector, MeasureKind
 from ambiq.numerics import DirichletParams, make_generator
 from ambiq.posterior_analytics import posterior_update
 from ambiq.posterior_sampling import histogram_mode, sample_transformed
@@ -386,6 +386,23 @@ class TestPosteriorMcBlock:
         assert out == ""
         assert json.loads(err) == {"error": error, "message": message}
         assert not density.exists()
+
+    def test_refuses_a_prior_whose_draws_underflow(self, capsys):
+        # Dir(0.001, 0.001 | 0.001) draws vectors whose gammas all underflow
+        # to 0; they are refused, not scored as 1 after a 0/0 warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys,
+                "posterior", "--counts", "0,0", "--beta", "0.001", "--mc-samples", "2000",
+                "--json",
+            )
+        assert code == 2
+        assert out == ""
+        assert caught == []
+        error = json.loads(err)
+        assert error["error"] == "DomainError"
+        assert "underflowed to all-zero gamma variates" in error["message"]
 
 
 class TestListOptions:

@@ -27,8 +27,7 @@ from ambiq.exceptions import (
     TooFewSamples,
     UnknownLabel,
 )
-from ambiq.frequentist import CountVector
-from ambiq.measures import CategorySchema, MeasureKind
+from ambiq.measures import CategorySchema, CountVector, MeasureKind
 
 YES_NO = CategorySchema(labels=("yes", "no"))
 

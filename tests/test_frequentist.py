@@ -17,7 +17,6 @@ from ambiq.exceptions import DomainError, EmptySample, SingleCategoryUnsupported
 from ambiq.frequentist import (
     ESTIMATOR_NAMES,
     BiasSeries,
-    CountVector,
     bias_curve,
     bias_plugin,
     exhaustive_expected_estimator,
@@ -25,6 +24,7 @@ from ambiq.frequentist import (
     plugin_estimate,
 )
 from ambiq.measures import (
+    CountVector,
     MeasureKind,
     ProbabilityVector,
     ambiguity,
@@ -268,12 +268,6 @@ class TestBiasCurve:
                 mc_repeats=mc_repeats, seed=0,
             )
 
-    @pytest.mark.parametrize("mc_samples_mode", [0, -5])
-    def test_nonpositive_mode_samples_rejected(self, mc_samples_mode):
-        q = ProbabilityVector((0.45, 0.35), 0.20)
-        with pytest.raises(DomainError):
-            bias_curve(q, n_values=(1, 20), mc_repeats=3, mc_samples_mode=mc_samples_mode)
-
     @pytest.mark.parametrize("n_values", [(100, 5), (5, 5), (5, 0)])
     def test_bad_n_values_rejected_before_any_draw(self, n_values, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -454,12 +448,12 @@ class TestOldPluginEdgeCases:
         assert peak < 1_000_000
 
 
-def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode):
+def reference_bias_curve(q, n_values, measure, mc_repeats, seed):
     """bias_curve written out as a plain loop under a flat prior: counts
     from the stream (seed, (n_index,)), then for each repeat a fresh
-    posterior sample from its own substream (seed, (n_index, r)), one gamma
-    column per category in order, normalized by the column sum added left
-    to right, and its mode from np.histogram."""
+    posterior sample of 20 000 draws from its own substream (seed,
+    (n_index, r)), one gamma column per category in order, normalized by
+    the column sum added left to right, and its mode from np.histogram."""
     pvals = np.array([*q.proper, q.cs])
     pvals = pvals / pvals.sum()
     truth = ambiguity(q, measure)
@@ -475,7 +469,7 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode
         for r, row in enumerate(draws):
             alpha = row + 1.0
             rng = make_generator(seed, (n_index, r))
-            columns = [rng.standard_gamma(a, size=mc_samples_mode) for a in alpha]
+            columns = [rng.standard_gamma(a, size=20_000) for a in alpha]
             total = columns[0].copy()
             for column in columns[1:]:
                 total += column
@@ -503,7 +497,7 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed, mc_samples_mode
 @pytest.mark.parametrize("measure", list(MeasureKind))
 def test_bias_curve_equals_reference_loop(measure):
     q = ProbabilityVector((0.5, 0.3), 0.2)
-    kwargs = dict(measure=measure, mc_repeats=6, seed=17, mc_samples_mode=2000)
+    kwargs = dict(measure=measure, mc_repeats=6, seed=17)
     expected = reference_bias_curve(q, (2, 7), **kwargs)
     assert bias_curve(q, n_values=(2, 7), **kwargs) == expected
 
@@ -513,7 +507,7 @@ def test_bias_curve_draws_each_repeat_substream_once(measure, sfc64_streams):
     # Both Bayes columns share repeat r's posterior sample, so its substream
     # (seed, (n_index, r)) is built once, next to one counts stream per n.
     q = ProbabilityVector((0.5, 0.3), 0.2)
-    bias_curve(q, n_values=(2, 7), measure=measure, mc_repeats=6, seed=17, mc_samples_mode=2000)
+    bias_curve(q, n_values=(2, 7), measure=measure, mc_repeats=6, seed=17)
     assert sorted(sfc64_streams) == sorted(
         [(17, (0,)), (17, (1,))] + [(17, (i, r)) for i in range(2) for r in range(6)]
     )

@@ -8,6 +8,7 @@ oracle; the package itself never imports it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,15 @@ class TestDirichletSample:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(DomainError):
             dirichlet_sample(DirichletParams.symmetric(2, 1.0), 0, seed=0)
+
+    def test_refuses_draws_whose_gammas_all_underflow(self):
+        # At concentrations near 0.001 every gamma variate of some vectors
+        # underflows to 0, which would divide 0 by 0.
+        params = DirichletParams.symmetric(2, 0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"of 20000 Dirichlet draws underflowed"):
+                dirichlet_sample(params, 20_000, seed=0)
 
     @pytest.mark.parametrize("n_columns", range(2, 10))
     def test_same_floats_as_column_gamma_draws(self, n_columns):

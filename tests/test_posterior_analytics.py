@@ -23,8 +23,7 @@ from ambiq.exceptions import (
     ShapeMismatch,
     SingleCategoryUnsupported,
 )
-from ambiq.frequentist import CountVector
-from ambiq.measures import MeasureKind, ambiguity_array
+from ambiq.measures import CountVector, MeasureKind, ambiguity_array
 from ambiq.numerics import DirichletParams, dirichlet_sample
 from ambiq.posterior_analytics import (
     cov_amb_qcs,

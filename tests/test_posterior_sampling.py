@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from ambiq.exceptions import DomainError, TooFewSamples
-from ambiq.frequentist import CountVector
-from ambiq.measures import MeasureKind, ambiguity, ambiguity_array, measure_arrays
+from ambiq.measures import CountVector, MeasureKind, ambiguity, ambiguity_array, measure_arrays
 from ambiq.numerics import DirichletParams, _dirichlet_draws, make_generator
 from ambiq.posterior_analytics import (
     expected_amb,
@@ -24,6 +23,7 @@ from ambiq.posterior_sampling import (
     MODE_BINS,
     DensityEstimate,
     MeasureSummary,
+    _sample_buffer,
     _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
@@ -88,14 +88,20 @@ class TestSampleTransformed:
             np.testing.assert_array_equal(rows, expected)
         assert np.shares_memory(rows, out)
 
-    @pytest.mark.parametrize("kind", list(MeasureKind))
-    def test_reused_buffer_gives_the_same_values(self, kind):
-        out = np.full((PARAMS.n_proper + 4, 3000), np.nan)
+    @pytest.mark.parametrize("n_measures", [1, 2, 3])
+    @pytest.mark.parametrize("n_proper", [1, 2, 3, 4])
+    def test_reused_buffer_gives_the_same_values(self, n_proper, n_measures):
+        params = DirichletParams(proper=tuple(1.0 + 0.5 * k for k in range(n_proper)), cs=0.7)
+        # Modified and total variation need C >= 2.
+        kinds = (MeasureKind.NEW,) * n_measures
+        if n_proper > 1:
+            kinds = tuple(MeasureKind)[:n_measures]
+        out = _sample_buffer(n_proper, n_measures, 3000)
         for stream in [(), (3,), (1, 4)]:
-            values = sample_transformed(PARAMS, (kind,), 3000, 6, stream, out=out)[0]
+            values = sample_transformed(params, kinds, 3000, 6, stream, out=out)
             assert np.shares_memory(values, out)
             np.testing.assert_array_equal(
-                values, sample_transformed(PARAMS, (kind,), 3000, 6, stream)[0]
+                values, sample_transformed(params, kinds, 3000, 6, stream)
             )
 
 
@@ -209,18 +215,17 @@ class TestHistogramMode:
 
 @pytest.fixture(scope="module")
 def estimate():
-    return density_with_uncertainty(
-        PARAMS, MeasureKind.NEW, samples_per_repeat=20_000, bins=64, repeats=20, seed=5
-    )
+    return density_with_uncertainty(PARAMS, MeasureKind.NEW, samples_per_repeat=20_000, seed=5)
 
 
 class TestDensityWithUncertainty:
 
     def test_shapes(self, estimate):
-        assert estimate.bin_edges.shape == (65,)
-        assert estimate.median_density.shape == (64,)
-        assert estimate.iqr_lo.shape == (64,)
-        assert estimate.iqr_hi.shape == (64,)
+        # The band's bins are the mode's.
+        np.testing.assert_array_equal(estimate.bin_edges, np.arange(MODE_BINS + 1) / MODE_BINS)
+        assert estimate.median_density.shape == (MODE_BINS,)
+        assert estimate.iqr_lo.shape == (MODE_BINS,)
+        assert estimate.iqr_hi.shape == (MODE_BINS,)
 
     def test_band_ordering(self, estimate):
         assert np.all(estimate.iqr_lo <= estimate.median_density + 1e-12)
@@ -232,7 +237,7 @@ class TestDensityWithUncertainty:
         assert mass == pytest.approx(1.0, abs=0.02)
 
     def test_deterministic(self):
-        kwargs = dict(samples_per_repeat=5000, bins=32, repeats=5, seed=9)
+        kwargs = dict(samples_per_repeat=5000, seed=9)
         a = density_with_uncertainty(PARAMS, MeasureKind.OLD, **kwargs)
         b = density_with_uncertainty(PARAMS, MeasureKind.OLD, **kwargs)
         np.testing.assert_array_equal(a.median_density, b.median_density)
@@ -351,6 +356,20 @@ class TestPosteriorSummary:
             summary_of(self.COUNTS, prior_beta=0.0)
         with pytest.raises(DomainError):
             summary_of(self.COUNTS, measures=())
+
+    @pytest.mark.parametrize("prior_beta", [math.nan, math.inf])
+    def test_rejects_a_prior_that_is_not_finite(self, prior_beta):
+        with pytest.raises(DomainError, match="positive and finite"):
+            posterior_summaries((), prior_beta=prior_beta)
+
+    def test_small_prior_with_zero_counts_still_samples(self):
+        # Dir(0.05, 0.05 | 0.05) draws no all-zero gamma row in 200k.
+        out = summary_of(CountVector(proper=(0, 0), cs=0), prior_beta=0.05, mc_samples=200_000)
+        assert 0.0 <= out["new"].credible_lo <= out["new"].credible_hi <= 1.0
+
+    def test_refuses_a_prior_whose_draws_underflow(self):
+        with pytest.raises(DomainError, match="underflowed to all-zero gamma variates"):
+            summary_of(CountVector(proper=(0, 0), cs=0), prior_beta=0.001)
 
 
 # posterior_summaries at C = 1-5, including zero counts, can't-solve-only
