@@ -372,14 +372,15 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
         raise DomainError("--n-categories must be at least 1")
     _check_mc_samples(args.mc_samples)
 
+    # Every prior is checked before the first draw.
+    priors = [DirichletParams.symmetric(args.n_categories, beta) for beta in betas]
     per_beta = []
     density_rows = []
-    for index, beta in enumerate(betas):
+    for index, (beta, prior) in enumerate(zip(betas, priors)):
         # Beta index i owns the base seed seed + i: the table draws from its
         # root stream and density repeat r from its substream (r,), as in
         # `posterior`. A root stream never coincides with a substream, of
         # its own base seed or of another's.
-        prior = DirichletParams.symmetric(args.n_categories, beta)
         values = sample_transformed(prior, (measure,), args.mc_samples, seed + index)[0]
         mean, sd = posterior_mean_sd(prior, measure, values)
         per_beta.append(

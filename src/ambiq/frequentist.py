@@ -267,6 +267,8 @@ def bias_curve(
         raise DomainError(f"mc_repeats must be at least 1, got {mc_repeats}")
     if not 0.0 < prior_beta < math.inf:
         raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
+    # Built before any draw, so a prior too large to update is refused up front.
+    prior = DirichletParams.symmetric(q.n_proper, prior_beta)
     n_tuple = tuple(int(n) for n in n_values)
     _check_sample_sizes(n_tuple)
     truth = ambiguity(q, measure)
@@ -292,9 +294,7 @@ def bias_curve(
         if bayes_names:
             draws = make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
             for r, row in enumerate(draws):
-                post = posterior_update(
-                    DirichletParams.symmetric(n_cat, prior_beta), _row_counts(row, n_cat)
-                )
+                post = posterior_update(prior, _row_counts(row, n_cat))
                 values = (
                     sample_transformed(
                         post, (measure,), _MODE_SAMPLES, seed, (n_index, r), out=buffer

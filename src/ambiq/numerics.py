@@ -14,7 +14,12 @@ batch in one loop, also over several (a, b): the binary CDF sends both
 conditional tails and its can't-solve boundary term through one call.
 
 All functions are pure. Sampling takes explicit seeds and returns values;
-there is no hidden global RNG state.
+there is no hidden global RNG state. A Dirichlet sample draws one gamma
+row per category, each by the route its scalar shape picks
+(``_gamma_row``): exact identities from uniforms or normals at shapes
+1/2, 3/2, 2, 3 and 4, where they cost less than numpy's gamma sampler,
+and numpy's standard_gamma floats at every other shape. The route
+depends only on the shape, so reruns are byte-identical for a seed.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# The largest total concentration: the closed-form moments square it, and
+# 1e154 squared is still a finite double. Entries are checked against it
+# first, so that summing them cannot overflow.
+_MAX_TOTAL = 1e154
+
+
 @dataclass(frozen=True)
 class DirichletParams:
     """Concentration parameters of a Dirichlet over C proper categories plus
@@ -54,6 +65,10 @@ class DirichletParams:
     Attributes:
         proper: concentrations for the C proper categories, all > 0.
         cs: concentration of the can't-solve category, > 0.
+
+    Raises:
+        DomainError: no proper category, a concentration that is not
+            positive and finite, or a total above 1e154.
     """
 
     proper: tuple[float, ...]
@@ -64,9 +79,15 @@ class DirichletParams:
             raise DomainError("need at least one proper category")
         object.__setattr__(self, "proper", tuple(float(a) for a in self.proper))
         object.__setattr__(self, "cs", float(self.cs))
-        for a in self.proper + (self.cs,):
+        entries = self.proper + (self.cs,)
+        for a in entries:
             if not (a > 0 and math.isfinite(a)):
                 raise DomainError(f"concentrations must be positive finite reals; got {a}")
+        if max(entries) > _MAX_TOTAL or self.total > _MAX_TOTAL:
+            raise DomainError(
+                f"concentrations {entries} add up to more than {_MAX_TOTAL:g}, "
+                "the largest total whose square the closed forms can hold"
+            )
 
     @property
     def n_proper(self) -> int:
@@ -396,16 +417,50 @@ def make_generator(seed: int, stream: Sequence[int] = ()) -> np.random.Generator
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-d array, adding its columns left to right.
+# Shapes whose gamma rows come from an exact identity rather than from
+# numpy's standard_gamma, whose cost is about the same at every shape from
+# 1.5 up and doubles at 0.5 (BENCH_gamma_routes.json has the table).
+_PRODUCT_SHAPES = frozenset((2.0, 3.0, 4.0))
+_NORMAL_SHAPES = frozenset((0.5, 1.5))
 
-    The order is fixed, so the floats do not depend on the memory layout
-    of x (numpy's own reduction sums long contiguous rows pairwise).
+
+def _gamma_row(
+    shape: float, rng: np.random.Generator, row: np.ndarray, spare: np.ndarray
+) -> None:
+    """Fill `row` with Gamma(shape, 1) variates drawn from `rng`, using the
+    equally long `spare` as scratch.
+
+    An integer shape k in 2..4 is drawn as -log prod_i (1 - U_i), i = 1..k
+    (Devroye 1986, ch. IX): a whole row of uniforms U_1 (rng.random), then
+    a row of U_2 whose complements multiply the first, and so on in order,
+    with one log at the end. Shape 1/2 is Z^2 / 2 for a row of standard
+    normals Z, and shape 3/2 adds to that a row of standard exponentials
+    drawn after the normals. Shape 1 is a row of standard exponentials,
+    the floats that standard_gamma gives at shape 1, without its dispatch
+    per variate. Every other shape is a row of numpy's standard_gamma.
+    The laws are exact; the uniforms' complements lie in (0, 1], so no
+    log meets 0.
     """
-    total = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        total += x[:, j]
-    return total
+    if shape == 1.0:
+        rng.standard_exponential(out=row)
+    elif shape in _PRODUCT_SHAPES:
+        rng.random(out=row)
+        np.subtract(1.0, row, out=row)
+        for _ in range(int(shape) - 1):
+            rng.random(out=spare)
+            np.subtract(1.0, spare, out=spare)
+            row *= spare
+        np.log(row, out=row)
+        np.negative(row, out=row)
+    elif shape in _NORMAL_SHAPES:
+        rng.standard_normal(out=row)
+        row *= row
+        row *= 0.5
+        if shape == 1.5:
+            rng.standard_exponential(out=spare)
+            row += spare
+    else:
+        rng.standard_gamma(shape, out=row)
 
 
 def _dirichlet_draws(
@@ -417,28 +472,41 @@ def _dirichlet_draws(
     """Draw `count` Dirichlet vectors via the gamma method using `rng`.
 
     Returns (proper, cs) with shapes (count, C) and (count,). The C + 1
-    Gamma(alpha_i, 1) columns are drawn one after another from `rng`, proper
-    entries first and cs last, each with a scalar shape into one row of a
-    (C + 1, count) block; numpy's standard_gamma covers alpha < 1
-    internally. Each vector, a column of the block, is then divided by the
-    sum of its C + 1 gammas, added in that category order. proper is the
-    transposed view of the block's first C rows, so its columns are
-    contiguous. A float array `out` of shape (C + 1, count) receives the
-    block instead of a new array, and the results are views of it; the
-    values are the same either way.
+    Gamma(alpha_i, 1) rows are drawn one after another from `rng`, proper
+    entries first and cs last, each by _gamma_row from its scalar shape
+    into one row of a (C + 1, count) block. Each vector, a column of the
+    block, is then divided by the sum of its C + 1 gammas, added in that
+    category order, so the floats do not depend on memory layout. proper
+    is the transposed view of the block's first C rows, so its columns
+    are contiguous.
+
+    A float array `out` of shape (C + 2, count) receives the block in its
+    first C + 1 rows, and its last row is the gamma rows' scratch and then
+    the row sums; the results are views of it. Without it the block is a
+    new array. The values are the same either way.
 
     Raises:
-        DomainError: a vector whose gammas all underflow to 0 (concentrations near 0.001).
+        DomainError: an `out` of the wrong shape, or a vector whose gammas
+            all underflow to 0 (concentrations near 0.001).
     """
-    alpha = params.as_array()
-    g = np.empty((alpha.size, count)) if out is None else out
+    alpha = params.proper + (params.cs,)
+    if out is None:
+        # Separate arrays, so the scratch row is freed on return rather
+        # than kept alive by the result.
+        g, total = np.empty((len(alpha), count)), np.empty(count)
+    elif out.shape != (len(alpha) + 1, count):
+        raise DomainError(f"out must have shape {(len(alpha) + 1, count)}, got {out.shape}")
+    else:
+        g, total = out[:-1], out[-1]
     for row, shape in zip(g, alpha):
-        rng.standard_gamma(shape, size=count, out=row)
-    total = _row_sums(g.T)
+        _gamma_row(shape, rng, row, total)
+    np.copyto(total, g[0])
+    for row in g[1:]:
+        total += row
     if not total.all():
         raise DomainError(
             f"{count - np.count_nonzero(total)} of {count} Dirichlet draws underflowed "
-            f"to all-zero gamma variates at concentrations {tuple(alpha.tolist())}"
+            f"to all-zero gamma variates at concentrations {alpha}"
         )
     g /= total
     return g[:-1].T, g[-1]
@@ -454,8 +522,8 @@ def dirichlet_sample(
     """Draw `count` probability vectors from Dir(params), deterministically
     per (seed, stream); the generator is make_generator(seed, stream).
 
-    A float array `out` of shape (C + 1, count) receives the draws, as in
-    _dirichlet_draws; the values are the same either way.
+    A float array `out` of shape (C + 2, count) receives the draws and the
+    row sums, as in _dirichlet_draws; the values are the same either way.
 
     Returns:
         (proper, cs): arrays of shape (count, C) and (count,); each row of

@@ -174,12 +174,16 @@ def posterior_mean_sd(
     params: DirichletParams,
     measure: MeasureKind,
     values: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(mean, sd) of a measure under Dir(params).
 
     The quadratic measures use the closed-form moments and ignore values;
     total variation has none, so its mean and sd are the moments of the
-    Monte Carlo sample `values`, drawn from Dir(params) by the caller.
+    Monte Carlo sample `values`, drawn from Dir(params) by the caller:
+    the floats of values.mean() and values.std(). A float array `work`
+    shaped like values, which must not overlap it, takes the squared
+    deviations in place of a new array.
 
     Raises:
         SingleCategoryUnsupported: Modified with C = 1.
@@ -191,4 +195,9 @@ def posterior_mean_sd(
         return expected_amb_modified(params), math.sqrt(var_amb_modified(params))
     if values is None:
         raise DomainError("the total-variation measure needs a Monte Carlo sample")
-    return float(values.mean()), float(values.std())
+    # np.std's own steps: the mean, the squared deviations from it, their
+    # pairwise sum over n.
+    mean = values.mean()
+    deviations = np.subtract(values, mean, out=work)
+    deviations *= deviations
+    return float(mean), math.sqrt(deviations.sum() / values.size)

@@ -152,16 +152,20 @@ def sample_transformed(
     A float array `out` from _sample_buffer(C, len(measures), count)
     receives the draws in its first C + 1 rows and the measures' workspace
     in the rest, and the values are a view of it, so a caller drawing many
-    samples of one shape can reuse one buffer. The values are the same
-    either way.
+    samples of one shape can reuse one buffer and allocate nothing per
+    sample. The values are the same either way.
     """
-    block, work = (None, None) if out is None else np.split(out, [params.n_proper + 1])
-    proper, cs = dirichlet_sample(params, count, seed, stream, out=block)
+    n_draws = params.n_proper + 1
+    draws, work = (None, None) if out is None else (out[: n_draws + 1], out[n_draws:])
+    proper, cs = dirichlet_sample(params, count, seed, stream, out=draws)
     return measure_arrays(proper, cs, measures, work)
 
 
 def _sample_buffer(n_proper: int, n_measures: int, count: int) -> np.ndarray:
-    """`out` for sample_transformed: C + 1 rows of draws, then n_measures + 2 of workspace."""
+    """`out` for sample_transformed: C + 1 rows of draws, then n_measures + 2
+    of workspace, whose first row is the draws' scratch and row sums until
+    the measures take it over. Once sample_transformed returns, the draw
+    rows are free for the caller's scratch."""
     return np.empty((n_proper + 1 + n_measures + 2, count))
 
 
@@ -246,16 +250,16 @@ def posterior_summaries(
         n_proper = counts.n_proper
         if n_proper not in buffers:
             buffers[n_proper] = _sample_buffer(n_proper, len(measures), mc_samples)
+        buffer = buffers[n_proper]
         posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), counts)
         stream = (n_proper, *counts.proper, counts.cs)
-        rows = sample_transformed(
-            posterior, measures, mc_samples, seed, stream, out=buffers[n_proper]
-        )
+        rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
         summary = {}
         for measure, values, plugin in zip(measures, rows, plugins.get(counts, repeat(None))):
             # Sorted only after the moments: total variation's mean and sd
-            # are pairwise sums, whose last bits depend on the order.
-            mean, sd = posterior_mean_sd(posterior, measure, values)
+            # are pairwise sums, whose last bits depend on the order. The
+            # sd squares its deviations in the free first draw row.
+            mean, sd = posterior_mean_sd(posterior, measure, values, work=buffer[0])
             values.sort()
             lo, hi = _sorted_quantiles(values, (tail, 1.0 - tail))
             summary[measure.value] = MeasureSummary(

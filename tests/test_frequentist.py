@@ -34,6 +34,7 @@ from ambiq.measures import (
 from ambiq.numerics import DirichletParams, make_generator
 from ambiq.posterior_analytics import posterior_mean_sd
 from ambiq.posterior_sampling import MODE_BINS
+from gamma_reference import dirichlet_rows
 
 
 def random_q(rng, n_proper=2, max_cs=0.9):
@@ -452,8 +453,8 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed):
     """bias_curve written out as a plain loop under a flat prior: counts
     from the stream (seed, (n_index,)), then for each repeat a fresh
     posterior sample of 20 000 draws from its own substream (seed,
-    (n_index, r)), one gamma column per category in order, normalized by
-    the column sum added left to right, and its mode from np.histogram."""
+    (n_index, r)) by gamma_reference's column rule, and its mode from
+    np.histogram."""
     pvals = np.array([*q.proper, q.cs])
     pvals = pvals / pvals.sum()
     truth = ambiguity(q, measure)
@@ -468,12 +469,7 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed):
         modes = np.empty(mc_repeats)
         for r, row in enumerate(draws):
             alpha = row + 1.0
-            rng = make_generator(seed, (n_index, r))
-            columns = [rng.standard_gamma(a, size=20_000) for a in alpha]
-            total = columns[0].copy()
-            for column in columns[1:]:
-                total += column
-            g = np.column_stack([column / total for column in columns])
+            g = dirichlet_rows(alpha, 20_000, make_generator(seed, (n_index, r)))
             values = ambiguity_array(g[:, :-1], g[:, -1], measure)
             if measure is MeasureKind.OLD:
                 means[r] = float(values.mean())

@@ -19,6 +19,7 @@ from ambiq.exceptions import DomainError, InternalConsistencyError
 from ambiq.numerics import (
     DirichletParams,
     _dirichlet_draws,
+    _gamma_row,
     beta_pdf_pair,
     digamma,
     dirichlet_sample,
@@ -26,6 +27,7 @@ from ambiq.numerics import (
     make_generator,
     regularized_incomplete_beta,
 )
+from gamma_reference import dirichlet_rows
 
 
 def ulp_tolerance(value, floor=1e-12, ulps=4):
@@ -238,6 +240,15 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             DirichletParams(proper=(), cs=1.0)
 
+    def test_total_above_1e154_is_refused(self):
+        # The closed-form moments square the total, which must stay finite;
+        # near 1e308 the total itself would overflow.
+        for proper, cs in (((1e160, 1.0), 1.0), ((1e153,) * 11, 1.0), ((1e308, 1e308), 1e308)):
+            with pytest.raises(DomainError, match=r"add up to more than 1e\+154"):
+                DirichletParams(proper=proper, cs=cs)
+        assert DirichletParams.symmetric(3, 1e150).total == 4e150
+        assert DirichletParams(proper=(5e153,), cs=5e153).total == 1e154
+
     def test_symmetric_constructor(self):
         params = DirichletParams.symmetric(3, 0.5)
         assert params.proper == (0.5, 0.5, 0.5)
@@ -310,25 +321,77 @@ class TestDirichletSample:
             with pytest.raises(DomainError, match=r"of 20000 Dirichlet draws underflowed"):
                 dirichlet_sample(params, 20_000, seed=0)
 
-    @pytest.mark.parametrize("n_columns", range(2, 10))
-    def test_same_floats_as_column_gamma_draws(self, n_columns):
-        # The draws must equal, bit for bit, one scalar-shape gamma column
-        # per category drawn in order from the same stream (proper first,
-        # cs last), each divided by the column sum added left to right.
-        params = DirichletParams(
-            proper=tuple(np.linspace(0.3, 4.0, n_columns - 1)), cs=0.8
-        )
-        rng = make_generator(3, (n_columns,))
-        columns = [rng.standard_gamma(a, size=20_000) for a in params.as_array()]
-        total = columns[0].copy()
-        for column in columns[1:]:
-            total += column
-        expected = np.column_stack([column / total for column in columns])
-        for out in (None, np.empty((n_columns, 20_000))):
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            (2.0, 1.0),
+            (0.5, 0.5, 0.5),
+            (3.0, 1.5, 4.0, 0.5),
+            (4.0, 2.0, 2.0, 5.0, 1.0),
+            (1.5, 0.5000001, 3.0, 12.0, 2.5),
+            *(tuple(np.linspace(0.3, 4.0, n - 1)) + (0.8,) for n in range(2, 10)),
+        ],
+    )
+    def test_same_floats_as_column_gamma_draws(self, alpha):
+        # The draws must equal, bit for bit, the documented column rule of
+        # gamma_reference: one column per category drawn in order from the
+        # same stream (proper first, cs last), each by its shape's route,
+        # divided by the column sum added left to right.
+        params = DirichletParams(proper=alpha[:-1], cs=alpha[-1])
+        expected = dirichlet_rows(alpha, 20_000, make_generator(3, (len(alpha),)))
+        for out in (None, np.empty((len(alpha) + 1, 20_000))):
             proper, cs = _dirichlet_draws(
-                params, 20_000, make_generator(3, (n_columns,)), out=out
+                params, 20_000, make_generator(3, (len(alpha),)), out=out
             )
             np.testing.assert_array_equal(proper, expected[:, :-1])
             np.testing.assert_array_equal(cs, expected[:, -1])
             if out is not None:
                 assert np.shares_memory(proper, out) and np.shares_memory(cs, out)
+
+    def test_out_of_the_wrong_shape_is_refused(self):
+        # The block plus one row for the row sums; a block alone would
+        # otherwise leave the last category undrawn.
+        params = DirichletParams(proper=(2.0, 1.0), cs=0.5)
+        for shape in ((3, 100), (4, 99), (5, 100)):
+            with pytest.raises(DomainError, match="out must have shape"):
+                _dirichlet_draws(params, 100, make_generator(0), out=np.empty(shape))
+
+    def test_rows_with_routed_shapes_sum_to_one(self):
+        params = DirichletParams(proper=(2.0, 3.0, 0.5, 1.5), cs=4.0)
+        proper, cs = dirichlet_sample(params, 50_000, seed=2)
+        assert np.all(proper > 0.0) and np.all(cs > 0.0)
+        np.testing.assert_allclose(proper.sum(axis=1) + cs, 1.0, rtol=0, atol=1e-15)
+
+
+# Shapes with a route of their own (shape 1's exponentials are numpy's
+# shape-1 floats), then unrouted neighbours of them.
+ROUTED_SHAPES = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+UNROUTED_NEIGHBOURS = [0.5000001, 1.5000001, 5.0]
+
+
+@pytest.mark.parametrize("shape", ROUTED_SHAPES + UNROUTED_NEIGHBOURS)
+class TestGammaRowLaw:
+    """Each route of _gamma_row draws Gamma(shape, 1): a two-sample KS test
+    against numpy's standard_gamma on an independent PCG64 stream, and the
+    sample mean and variance against shape, within 5 standard errors."""
+
+    N = 400_000
+
+    @pytest.fixture()
+    def draws(self, shape):
+        row, spare = np.empty(self.N), np.empty(self.N)
+        _gamma_row(shape, make_generator(31, (int(2 * shape),)), row, spare)
+        return row
+
+    def test_ks_against_numpy_gamma(self, shape, draws):
+        oracle = np.random.Generator(np.random.PCG64(2718)).standard_gamma(shape, self.N)
+        assert scipy.stats.ks_2samp(draws, oracle).pvalue > 1e-3
+        assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
+
+    def test_mean_and_variance(self, shape, draws):
+        # Gamma(k, 1) has mean k, variance k and fourth central moment
+        # 3k(k + 2), so the sample variance has sd sqrt((2k^2 + 6k) / n).
+        mean_se = math.sqrt(shape / self.N)
+        var_se = math.sqrt((2.0 * shape * shape + 6.0 * shape) / self.N)
+        assert float(draws.mean()) == pytest.approx(shape, abs=5 * mean_se)
+        assert float(draws.var()) == pytest.approx(shape, abs=5 * var_se)
