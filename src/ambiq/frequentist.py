@@ -267,8 +267,6 @@ def bias_curve(
         raise DomainError(f"mc_repeats must be at least 1, got {mc_repeats}")
     if not 0.0 < prior_beta < math.inf:
         raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
-    # Built before any draw, so a prior too large to update is refused up front.
-    prior = DirichletParams.symmetric(q.n_proper, prior_beta)
     n_tuple = tuple(int(n) for n in n_values)
     _check_sample_sizes(n_tuple)
     truth = ambiguity(q, measure)
@@ -280,6 +278,9 @@ def bias_curve(
     bias: dict[str, list[float]] = {label: [] for label in labels}
     stderr: dict[str, list[float]] = {label: [] for label in labels}
     bayes_names = {name for name in estimators if name != "plugin"}
+    # Built before any draw, so a prior too large to update is refused up
+    # front; the plug-in alone uses no prior.
+    prior = DirichletParams.symmetric(n_cat, prior_beta) if bayes_names else None
     # One posterior sample per repeat serves both Bayes columns; the mean
     # alone needs none for the quadratic measures, whose means are exact.
     need_sample = bool(bayes_names) and (

@@ -16,10 +16,10 @@ conditional tails and its can't-solve boundary term through one call.
 All functions are pure. Sampling takes explicit seeds and returns values;
 there is no hidden global RNG state. A Dirichlet sample draws one gamma
 row per category, each by the route its scalar shape picks
-(``_gamma_row``): exact identities from uniforms or normals at shapes
-1/2, 3/2, 2, 3 and 4, where they cost less than numpy's gamma sampler,
-and numpy's standard_gamma floats at every other shape. The route
-depends only on the shape, so reruns are byte-identical for a seed.
+(``_gamma_row``): at integer shapes 2, 3 and 4 an exact identity from
+uniforms, which costs less than numpy's gamma sampler there, and at
+every other shape numpy's standard_gamma. The route depends only on the
+shape, so reruns are byte-identical for a seed.
 """
 
 from __future__ import annotations
@@ -417,11 +417,10 @@ def make_generator(seed: int, stream: Sequence[int] = ()) -> np.random.Generator
     return np.random.Generator(np.random.SFC64(ss))
 
 
-# Shapes whose gamma rows come from an exact identity rather than from
+# Integer shapes whose gamma rows are a product of uniforms rather than
 # numpy's standard_gamma, whose cost is about the same at every shape from
-# 1.5 up and doubles at 0.5 (BENCH_gamma_routes.json has the table).
+# 2 up (BENCH_gamma_routes.json has the table).
 _PRODUCT_SHAPES = frozenset((2.0, 3.0, 4.0))
-_NORMAL_SHAPES = frozenset((0.5, 1.5))
 
 
 def _gamma_row(
@@ -433,17 +432,11 @@ def _gamma_row(
     An integer shape k in 2..4 is drawn as -log prod_i (1 - U_i), i = 1..k
     (Devroye 1986, ch. IX): a whole row of uniforms U_1 (rng.random), then
     a row of U_2 whose complements multiply the first, and so on in order,
-    with one log at the end. Shape 1/2 is Z^2 / 2 for a row of standard
-    normals Z, and shape 3/2 adds to that a row of standard exponentials
-    drawn after the normals. Shape 1 is a row of standard exponentials,
-    the floats that standard_gamma gives at shape 1, without its dispatch
-    per variate. Every other shape is a row of numpy's standard_gamma.
-    The laws are exact; the uniforms' complements lie in (0, 1], so no
-    log meets 0.
+    with one log at the end. The law is exact, and the uniforms'
+    complements lie in (0, 1], so no log meets 0. Every other shape is a
+    row of numpy's standard_gamma.
     """
-    if shape == 1.0:
-        rng.standard_exponential(out=row)
-    elif shape in _PRODUCT_SHAPES:
+    if shape in _PRODUCT_SHAPES:
         rng.random(out=row)
         np.subtract(1.0, row, out=row)
         for _ in range(int(shape) - 1):
@@ -452,13 +445,6 @@ def _gamma_row(
             row *= spare
         np.log(row, out=row)
         np.negative(row, out=row)
-    elif shape in _NORMAL_SHAPES:
-        rng.standard_normal(out=row)
-        row *= row
-        row *= 0.5
-        if shape == 1.5:
-            rng.standard_exponential(out=spare)
-            row += spare
     else:
         rng.standard_gamma(shape, out=row)
 

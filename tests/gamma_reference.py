@@ -5,11 +5,7 @@ Column i has the scalar shape alpha_i and is drawn from the one stream
 after columns 0..i-1, `count` values at a time:
 - shape k in {2, 3, 4}: -log of the product of (1 - U) over a (k, count)
   block of uniforms, multiplied down the block's rows in order;
-- shape 1/2: Z^2 / 2 for `count` standard normals Z;
-- shape 3/2: Z^2 / 2 for `count` normals, plus `count` standard
-  exponentials drawn after them;
-- any other shape: numpy's standard_gamma (at shape 1 the package draws
-  standard exponentials, which must be the same floats).
+- any other shape: numpy's standard_gamma.
 Each vector is its gammas divided by their sum, added left to right.
 """
 
@@ -21,9 +17,6 @@ import numpy as np
 def gamma_column(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
     if shape in (2.0, 3.0, 4.0):
         return -np.log(np.prod(1.0 - rng.random((int(shape), count)), axis=0))
-    if shape in (0.5, 1.5):
-        half_square = rng.standard_normal(count) ** 2 / 2
-        return half_square + rng.standard_exponential(count) if shape == 1.5 else half_square
     return rng.standard_gamma(shape, count)
 
 

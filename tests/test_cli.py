@@ -188,10 +188,10 @@ PINNED_POSTERIOR = [
             "method       closed_form+mc\n"
             "closed_mean  0.852101\n"
             "closed_sd    0.085533\n"
-            "mc_mean      0.851989\n"
-            "mc_sd        0.085826\n"
-            "mc_mode      0.900391\n"
-            "ci_0.95      [0.641311, 0.975836]\n"
+            "mc_mean      0.851898\n"
+            "mc_sd        0.085794\n"
+            "mc_mode      0.896484\n"
+            "ci_0.95      [0.641178, 0.975339]\n"
             "seed         1\n"
             "beta         0.5\n"
         ),
@@ -200,19 +200,19 @@ PINNED_POSTERIOR = [
             "method": "closed_form+mc",
             "closed_form": {"mean": 0.8521008403361344, "sd": 0.08553321529505073},
             "mc": {
-                "mean": 0.8519887296189458,
-                "sd": 0.0858255437506452,
-                "mode": 0.900390625,
+                "mean": 0.8518981149349859,
+                "sd": 0.08579413460596941,
+                "mode": 0.896484375,
                 "quantiles": {
-                    "0.025": 0.6413113324908787,
-                    "0.25": 0.8061152995196784,
-                    "0.5": 0.8671545359501505,
-                    "0.75": 0.91368363215504,
-                    "0.975": 0.975835862178059,
+                    "0.025": 0.6411784237719872,
+                    "0.25": 0.8060322284261874,
+                    "0.5": 0.8669616876295505,
+                    "0.75": 0.9137214538689047,
+                    "0.975": 0.9753385796273721,
                 },
                 "credible_interval": {
-                    "lo": 0.6413113324908787,
-                    "hi": 0.975835862178059,
+                    "lo": 0.6411784237719873,
+                    "hi": 0.9753385796273721,
                     "mass": 0.95,
                 },
             },
@@ -280,10 +280,10 @@ PINNED_POSTERIOR = [
             "method       closed_form+mc\n"
             "closed_mean  0.550000\n"
             "closed_sd    0.203832\n"
-            "mc_mean      0.550822\n"
-            "mc_sd        0.203514\n"
-            "mc_mode      0.580078\n"
-            "ci_0.95      [0.112763, 0.921326]\n"
+            "mc_mean      0.550835\n"
+            "mc_sd        0.204397\n"
+            "mc_mode      0.517578\n"
+            "ci_0.95      [0.110061, 0.922817]\n"
             "seed         0\n"
             "beta         0.5\n"
         ),
@@ -292,19 +292,19 @@ PINNED_POSTERIOR = [
             "method": "closed_form+mc",
             "closed_form": {"mean": 0.55, "sd": 0.20383233072213802},
             "mc": {
-                "mean": 0.5508224681432231,
-                "sd": 0.20351410576541168,
-                "mode": 0.580078125,
+                "mean": 0.5508353292179636,
+                "sd": 0.20439654690282852,
+                "mode": 0.517578125,
                 "quantiles": {
-                    "0.025": 0.11276321070590756,
-                    "0.25": 0.4276760598868221,
-                    "0.5": 0.5647220935290891,
-                    "0.75": 0.6862392686777641,
-                    "0.975": 0.9213262343123242,
+                    "0.025": 0.11006129345874106,
+                    "0.25": 0.42728026874619973,
+                    "0.5": 0.5653815137247524,
+                    "0.75": 0.6872922852673342,
+                    "0.975": 0.9228170877609582,
                 },
                 "credible_interval": {
-                    "lo": 0.11276321070590758,
-                    "hi": 0.9213262343123242,
+                    "lo": 0.11006129345874109,
+                    "hi": 0.9228170877609582,
                     "mass": 0.95,
                 },
             },
@@ -539,14 +539,14 @@ PINNED_PRIOR_EXPLORE = [
         "--n-categories 3 --betas 0.5,1 --measure new --mc-samples 5000 --seed 3",
         (
             "beta      mean      sd        mode\n"
-            "0.5       0.550000  0.203832  0.560547\n"
+            "0.5       0.550000  0.203832  0.556641\n"
             "1         0.625000  0.139194  0.638672\n"
         ),
         {
             "measure": "new",
             "n_categories": 3,
             "priors": [
-                {"beta": 0.5, "mean": 0.55, "sd": 0.20383233072213802, "mode": 0.560546875},
+                {"beta": 0.5, "mean": 0.55, "sd": 0.20383233072213802, "mode": 0.556640625},
                 {"beta": 1.0, "mean": 0.625, "sd": 0.1391941090707506, "mode": 0.638671875},
             ],
             "metadata": {"version": "0.1.0", "rng": "sfc64", "seed": 3, "measure": "new"},
@@ -583,7 +583,7 @@ PINNED_PRIOR_EXPLORE = [
         "--n-categories 4 --betas 0.5,1 --measure old --mc-samples 5000 --seed 3",
         (
             "beta      mean      sd        mode\n"
-            "0.5       0.556181  0.192618  0.529297\n"
+            "0.5       0.562776  0.186707  0.673828\n"
             "1         0.663250  0.144061  0.740234\n"
         ),
         {
@@ -592,9 +592,9 @@ PINNED_PRIOR_EXPLORE = [
             "priors": [
                 {
                     "beta": 0.5,
-                    "mean": 0.5561806133529898,
-                    "sd": 0.19261758036185114,
-                    "mode": 0.529296875,
+                    "mean": 0.5627762377747643,
+                    "sd": 0.18670736989792494,
+                    "mode": 0.673828125,
                 },
                 {
                     "beta": 1.0,

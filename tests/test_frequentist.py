@@ -516,6 +516,17 @@ def test_plugin_only_bias_curve_draws_nothing(measure, sfc64_streams):
     assert sfc64_streams == []
 
 
+def test_plugin_only_bias_curve_ignores_a_huge_prior():
+    # The plug-in uses no prior, so a prior too large for the posterior's
+    # closed forms is not refused when it is the only estimator.
+    q = ProbabilityVector((0.45, 0.35), 0.20)
+    huge = bias_curve(q, n_values=(1, 20), estimators=("plugin",), prior_beta=1e160, seed=3)
+    unit = bias_curve(q, n_values=(1, 20), estimators=("plugin",), seed=3)
+    assert huge == unit
+    with pytest.raises(DomainError, match=r"add up to more than 1e\+154"):
+        bias_curve(q, n_values=(1, 20), estimators=("plugin", "bayes_mean"), prior_beta=1e160)
+
+
 def test_bias_curve_closed_form_mean_draws_no_posterior_sample(sfc64_streams):
     q = ProbabilityVector((0.5, 0.3), 0.2)
     bias_curve(q, n_values=(2, 7), estimators=("plugin", "bayes_mean"), mc_repeats=6, seed=17)

@@ -444,66 +444,66 @@ PINNED_SUMMARIES = [
         'old': (0.48529411764705876, 0.5136141664726633, 0.06599354450579395, 0.38464274960997114, 0.6436500434506409),
     }),
     ((3,), 1, 0.5, {
-        'new': (0.25, 0.30000000000000004, 0.18708286933869714, 0.03305335453302782, 0.7447391128971177),
+        'new': (0.25, 0.30000000000000004, 0.18708286933869714, 0.026711863595613415, 0.7239560678387633),
     }),
     ((0,), 2, 0.5, {
-        'new': (1.0, 0.8333333333333334, 0.1863389981249825, 0.30161247886099685, 0.9998374618070204),
+        'new': (1.0, 0.8333333333333334, 0.1863389981249825, 0.34820746447715445, 0.9997785669815898),
     }),
     ((5,), 0, 0.5, {
-        'new': (0.0, 0.08333333333333337, 0.1044638617546682, 7.833946956415097e-05, 0.388363279584542),
+        'new': (0.0, 0.08333333333333337, 0.1044638617546682, 8.441328813407216e-05, 0.38070613426374084),
     }),
     ((0,), 0, 0.5, {
-        'new': (None, 0.5, 0.3535533905932738, 0.001369034615963582, 0.9982528211807322),
+        'new': (None, 0.5, 0.3535533905932738, 0.0013511648550284389, 0.9982118716323023),
     }),
     ((4, 1), 0, 0.5, {
-        'new': (0.31999999999999984, 0.37362637362637363, 0.14531902368613392, 0.07375728632881719, 0.6152342975840953),
-        'modified': (0.6399999999999997, 0.6703296703296704, 0.2612289238544097, 0.12721456685300592, 0.998960602045578),
-        'old': (0.3999999999999999, 0.5121359236451427, 0.25605141601015025, 0.07516881133755039, 0.9688292345042551),
+        'new': (0.31999999999999984, 0.37362637362637363, 0.14531902368613392, 0.07945008796583841, 0.6178181162113255),
+        'modified': (0.6399999999999997, 0.6703296703296704, 0.2612289238544097, 0.13478589553678197, 0.9988114414217475),
+        'old': (0.3999999999999999, 0.5156107402864738, 0.25717017471706205, 0.08070883956167428, 0.9674921220658066),
     }),
     ((0, 0), 0, 0.5, {
-        'new': (None, 0.5, 0.2581988897471611, 0.03258326685484816, 0.9625674977330505),
-        'modified': (None, 0.6666666666666667, 0.2981423969999719, 0.04736627486772017, 0.9987167664270673),
-        'old': (None, 0.5857050304759109, 0.29104680001439115, 0.03288972681485537, 0.9862714182993978),
+        'new': (None, 0.5, 0.2581988897471611, 0.02939333868730533, 0.9648623062672613),
+        'modified': (None, 0.6666666666666667, 0.2981423969999719, 0.04661784751482438, 0.9993469863387308),
+        'old': (None, 0.5827653118546637, 0.2915220116170548, 0.02954336449885504, 0.9906434238692916),
     }),
     ((0, 0), 3, 0.5, {
-        'new': (1.0, 0.8333333333333334, 0.14213381090374033, 0.477980513272317, 0.9944243615210503),
-        'modified': (1.0, 0.888888888888889, 0.13400504203456187, 0.526229864101385, 0.999769785799235),
-        'old': (1.0, 0.8624980972389351, 0.1409107912308543, 0.48814334641446316, 0.9978176374462776),
+        'new': (1.0, 0.8333333333333334, 0.14213381090374033, 0.475566789593918, 0.9949453516125648),
+        'modified': (1.0, 0.888888888888889, 0.13400504203456187, 0.5122854808254453, 0.9998540377522198),
+        'old': (1.0, 0.8598016579322462, 0.1407388558029264, 0.4802525065991113, 0.9979201549126082),
     }),
     ((7, 2), 1, 0.5, {
-        'new': (0.4111111111111112, 0.4268774703557312, 0.12044565016187501, 0.17041715342302294, 0.6274792239949957),
-        'modified': (0.7222222222222224, 0.7233201581027667, 0.2077996789200933, 0.2829939865614113, 0.9986984976932514),
-        'old': (0.5, 0.5599524771529755, 0.21455276541057977, 0.1791542990654912, 0.9648955799654343),
+        'new': (0.4111111111111112, 0.4268774703557312, 0.12044565016187501, 0.1837663363071961, 0.629561915640146),
+        'modified': (0.7222222222222224, 0.7233201581027667, 0.2077996789200933, 0.29871752246960825, 0.9987204117874239),
+        'old': (0.5, 0.5605913937369544, 0.21457067870195992, 0.19496835170047902, 0.9654781319787209),
     }),
     ((2, 0, 5), 1, 0.5, {
-        'new': (0.4821428571428571, 0.5236842105263158, 0.11675785734017108, 0.2658180433234584, 0.7205933964930026),
-        'modified': (0.6607142857142856, 0.7105263157894737, 0.15436255413869812, 0.3497992014362896, 0.9540843289568437),
-        'old': (0.5, 0.5447076334536619, 0.14688821450752815, 0.23500128070873386, 0.8141854527264951),
+        'new': (0.4821428571428571, 0.5236842105263158, 0.11675785734017108, 0.251777845154702, 0.7173775237953959),
+        'modified': (0.6607142857142856, 0.7105263157894737, 0.15436255413869812, 0.3349374708944676, 0.959602510273592),
+        'old': (0.5, 0.5427963782530854, 0.15248493330613325, 0.22502546675811258, 0.830357873186451),
     }),
     ((0, 0, 0), 0, 0.5, {
-        'new': (None, 0.55, 0.20383233072213802, 0.11989214739642799, 0.91700849191756),
-        'modified': (None, 0.7000000000000001, 0.22990681342044408, 0.14934660567273225, 0.9882533842270345),
-        'old': (None, 0.5701682817322046, 0.2277101416086808, 0.09788040024237407, 0.9440783106671351),
+        'new': (None, 0.55, 0.20383233072213802, 0.12781634671301004, 0.9146998312436467),
+        'modified': (None, 0.7000000000000001, 0.22990681342044408, 0.16764139408473186, 0.9870648922718035),
+        'old': (None, 0.5662375854068785, 0.2246716336752272, 0.10764584518068548, 0.9428664909526788),
     }),
     ((12, 3, 0, 7), 2, 0.5, {
-        'new': (0.6174242424242424, 0.6241509433962265, 0.059309814295192796, 0.483119973427973, 0.7246754197657469),
-        'modified': (0.7954545454545453, 0.8007547169811321, 0.07384252379879168, 0.6197014924089863, 0.9202822684809475),
-        'old': (0.5555555555555556, 0.5770609336287396, 0.08542834338493417, 0.4150252476348057, 0.7439468626926035),
+        'new': (0.6174242424242424, 0.6241509433962265, 0.059309814295192796, 0.48528003716685747, 0.7210736629499219),
+        'modified': (0.7954545454545453, 0.8007547169811321, 0.07384252379879168, 0.6226281622915789, 0.911724913303218),
+        'old': (0.5555555555555556, 0.5774348380287172, 0.08269736835535747, 0.4211855519356168, 0.7323777844091611),
     }),
     ((0, 0, 0, 0), 4, 0.5, {
-        'new': (1.0, 0.8461538461538461, 0.10088366960464615, 0.6050534348416058, 0.9780794858893299),
-        'modified': (1.0, 0.8974358974358975, 0.09287574500653757, 0.649645676708546, 0.9924804158616667),
-        'old': (1.0, 0.8315906479203221, 0.10996708870405167, 0.5695376463870665, 0.9770837566458953),
+        'new': (1.0, 0.8461538461538461, 0.10088366960464615, 0.5970205855666594, 0.980266280207176),
+        'modified': (1.0, 0.8974358974358975, 0.09287574500653757, 0.6396991052863751, 0.9931409041579422),
+        'old': (1.0, 0.8313724380702654, 0.11140320837006558, 0.5627673743522085, 0.9814545540324503),
     }),
     ((1, 1, 1, 1, 1), 0, 0.5, {
-        'new': (0.7999999999999999, 0.7242647058823529, 0.06518335395630163, 0.5712752549805773, 0.8214451587151803),
-        'modified': (0.9999999999999999, 0.8897058823529411, 0.07647870339911375, 0.7077357551310604, 0.9837606261911854),
-        'old': (1.0, 0.676540574285073, 0.11122232520498329, 0.4472452277044237, 0.87351822049664),
+        'new': (0.7999999999999999, 0.7242647058823529, 0.06518335395630163, 0.562249956118857, 0.8170471444448989),
+        'modified': (0.9999999999999999, 0.8897058823529411, 0.07647870339911375, 0.6920841056522085, 0.9839001490897179),
+        'old': (1.0, 0.674725987207794, 0.11118522292234655, 0.4415605215930679, 0.8721958061134176),
     }),
     ((30, 2, 9, 0, 4), 6, 0.5, {
-        'new': (0.5638344226579519, 0.5819969453990073, 0.06289382119650305, 0.44999722158022315, 0.6935746307962489),
-        'modified': (0.6753812636165576, 0.6974035891561665, 0.07569169330613443, 0.5387107517305508, 0.8302290616802634),
-        'old': (0.48529411764705876, 0.488737230906535, 0.06645513731784429, 0.35916548353533784, 0.6209462209174786),
+        'new': (0.5638344226579519, 0.5819969453990073, 0.06289382119650305, 0.45240588958137834, 0.6936638243066795),
+        'modified': (0.6753812636165576, 0.6974035891561665, 0.07569169330613443, 0.5396089120124136, 0.8309204369615545),
+        'old': (0.48529411764705876, 0.48837849015390394, 0.06451015285370629, 0.36161044850439084, 0.6196324729331746),
     }),
 ]
 
