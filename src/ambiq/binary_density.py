@@ -4,7 +4,8 @@ With C = 2 the ambiguity value determines the conditional vector up to the
 swap pi <-> 1 - pi, so the pushforward of a Dirichlet posterior onto the
 measure has a one-dimensional integral representation: condition on the
 can't-solve mass u, invert the measure to a symmetric pair of pi values,
-and weight by the Beta densities of the independent (u, pi) pair.
+and weight by the Beta densities of the independent (u, pi) pair, for
+the measures whose C = 2 density posterior_analytics.methods names ANALYTIC.
 
 The inversion threshold, shared by both invertible measures, is
 
@@ -41,9 +42,6 @@ For the CDF, the two conditional Beta tails at every node and the
 can't-solve boundary term at every a of a chunk are one batch of the
 incomplete beta: three rows of nodes, against a column of the three (a, b)
 pairs, so one continued-fraction loop runs per chunk.
-
-The total-variation measure is piecewise linear in pi and not treated
-here; its pushforward is summarized by Monte Carlo elsewhere.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import numpy as np
 from .exceptions import DomainError
 from .measures import CountVector, MeasureKind
 from .numerics import DirichletParams, QuadratureResult, beta_pdf_pair, regularized_incomplete_beta
-from .posterior_analytics import posterior_mean_sd
+from .posterior_analytics import ANALYTIC, methods, posterior_mean_sd
 
 __all__ = [
     "BinaryCounts",
@@ -253,7 +251,7 @@ def _evaluate(a, counts: BinaryCounts, prior_beta: float, measure: MeasureKind, 
 
     Returns (values, error estimates, integrand evaluations).
     """
-    if measure not in (MeasureKind.NEW, MeasureKind.MODIFIED):
+    if methods(measure, 2).density != ANALYTIC:
         raise DomainError("the exact binary posterior covers the quadratic measures only")
     cond, cs = _beta_params(counts, prior_beta)
     is_new = measure is MeasureKind.NEW

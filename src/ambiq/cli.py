@@ -50,7 +50,7 @@ from .measures import (
     ambiguity,
 )
 from .numerics import DirichletParams, make_generator
-from .posterior_analytics import posterior_mean_sd, posterior_update
+from .posterior_analytics import ANALYTIC, CLOSED_FORM, methods, posterior_mean_sd, posterior_update
 from .posterior_sampling import (
     _MIN_SAMPLES,
     DensityEstimate,
@@ -219,16 +219,12 @@ def _density_to_file(
     posterior: DirichletParams,
     counts: CountVector,
     measure: MeasureKind,
+    density_method: str,
     seed: int,
-) -> str:
-    """Write the posterior density curve; returns the method used.
-
-    Two proper categories with a quadratic measure get the exact
-    analytic curve; everything else gets a Monte Carlo histogram with an
-    across-repeat IQR band.
-    """
-    analytic = counts.n_proper == 2 and measure is not MeasureKind.OLD
-    if analytic:
+) -> None:
+    """Write the posterior density curve: the exact analytic curve, or a
+    Monte Carlo histogram with an across-repeat IQR band."""
+    if density_method == ANALYTIC:
         grid, values = density_curve(
             BinaryCounts(counts.proper[0], counts.proper[1], counts.cs),
             prior_beta=args.beta,
@@ -240,10 +236,9 @@ def _density_to_file(
             ["a", "density"],
             [[repr(float(a)), repr(float(v))] for a, v in zip(grid, values)],
         )
-        return "analytic"
+        return
     estimate = density_with_uncertainty(posterior, measure, seed=seed)
     _write_csv(args.density, _BAND_HEADER, _band_rows(estimate))
-    return "mc_histogram"
 
 
 def _cmd_posterior(args: argparse.Namespace) -> int:
@@ -252,16 +247,18 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     measure = MeasureKind.parse(args.measure)
     prior = DirichletParams.symmetric(counts.n_proper, args.beta)
     posterior = posterior_update(prior, counts)
-    # Total variation has no closed-form moments, so that measure runs on
-    # the Monte Carlo path alone and the output says so.
+    plan = methods(measure, counts.n_proper)
     closed = None
-    if measure is not MeasureKind.OLD:
+    if plan.moments == CLOSED_FORM:
         mean, sd = posterior_mean_sd(posterior, measure)
         closed = {"mean": mean, "sd": sd}
     _check_mc_samples(args.mc_samples)
     mass = args.credible_mass
     if not 0.0 < mass < 1.0:
         raise DomainError(f"credible mass {mass!r} outside (0, 1)")
+    density_method = None if args.density is None else plan.density
+    if density_method == ANALYTIC and args.grid_points < 3:
+        raise DomainError("--grid-points must be at least 3")
     values = sample_transformed(posterior, (measure,), args.mc_samples, seed)[0]
     # Moments and mode of the sample as drawn, then one sort for every level.
     mc = {"mean": float(values.mean()), "sd": float(values.std()), "mode": histogram_mode(values)}
@@ -269,10 +266,8 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     tail = 0.5 * (1.0 - mass)
     *quantiles, lo, hi = _sorted_quantiles(values, (*_QUANTILE_LEVELS, tail, 1.0 - tail)).tolist()
     method = "closed_form+mc" if closed is not None else "mc_only"
-
-    density_method = None
-    if args.density is not None:
-        density_method = _density_to_file(args, posterior, counts, measure, seed)
+    if density_method is not None:
+        _density_to_file(args, posterior, counts, measure, density_method, seed)
 
     if args.json:
         payload = {

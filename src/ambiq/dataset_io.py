@@ -230,14 +230,13 @@ def score_items(
     """Score every item: plug-in point estimates plus posterior summaries.
 
     Each item gets the posterior_summaries entry of its count vector,
-    computed once per distinct vector: means and sds are exact
-    for the quadratic measures and Monte Carlo for total variation, and
-    equal-tailed intervals come from one MC sample per count vector,
-    shared across measures. That sample is drawn from the stream
-    (seed, (C, *proper, cs)), keyed on the counts, so items with equal
-    counts get equal reports, and a report depends only on the item's
-    counts and the scoring settings, never on the other items or the
-    scoring order.
+    computed once per distinct vector: means and sds by the method
+    posterior_analytics.methods names, and equal-tailed intervals from
+    one MC sample per count vector, shared across measures. That sample
+    is drawn from the stream (seed, (C, *proper, cs)), keyed on the
+    counts, so items with equal counts get equal reports, and a report
+    depends only on the item's counts and the scoring settings, never on
+    the other items or the scoring order.
 
     Raises:
         TooFewSamples: mc_samples below 1000.

@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import DomainError, SingleCategoryUnsupported, TooLarge
 from .measures import CountVector, MeasureKind, ProbabilityVector, ambiguity, modified_from_new
 from .numerics import DirichletParams, ln_gamma, make_generator
-from .posterior_analytics import posterior_mean_sd, posterior_update
+from .posterior_analytics import MC, methods, posterior_mean_sd, posterior_update
 from .posterior_sampling import _sample_buffer, histogram_mode, sample_transformed
 
 __all__ = [
@@ -116,20 +116,18 @@ def expected_plugin(
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
-    if measure is MeasureKind.OLD:
+    if measure is MeasureKind.MODIFIED:
+        return modified_from_new(expected_plugin(q, n), q.cs, q.n_proper)
+    if measure is not MeasureKind.NEW:
         return _expected_plugin_old(q, n)
     if q.is_degenerate:
-        new = 1.0
-    else:
-        c = q.cs
-        survival = (1.0 - c**n) / n
-        s2 = math.fsum(v * v for v in q.proper)
-        one_minus = 1.0 - c
-        factor = 1.0 / one_minus - survival / one_minus**2
-        new = (1.0 - survival) - factor * s2
-    if measure is MeasureKind.NEW:
-        return new
-    return modified_from_new(new, q.cs, q.n_proper)
+        return 1.0
+    c = q.cs
+    survival = (1.0 - c**n) / n
+    s2 = math.fsum(v * v for v in q.proper)
+    one_minus = 1.0 - c
+    factor = 1.0 / one_minus - survival / one_minus**2
+    return (1.0 - survival) - factor * s2
 
 
 def _expected_plugin_old(q: ProbabilityVector, n: int) -> float:
@@ -251,10 +249,10 @@ def bias_curve(
     Monte Carlo over the counts: they are redrawn mc_repeats times per
     sample size from the stream (seed, (n_index,)), and no counts are
     drawn when only the plug-in is requested. Repeat r's posterior mean is
-    closed-form for the quadratic measures; its mode, and its mean for
-    total variation, come from one posterior sample of 20 000
-    draws from the substream (seed, (n_index, r)), shared by both Bayes
-    columns, so the whole curve is reproducible from the single seed.
+    by the moments method of posterior_analytics.methods; its mode, and a
+    Monte Carlo mean, come from one posterior sample of 20 000 draws from
+    the substream (seed, (n_index, r)), shared by both Bayes columns, so
+    the whole curve is reproducible from the single seed.
     """
     for index, name in enumerate(estimators):
         if name not in ESTIMATOR_NAMES:
@@ -281,10 +279,9 @@ def bias_curve(
     # Built before any draw, so a prior too large to update is refused up
     # front; the plug-in alone uses no prior.
     prior = DirichletParams.symmetric(n_cat, prior_beta) if bayes_names else None
-    # One posterior sample per repeat serves both Bayes columns; the mean
-    # alone needs none for the quadratic measures, whose means are exact.
+    # One posterior sample per repeat serves both Bayes columns.
     need_sample = bool(bayes_names) and (
-        "bayes_mode" in bayes_names or measure is MeasureKind.OLD
+        "bayes_mode" in bayes_names or methods(measure, n_cat).moments == MC
     )
     # Every repeat's sample is drawn and measured in this one buffer, so no
     # repeat hands its memory back to malloc for the next to fault in again.

@@ -257,7 +257,7 @@ def modified_from_new(amb: float, q_cs: float, n_proper: int) -> float:
         DomainError: when amb or q_cs is outside [0, 1].
     """
     if n_proper < 2:
-        raise SingleCategoryUnsupported("relation needs C >= 2")
+        raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
     if not (0.0 <= amb <= 1.0):
         raise DomainError(f"amb must lie in [0, 1]; got {amb}")
     if not (0.0 <= q_cs <= 1.0):

@@ -17,15 +17,13 @@ Notation used throughout: E = E(amb), and the two abbreviations
 The second moment is E(amb^2) = R + S [1 - E]^2 + 2E - 1; subtracting E^2
 gives the variance R + (S - 1) [1 - E]^2, which var_amb evaluates.
 
-posterior_mean_sd is the package's one (mean, sd) of a measure under a
-Dirichlet: the closed forms below for the quadratic measures, and for
-total variation, which has none (its mean needs regularized incomplete
-Beta functions), the moments of a Monte Carlo sample the caller draws.
+methods(measure, C) is the one record of which method serves each quantity.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,6 +45,7 @@ __all__ = [
     "var_qcs",
     "cov_amb_qcs",
     "var_amb_modified",
+    "methods",
     "posterior_mean_sd",
 ]
 
@@ -159,7 +158,7 @@ def var_amb_modified(params: DirichletParams) -> float:
     (C-1)^{-2} [C^2 Var(amb) + Var(q_cs) - 2C Cov(amb, q_cs)]."""
     n_cat = params.n_proper
     if n_cat < 2:
-        raise SingleCategoryUnsupported("modified measure needs C >= 2")
+        raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
     value = (
         n_cat * n_cat * var_amb(params)
         + var_qcs(params)
@@ -170,31 +169,45 @@ def var_amb_modified(params: DirichletParams) -> float:
     return max(0.0, value)
 
 
+CLOSED_FORM, MC, ANALYTIC, MC_HISTOGRAM = "closed_form", "mc", "analytic", "mc_histogram"
+Methods = namedtuple("Methods", ["moments", "density"])
+
+
+def methods(measure: MeasureKind, n_proper: int) -> Methods:
+    """Which method, by the name `ambiq posterior` prints, serves the
+    posterior moments (CLOSED_FORM or MC) and density (ANALYTIC or
+    MC_HISTOGRAM) of `measure` over n_proper proper categories. The
+    quadratic measures have closed-form Dirichlet moments, and at C = 2 an
+    exact density (binary_density); total variation, piecewise linear, has
+    neither. Monte Carlo serves whatever has no exact method."""
+    if measure is MeasureKind.OLD:
+        return Methods(MC, MC_HISTOGRAM)
+    return Methods(CLOSED_FORM, ANALYTIC if n_proper == 2 else MC_HISTOGRAM)
+
+
 def posterior_mean_sd(
     params: DirichletParams,
     measure: MeasureKind,
     values: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """(mean, sd) of a measure under Dir(params).
-
-    The quadratic measures use the closed-form moments and ignore values;
-    total variation has none, so its mean and sd are the moments of the
-    Monte Carlo sample `values`, drawn from Dir(params) by the caller:
-    the floats of values.mean() and values.std(). A float array `work`
-    shaped like values, which must not overlap it, takes the squared
-    deviations in place of a new array.
+    """(mean, sd) of a measure under Dir(params), by the moments method
+    of methods: closed forms ignore values; Monte Carlo moments are those
+    of the sample `values`, drawn from Dir(params) by the caller, the
+    floats of values.mean() and values.std(). A float array `work` shaped
+    like values, which must not overlap it, takes the squared deviations
+    in place of a new array.
 
     Raises:
         SingleCategoryUnsupported: Modified with C = 1.
-        DomainError: total variation without a sample.
+        DomainError: Monte Carlo moments without a sample.
     """
-    if measure is MeasureKind.NEW:
-        return expected_amb(params), math.sqrt(var_amb(params))
-    if measure is MeasureKind.MODIFIED:
+    if methods(measure, params.n_proper).moments == CLOSED_FORM:
+        if measure is MeasureKind.NEW:
+            return expected_amb(params), math.sqrt(var_amb(params))
         return expected_amb_modified(params), math.sqrt(var_amb_modified(params))
     if values is None:
-        raise DomainError("the total-variation measure needs a Monte Carlo sample")
+        raise DomainError(f"the {measure.value} measure's moments need a Monte Carlo sample")
     # np.std's own steps: the mean, the squared deviations from it, their
     # pairwise sum over n.
     mean = values.mean()

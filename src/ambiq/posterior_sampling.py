@@ -11,12 +11,11 @@ reproducible without coordination between callers.
 
 posterior_summaries is the per-count-vector summary, and MeasureSummary
 its record: one sample per distinct count vector, drawn from a stream
-keyed on the counts themselves, feeds every measure's interval. Each
-measure's mean and sd come from posterior_analytics.posterior_mean_sd:
-the closed forms for the quadratic measures, and that same sample's
-moments for total variation, which has no closed form. A vector's summary
-depends only on (counts, prior, measures, sample size, credible mass,
-seed), never on the other vectors it is summarized with.
+keyed on the counts themselves, feeds every measure's interval, and the
+mean and sd of any measure that posterior_analytics.methods serves by
+Monte Carlo. A vector's summary depends only on (counts, prior,
+measures, sample size, credible mass, seed), never on the other vectors
+it is summarized with.
 
 Quantiles and credible intervals are read off a sorted sample by
 _sorted_quantiles, Hyndman and Fan's type 7 rule (linear interpolation
@@ -65,10 +64,10 @@ class MeasureSummary:
     """Posterior summary of one measure for one count vector.
 
     plugin is the measure at the empirical frequencies, None for a count
-    vector with no annotations. posterior_mean and posterior_sd are exact
-    for the quadratic measures and sample moments for total variation; the
-    equal-tailed credible interval [credible_lo, credible_hi] always comes
-    from the Monte Carlo sample. The field names, in order, are the
+    vector with no annotations. posterior_mean and posterior_sd are by the
+    moments method of posterior_analytics.methods; the equal-tailed
+    credible interval [credible_lo, credible_hi] always comes from the
+    Monte Carlo sample. The field names, in order, are the
     per-measure columns of a score report file.
     """
 
@@ -205,9 +204,8 @@ def posterior_summaries(
 
     The posterior is Dir(prior_beta + counts) under a symmetric prior. One
     sample of mc_samples posterior vectors serves every measure: it gives
-    the equal-tailed interval of each, and the mean and sd of total
-    variation; the quadratic measures take their mean and sd from the
-    closed forms. The sample comes from the stream (seed, (C, *proper,
+    the equal-tailed interval of each, and a Monte Carlo mean and sd by
+    posterior_mean_sd. The sample comes from the stream (seed, (C, *proper,
     cs)), keyed on the counts, so equal count vectors get equal summaries
     wherever they occur, and ``posterior_summaries((counts,), ...)[counts]``
     is the summary of one vector. Each value is one MeasureSummary per
@@ -256,8 +254,8 @@ def posterior_summaries(
         rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
         summary = {}
         for measure, values, plugin in zip(measures, rows, plugins.get(counts, repeat(None))):
-            # Sorted only after the moments: total variation's mean and sd
-            # are pairwise sums, whose last bits depend on the order. The
+            # Sorted only after the moments: a Monte Carlo mean and sd are
+            # pairwise sums, whose last bits depend on the order. The
             # sd squares its deviations in the free first draw row.
             mean, sd = posterior_mean_sd(posterior, measure, values, work=buffer[0])
             values.sort()

@@ -369,6 +369,7 @@ class TestPosteriorMcBlock:
             ("--credible-mass", "1", "DomainError", "credible mass 1.0 outside (0, 1)"),
             ("--credible-mass", "0", "DomainError", "credible mass 0.0 outside (0, 1)"),
             ("--credible-mass", "nan", "DomainError", "credible mass nan outside (0, 1)"),
+            ("--grid-points", "2", "DomainError", "--grid-points must be at least 3"),
         ],
     )
     def test_refuses_bad_settings_before_drawing(
@@ -379,9 +380,11 @@ class TestPosteriorMcBlock:
 
         monkeypatch.setattr(ambiq.cli, "sample_transformed", no_draws)
         density = tmp_path / "density.csv"
+        # Only the analytic curve has a grid; the old measure's band has none.
+        measure = "new" if option == "--grid-points" else "old"
         code, out, err = run(
             capsys,
-            "posterior", "--counts", "3,1", "--cs-count", "1", "--measure", "old",
+            "posterior", "--counts", "3,1", "--cs-count", "1", "--measure", measure,
             "--density", str(density), option, value, "--json",
         )
         assert code == 2
@@ -983,6 +986,17 @@ class TestErrorReporting:
         assert "add up to more than 1e+154" in error["message"]
         assert sfc64_streams == []
         assert not output.exists()
+
+    def test_modified_measure_at_one_category_has_one_refusal(self, capsys):
+        refusals = [
+            run(capsys, *argv.split(), "--json")
+            for argv in (
+                "posterior --counts 5 --cs-count 1 --measure modified",
+                "prior-explore --n-categories 1 --measure modified",
+            )
+        ]
+        error = {"error": "SingleCategoryUnsupported", "message": "modified ambiguity needs C >= 2"}
+        assert [(code, out, json.loads(err)) for code, out, err in refusals] == [(2, "", error)] * 2
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

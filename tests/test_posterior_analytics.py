@@ -1,7 +1,9 @@
 """Closed-form posterior moments under a Dirichlet law: hand-derived exact
 values for small symmetric cases, reduction to Beta formulas at C = 1, a
 scipy-digamma cross-check of the expected normalized entropy, Monte Carlo
-agreement within standard-error bands, and the conjugate count update.
+agreement within standard-error bands, the conjugate count update, the
+methods table against every call site that reads it, and the law of total
+expectation for every closed-form mean.
 
 Hand oracles for Dir(proper=(1,1), cs=1), derived from the rising-factorial
 moment formulas and frozen here as exact fractions:
@@ -12,30 +14,37 @@ moment formulas and frozen here as exact fractions:
     Var[q_cs]     = 1/18
 """
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.special
 
+import ambiq.cli
+from ambiq.binary_density import BinaryCounts, posterior_cdf_binary
 from ambiq.exceptions import (
     DomainError,
     ShapeMismatch,
     SingleCategoryUnsupported,
 )
-from ambiq.measures import CountVector, MeasureKind, ambiguity_array
+from ambiq.frequentist import bias_curve
+from ambiq.measures import CountVector, MeasureKind, ProbabilityVector, ambiguity_array
 from ambiq.numerics import DirichletParams, dirichlet_sample
 from ambiq.posterior_analytics import (
     cov_amb_qcs,
     expected_amb,
     expected_amb_modified,
     expected_normalized_entropy,
+    methods,
     posterior_mean_sd,
     posterior_update,
     var_amb,
     var_amb_modified,
     var_qcs,
 )
+from ambiq.posterior_sampling import DensityEstimate
 
 UNIT_SYMMETRIC = DirichletParams(proper=(1.0, 1.0), cs=1.0)
 
@@ -270,3 +279,127 @@ class TestPosteriorMeanSd:
     def test_old_measure_has_no_closed_form(self):
         with pytest.raises(DomainError):
             posterior_mean_sd(DirichletParams.symmetric(2, 1.0), MeasureKind.OLD)
+
+
+# Every (measure, C) entry of the methods table that the tests walk, and a
+# count vector and a probability vector of each C.
+ENTRIES = [(measure, n_proper) for measure in MeasureKind for n_proper in (1, 2, 3)]
+COUNTS = {1: (5,), 2: (3, 1), 3: (4, 2, 7)}
+PROBABILITIES = {1: (0.7,), 2: (0.5, 0.3), 3: (0.4, 0.3, 0.2)}
+
+
+def defined(measure, n_proper):
+    """Whether the measure exists at C = n_proper: modified and old need
+    two proper categories."""
+    return measure is MeasureKind.NEW or n_proper >= 2
+
+
+class TestMethods:
+    """Each entry of methods is what `ambiq posterior` prints and what the
+    library does, and an exact method's numbers agree with Monte Carlo, so
+    an entry flipped to an exact method before that method exists fails
+    here."""
+
+    @pytest.mark.parametrize("measure, n_proper", ENTRIES)
+    def test_every_call_site_follows_the_entry(
+        self, capsys, monkeypatch, tmp_path, sfc64_streams, measure, n_proper
+    ):
+        counts = COUNTS[n_proper]
+        written = []
+
+        def analytic_curve(binary, **kwargs):
+            # The curve is that of the item's own counts.
+            assert (binary.n_plus, binary.n_minus, binary.n_cs) == (*counts, 1)
+            written.append("analytic")
+            return np.array([0.5]), np.array([1.0])
+
+        def mc_band(*args, **kwargs):
+            written.append("mc_histogram")
+            return DensityEstimate(np.array([0.0, 1.0]), np.ones(1), np.ones(1), np.ones(1))
+
+        monkeypatch.setattr(ambiq.cli, "density_curve", analytic_curve)
+        monkeypatch.setattr(ambiq.cli, "density_with_uncertainty", mc_band)
+        argv = [
+            "posterior", "--counts", ",".join(map(str, counts)), "--cs-count", "1",
+            "--measure", measure.value, "--mc-samples", "20000", "--seed", "5",
+            "--density", str(tmp_path / "density.csv"), "--json",
+        ]
+        code = ambiq.cli.main(argv)
+        out, err = capsys.readouterr()
+        if not defined(measure, n_proper):
+            assert (code, out, json.loads(err)["error"]) == (2, "", "SingleCategoryUnsupported")
+            return
+        assert code == 0
+        payload = json.loads(out)
+        entry = methods(measure, n_proper)
+        closed = entry.moments == "closed_form"
+        assert payload["method"] == ("closed_form+mc" if closed else "mc_only")
+        assert (payload["closed_form"] is not None) == closed
+        if closed:
+            # An exact mean lies within 5 standard errors of the sample's.
+            mc = payload["mc"]
+            assert abs(payload["closed_form"]["mean"] - mc["mean"]) < 5 * mc["sd"] / math.sqrt(20000)
+        assert payload["metadata"]["density_method"] == entry.density
+        assert written == [entry.density]
+
+        # bias_curve draws a posterior sample per repeat, on the stream
+        # (seed, (n_index, r)), only for Monte Carlo moments.
+        sfc64_streams.clear()
+        q = ProbabilityVector(PROBABILITIES[n_proper], 1.0 - sum(PROBABILITIES[n_proper]))
+        bias_curve(q, (3,), estimators=("bayes_mean",), measure=measure, mc_repeats=2)
+        posterior_streams = [key for _, key in sfc64_streams if len(key) == 2]
+        assert bool(posterior_streams) == (entry.moments == "mc")
+
+        if n_proper == 2:
+            binary = BinaryCounts(*counts, 1)
+            if entry.density != "analytic":
+                with pytest.raises(DomainError):
+                    posterior_cdf_binary(0.5, binary, measure=measure)
+            else:
+                # The exact CDF puts half the mass below the sample median.
+                median = payload["mc"]["quantiles"]["0.5"]
+                assert posterior_cdf_binary(median, binary, measure=measure) == pytest.approx(
+                    0.5, abs=0.02
+                )
+
+
+def dirichlet_multinomial_pmf(counts, beta):
+    """P(counts) when the full probability vector is Dir(beta, ..., beta)
+    and the counts are multinomial given it."""
+    n, total = sum(counts), beta * len(counts)
+    log_pmf = math.lgamma(n + 1.0) + math.lgamma(total) - math.lgamma(n + total)
+    for k in counts:
+        log_pmf += math.lgamma(k + beta) - math.lgamma(beta) - math.lgamma(k + 1.0)
+    return math.exp(log_pmf)
+
+
+@pytest.mark.parametrize(
+    "measure, n_proper",
+    [
+        entry
+        for entry in ENTRIES
+        if defined(*entry) and methods(*entry).moments == "closed_form"
+    ],
+)
+def test_closed_form_means_average_to_the_prior_mean(measure, n_proper):
+    # The law of total expectation: averaged over the prior predictive, the
+    # posterior mean is the prior mean. Every count vector of size n,
+    # can't-solve count last, weighted by its Dirichlet-multinomial
+    # probability.
+    for beta in (0.5, 1.0, 2.0):
+        prior = DirichletParams.symmetric(n_proper, beta)
+        prior_mean, _ = posterior_mean_sd(prior, measure)
+        for n in (1, 3, 8):
+            vectors = [
+                v for v in itertools.product(range(n + 1), repeat=n_proper + 1) if sum(v) == n
+            ]
+            weights = [dirichlet_multinomial_pmf(v, beta) for v in vectors]
+            means = [
+                posterior_mean_sd(
+                    posterior_update(prior, CountVector(proper=v[:-1], cs=v[-1])), measure
+                )[0]
+                for v in vectors
+            ]
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+            average = math.fsum(w * m for w, m in zip(weights, means))
+            assert abs(average - prior_mean) <= 1e-12, (beta, n)
