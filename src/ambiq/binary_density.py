@@ -53,7 +53,9 @@ import numpy as np
 
 from .exceptions import DomainError
 from .measures import CountVector, MeasureKind
-from .numerics import DirichletParams, QuadratureResult, beta_pdf_pair, regularized_incomplete_beta
+from .numerics import (
+    DirichletParams, QuadratureResult, _check_prior, beta_pdf_pair, regularized_incomplete_beta,
+)
 from .posterior_analytics import ANALYTIC, methods, posterior_mean_sd
 
 __all__ = [
@@ -94,8 +96,7 @@ Shapes = tuple[float, float]
 
 def _beta_params(counts: BinaryCounts, prior_beta: float) -> tuple[Shapes, Shapes]:
     """(conditional-vector Beta, can't-solve Beta) shapes of the posterior."""
-    if not 0.0 < prior_beta < math.inf:
-        raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
+    _check_prior(prior_beta)
     cond = (counts.n_plus + prior_beta, counts.n_minus + prior_beta)
     cs = (counts.n_cs + prior_beta, counts.n_plus + counts.n_minus + 2.0 * prior_beta)
     return cond, cs

@@ -40,7 +40,7 @@ from .dataset_io import (
     rank_and_filter,
     score_items,
 )
-from .exceptions import AmbiqError, DataFileError, DomainError, TooFewSamples
+from .exceptions import AmbiqError, DataFileError, DomainError
 from .frequentist import ESTIMATOR_NAMES, bias_curve
 from .measures import (
     CategorySchema,
@@ -52,8 +52,8 @@ from .measures import (
 from .numerics import DirichletParams, make_generator
 from .posterior_analytics import ANALYTIC, CLOSED_FORM, methods, posterior_mean_sd, posterior_update
 from .posterior_sampling import (
-    _MIN_SAMPLES,
     DensityEstimate,
+    _check_mc_settings,
     _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
@@ -102,13 +102,6 @@ def _parse_counts(counts_text: str, cs_count: int) -> CountVector:
     return CountVector(
         proper=tuple(_parse_list(counts_text, "--counts", int)), cs=cs_count
     )
-
-
-def _check_mc_samples(mc_samples: int) -> None:
-    """The floor on --mc-samples: fewer draws make the histogram mode, the
-    tail quantiles and the density band noise."""
-    if mc_samples < _MIN_SAMPLES:
-        raise TooFewSamples(f"--mc-samples must be at least {_MIN_SAMPLES}")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -252,13 +245,11 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     if plan.moments == CLOSED_FORM:
         mean, sd = posterior_mean_sd(posterior, measure)
         closed = {"mean": mean, "sd": sd}
-    _check_mc_samples(args.mc_samples)
     mass = args.credible_mass
-    if not 0.0 < mass < 1.0:
-        raise DomainError(f"credible mass {mass!r} outside (0, 1)")
-    density_method = None if args.density is None else plan.density
-    if density_method == ANALYTIC and args.grid_points < 3:
+    _check_mc_settings(args.mc_samples, mass)
+    if args.grid_points < 3:
         raise DomainError("--grid-points must be at least 3")
+    density_method = None if args.density is None else plan.density
     values = sample_transformed(posterior, (measure,), args.mc_samples, seed)[0]
     # Moments and mode of the sample as drawn, then one sort for every level.
     mc = {"mean": float(values.mean()), "sd": float(values.std()), "mode": histogram_mode(values)}
@@ -363,9 +354,7 @@ def _cmd_prior_explore(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     measure = MeasureKind.parse(args.measure)
     betas = _parse_list(args.betas, "--betas")
-    if args.n_categories < 1:
-        raise DomainError("--n-categories must be at least 1")
-    _check_mc_samples(args.mc_samples)
+    _check_mc_settings(args.mc_samples)
 
     # Every prior is checked before the first draw.
     priors = [DirichletParams.symmetric(args.n_categories, beta) for beta in betas]

@@ -236,12 +236,8 @@ def score_items(
     is drawn from the stream (seed, (C, *proper, cs)), keyed on the
     counts, so items with equal counts get equal reports, and a report
     depends only on the item's counts and the scoring settings, never on
-    the other items or the scoring order.
-
-    Raises:
-        TooFewSamples: mc_samples below 1000.
-        DomainError: credible_mass outside (0, 1), a prior that is not
-            positive and finite, or no measures.
+    the other items or the scoring order. It raises what
+    posterior_summaries raises, before any draw.
     """
     summaries = posterior_summaries(
         items.values(), prior_beta, measures, mc_samples, credible_mass, seed

@@ -24,9 +24,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, SingleCategoryUnsupported, TooLarge
-from .measures import CountVector, MeasureKind, ProbabilityVector, ambiguity, modified_from_new
-from .numerics import DirichletParams, ln_gamma, make_generator
+from .exceptions import DomainError, TooLarge
+from .measures import (
+    CountVector, MeasureKind, ProbabilityVector, _check_categories, ambiguity, modified_from_new,
+)
+from .numerics import DirichletParams, _check_prior, ln_gamma, make_generator
 from .posterior_analytics import MC, methods, posterior_mean_sd, posterior_update
 from .posterior_sampling import _sample_buffer, histogram_mode, sample_transformed
 
@@ -132,8 +134,7 @@ def expected_plugin(
 
 def _expected_plugin_old(q: ProbabilityVector, n: int) -> float:
     n_cat = q.n_proper
-    if n_cat < 2:
-        raise SingleCategoryUnsupported("old ambiguity needs C >= 2")
+    _check_categories((MeasureKind.OLD,), n_cat)
     if q.is_degenerate:
         return 1.0
     # ln k! for k = 0..n, each from ln_gamma, so no rounding accumulates
@@ -263,8 +264,7 @@ def bias_curve(
         raise DomainError("need at least one estimator")
     if mc_repeats < 1:
         raise DomainError(f"mc_repeats must be at least 1, got {mc_repeats}")
-    if not 0.0 < prior_beta < math.inf:
-        raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
+    _check_prior(prior_beta)
     n_tuple = tuple(int(n) for n in n_values)
     _check_sample_sizes(n_tuple)
     truth = ambiguity(q, measure)

@@ -89,6 +89,13 @@ class MeasureKind(Enum):
             raise DomainError(f"unknown measure {name!r}; expected one of: {valid}") from None
 
 
+def _check_categories(kinds: Sequence[MeasureKind], n_proper: int) -> None:
+    """Refuse the modified and old measures at C = 1: both divide by C - 1."""
+    for kind in kinds:
+        if kind is not MeasureKind.NEW and n_proper < 2:
+            raise SingleCategoryUnsupported(f"{kind.value} ambiguity needs C >= 2")
+
+
 @dataclass(frozen=True)
 class CategorySchema:
     """Names of the C proper categories plus the can't-solve label.
@@ -256,8 +263,7 @@ def modified_from_new(amb: float, q_cs: float, n_proper: int) -> float:
         SingleCategoryUnsupported: for C = 1.
         DomainError: when amb or q_cs is outside [0, 1].
     """
-    if n_proper < 2:
-        raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
+    _check_categories((MeasureKind.MODIFIED,), n_proper)
     if not (0.0 <= amb <= 1.0):
         raise DomainError(f"amb must lie in [0, 1]; got {amb}")
     if not (0.0 <= q_cs <= 1.0):
@@ -362,9 +368,7 @@ def measure_arrays(
     proper = np.asarray(proper, dtype=float)
     cs = np.asarray(cs, dtype=float)
     n_rows, n_cat = proper.shape
-    for kind in kinds:
-        if kind is not MeasureKind.NEW and n_cat < 2:
-            raise SingleCategoryUnsupported(f"{kind.value} ambiguity needs C >= 2")
+    _check_categories(kinds, n_cat)
     if work is None:
         # Separate arrays, so the two scratch rows are freed on return
         # rather than kept alive by the result.

@@ -54,6 +54,12 @@ __all__ = [
 _MAX_TOTAL = 1e154
 
 
+def _check_prior(beta: float) -> None:
+    """Refuse a symmetric prior concentration that is not positive and finite."""
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"prior concentration must be positive and finite, got {beta!r}")
+
+
 @dataclass(frozen=True)
 class DirichletParams:
     """Concentration parameters of a Dirichlet over C proper categories plus
@@ -102,6 +108,7 @@ class DirichletParams:
     @classmethod
     def symmetric(cls, n_proper: int, beta: float) -> "DirichletParams":
         """Symmetric prior with every entry (proper and cs) equal to beta."""
+        _check_prior(beta)
         return cls(proper=(float(beta),) * n_proper, cs=float(beta))
 
     def as_array(self) -> np.ndarray:

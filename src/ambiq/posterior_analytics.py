@@ -33,7 +33,7 @@ from .exceptions import (
     ShapeMismatch,
     SingleCategoryUnsupported,
 )
-from .measures import CountVector, MeasureKind, modified_from_new
+from .measures import CountVector, MeasureKind, _check_categories, modified_from_new
 from .numerics import DirichletParams, digamma
 
 __all__ = [
@@ -157,8 +157,7 @@ def var_amb_modified(params: DirichletParams) -> float:
     """Variance of the modified measure through the linear relation:
     (C-1)^{-2} [C^2 Var(amb) + Var(q_cs) - 2C Cov(amb, q_cs)]."""
     n_cat = params.n_proper
-    if n_cat < 2:
-        raise SingleCategoryUnsupported("modified ambiguity needs C >= 2")
+    _check_categories((MeasureKind.MODIFIED,), n_cat)
     value = (
         n_cat * n_cat * var_amb(params)
         + var_qcs(params)

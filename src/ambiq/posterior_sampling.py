@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
-from .measures import CountVector, MeasureKind, measure_arrays
-from .numerics import DirichletParams, dirichlet_sample
+from .measures import CountVector, MeasureKind, _check_categories, measure_arrays
+from .numerics import DirichletParams, _check_prior, dirichlet_sample
 from .posterior_analytics import posterior_mean_sd, posterior_update
 
 __all__ = [
@@ -57,6 +57,14 @@ __all__ = [
 MODE_BINS = 256
 
 _MIN_SAMPLES = 1000
+
+
+def _check_mc_settings(mc_samples: int, credible_mass: float | None = None) -> None:
+    """Refuse fewer draws than a mode or tail quantile needs, or a credible mass outside (0, 1)."""
+    if mc_samples < _MIN_SAMPLES:
+        raise TooFewSamples(f"mc_samples must be at least {_MIN_SAMPLES}")
+    if credible_mass is not None and not 0.0 < credible_mass < 1.0:
+        raise DomainError(f"credible mass {credible_mass!r} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ def sample_transformed(
     """Draw `count` vectors from Dir(params), using the stream (seed,
     stream), and return every measure in `measures` at each of them: the
     (len(measures), count) rows of measure_arrays, so one draw feeds
-    several measures.
+    several measures. A measure that C does not support is refused first.
 
     A float array `out` from _sample_buffer(C, len(measures), count)
     receives the draws in its first C + 1 rows and the measures' workspace
@@ -154,6 +162,7 @@ def sample_transformed(
     samples of one shape can reuse one buffer and allocate nothing per
     sample. The values are the same either way.
     """
+    _check_categories(measures, params.n_proper)
     n_draws = params.n_proper + 1
     draws, work = (None, None) if out is None else (out[: n_draws + 1], out[n_draws:])
     proper, cs = dirichlet_sample(params, count, seed, stream, out=draws)
@@ -229,14 +238,11 @@ def posterior_summaries(
         TooFewSamples: mc_samples below 1000.
         DomainError: credible_mass outside (0, 1), a prior that is not
             positive and finite, or no measures.
+        SingleCategoryUnsupported: modified or old at C = 1, before any draw.
     """
     measures = tuple(measures)
-    if mc_samples < _MIN_SAMPLES:
-        raise TooFewSamples(f"mc_samples must be at least {_MIN_SAMPLES}")
-    if not 0.0 < credible_mass < 1.0:
-        raise DomainError(f"credible mass {credible_mass!r} outside (0, 1)")
-    if not 0.0 < prior_beta < np.inf:
-        raise DomainError(f"prior concentration must be positive and finite, got {prior_beta!r}")
+    _check_mc_settings(mc_samples, credible_mass)
+    _check_prior(prior_beta)
     if not measures:
         raise DomainError("need at least one measure")
     tail = 0.5 * (1.0 - credible_mass)
@@ -305,8 +311,6 @@ def density_with_uncertainty(
     normalized to integrate to one; the returned band summarizes the
     per-bin spread across these independent, reproducible repeats.
     """
-    if samples_per_repeat < 1:
-        raise DomainError("samples_per_repeat must be positive")
     edges = np.linspace(0.0, 1.0, MODE_BINS + 1)
     heights = np.empty((100, MODE_BINS))
     for r in range(len(heights)):

@@ -70,6 +70,14 @@ class TestMeasureCommand:
         assert code == 2
         assert err
 
+    def test_q_with_one_entry_needs_cs(self, capsys):
+        code, out, err = run(capsys, "measure", "--q", "0.5")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --q without --cs needs at least two entries (the last is the"
+            " can't-solve mass)\n"
+        )
+
     def test_rejects_bad_simplex(self, capsys):
         code, _, err = run(capsys, "measure", "--q", "0.5,0.6", "--cs", "0.2")
         assert code == 2
@@ -116,6 +124,27 @@ class TestPosteriorCommand:
         assert rows[0] == ["a", "density"]
         assert len(rows) == 33
         assert all(float(r[1]) >= 0.0 for r in rows[1:])
+
+    def test_table_names_the_density_method(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "posterior", "--counts", "2,1", "--cs-count", "1", "--mc-samples", "2000",
+            "--grid-points", "16", "--density", str(tmp_path / "density.csv"), "--seed", "4",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "measure      new\n"
+            "method       closed_form+mc\n"
+            "closed_mean  0.571429\n"
+            "closed_sd    0.123718\n"
+            "mc_mean      0.575818\n"
+            "mc_sd        0.124222\n"
+            "mc_mode      0.560547\n"
+            "ci_0.95      [0.290925, 0.808512]\n"
+            "seed         4\n"
+            "beta         1\n"
+            "density      analytic\n"
+        )
 
     def test_histogram_density_file_for_old_measure(self, capsys, tmp_path):
         density = tmp_path / "density.csv"
@@ -363,29 +392,53 @@ class TestPosteriorMcBlock:
             assert mc["sd"] == pytest.approx(payload["closed_form"]["sd"], abs=0.01)
 
     @pytest.mark.parametrize(
-        "option, value, error, message",
+        "argv, error, message",
         [
-            ("--mc-samples", "999", "TooFewSamples", "--mc-samples must be at least 1000"),
-            ("--credible-mass", "1", "DomainError", "credible mass 1.0 outside (0, 1)"),
-            ("--credible-mass", "0", "DomainError", "credible mass 0.0 outside (0, 1)"),
-            ("--credible-mass", "nan", "DomainError", "credible mass nan outside (0, 1)"),
-            ("--grid-points", "2", "DomainError", "--grid-points must be at least 3"),
+            (
+                "--counts 3,1 --cs-count 1 --measure old --density {density} --mc-samples 999",
+                "TooFewSamples",
+                "mc_samples must be at least 1000",
+            ),
+            (
+                "--counts 3,1 --cs-count 1 --measure old --density {density} --credible-mass 1",
+                "DomainError",
+                "credible mass 1.0 outside (0, 1)",
+            ),
+            (
+                "--counts 3,1 --cs-count 1 --measure old --density {density} --credible-mass 0",
+                "DomainError",
+                "credible mass 0.0 outside (0, 1)",
+            ),
+            (
+                "--counts 3,1 --cs-count 1 --measure old --density {density} --credible-mass nan",
+                "DomainError",
+                "credible mass nan outside (0, 1)",
+            ),
+            # --grid-points is checked whatever the density: the analytic
+            # curve, the Monte Carlo band at C = 3, or no density file.
+            (
+                "--counts 3,1 --cs-count 1 --density {density} --grid-points 2",
+                "DomainError",
+                "--grid-points must be at least 3",
+            ),
+            (
+                "--counts 3,1,2 --cs-count 1 --density {density} --grid-points 2",
+                "DomainError",
+                "--grid-points must be at least 3",
+            ),
+            ("--counts 3,1 --grid-points 2", "DomainError", "--grid-points must be at least 3"),
         ],
     )
     def test_refuses_bad_settings_before_drawing(
-        self, capsys, monkeypatch, tmp_path, option, value, error, message
+        self, capsys, monkeypatch, tmp_path, argv, error, message
     ):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a sample")
 
         monkeypatch.setattr(ambiq.cli, "sample_transformed", no_draws)
         density = tmp_path / "density.csv"
-        # Only the analytic curve has a grid; the old measure's band has none.
-        measure = "new" if option == "--grid-points" else "old"
         code, out, err = run(
-            capsys,
-            "posterior", "--counts", "3,1", "--cs-count", "1", "--measure", measure,
-            "--density", str(density), option, value, "--json",
+            capsys, "posterior", *argv.format(density=density).split(), "--json"
         )
         assert code == 2
         assert out == ""
@@ -481,6 +534,28 @@ class TestBiasCurveCommand:
         assert code == 0
         assert out_path.exists()
         assert str(out_path) in out
+
+    def test_output_file_json_summary(self, capsys, tmp_path):
+        out_path = tmp_path / "bias.csv"
+        code, payload, _ = run_json(
+            capsys,
+            "bias-curve", "--q", "0.6,0.3", "--cs", "0.1", "--n-values", "1,2",
+            "--estimators", "plugin", "--output", str(out_path), "--seed", "2",
+        )
+        assert code == 0
+        assert payload == {
+            "output": str(out_path),
+            "rows": 2,
+            "metadata": {
+                "version": "0.1.0",
+                "rng": "sfc64",
+                "seed": 2,
+                "beta": 1.0,
+                "measure": "new",
+                "mc_repeats": 200,
+            },
+        }
+        assert len(out_path.read_text().splitlines()) == 3
 
     def test_zero_repeats_is_exit_2(self, capsys):
         code, out, err = run(
@@ -723,6 +798,41 @@ class TestScoreRankPipeline:
         assert all(entry["score"] >= 0.5 for entry in ranked["items"])
         assert len(ranked["items"]) == 2
 
+    def test_score_and_rank_tables(self, capsys, annotations, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--seed", "5",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "items            3\n"
+            "rows             7\n"
+            "duplicates       0\n"
+            "unknown_skipped  0\n"
+            f"output           {report}\n"
+        )
+        rank = ("rank", "--input", str(report), "--measure", "new")
+        assert run(capsys, *rank) == (0, "q1  0.600000\nq3  0.520000\nq2  0.440000\n", "")
+        assert run(capsys, *rank, "--threshold", "2") == (0, "(no items)\n", "")
+
+    def test_rank_ascending_threshold_keeps_scores_at_or_below(self, capsys, annotations, tmp_path):
+        report = tmp_path / "report.json"
+        run_json(
+            capsys,
+            "score", "--input", annotations, "--labels", "yes,no",
+            "--output", str(report), "--seed", "5",
+        )
+        argv = ("rank", "--input", str(report), "--measure", "new", "--ascending")
+        code, ranked, _ = run_json(capsys, *argv, "--threshold", "0.52")
+        assert code == 0
+        assert ranked["descending"] is False
+        assert ranked["items"] == [
+            {"item_id": "q2", "score": 0.43999999999999995},
+            {"item_id": "q3", "score": 0.52},
+        ]
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_rank_refuses_a_threshold_that_is_not_finite(self, capsys, annotations, tmp_path, threshold):
         report = tmp_path / "report.json"
@@ -906,6 +1016,16 @@ class TestSeedResolution:
         assert payload["metadata"]["seed"] == 0
 
 
+    def test_non_integer_environment_seed_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("AMBIQ_SEED", "abc")
+        code, out, err = run(capsys, "measure", "--q", "0.5,0.5,0.0", "--json")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "AMBIQ_SEED must be an integer, got 'abc'",
+        }
+
+
 class TestMetadata:
     @pytest.mark.parametrize(
         "argv",
@@ -941,6 +1061,61 @@ class TestDeterminism:
         assert out1 != out2
 
 
+def _refusal_rows():
+    """(argv, error, message) for every pair of an input rule and a
+    subcommand that takes the setting; {out} is the output path and
+    {votes} a one-row annotation file with the label "yes"."""
+    rows = []
+    for beta in ("-1", "0", "nan", "inf"):
+        message = f"prior concentration must be positive and finite, got {float(beta)!r}"
+        for argv in (
+            f"posterior --counts 3,1 --cs-count 1 --density {{out}} --beta {beta}",
+            f"prior-explore --n-categories 3 --betas 1,{beta} --density {{out}}",
+            f"score --input {{votes}} --labels yes,no --output {{out}} --beta {beta}",
+            f"bias-curve --q 0.5,0.3,0.2 --n-values 1,2 --output {{out}} --beta {beta}",
+            f"bias-curve --q 0.5,0.3,0.2 --n-values 1,2 --estimators plugin --output {{out}}"
+            f" --beta {beta}",
+        ):
+            rows.append((argv, "DomainError", message))
+    sampling = (
+        "posterior --counts 3,1 --cs-count 1 --density {out}",
+        "score --input {votes} --labels yes,no --output {out}",
+        "prior-explore --n-categories 3 --density {out}",
+    )
+    for argv in sampling:
+        rows.append((argv + " --mc-samples 999", "TooFewSamples", "mc_samples must be at least 1000"))
+    for argv in sampling[:2]:  # prior-explore reports no interval
+        rows.append((argv + " --credible-mass 1", "DomainError", "credible mass 1.0 outside (0, 1)"))
+    for measure in ("modified", "old"):
+        message = f"{measure} ambiguity needs C >= 2"
+        for argv in (
+            f"posterior --counts 5 --cs-count 1 --density {{out}} --measure {measure}",
+            f"prior-explore --n-categories 1 --density {{out}} --measure {measure}",
+            f"score --input {{votes}} --labels yes --output {{out}} --measures {measure}",
+            f"bias-curve --q 0.7,0.3 --n-values 1,2 --output {{out}} --measure {measure}",
+            f"measure --q 0.7,0.3 --measures {measure}",
+        ):
+            rows.append((argv, "SingleCategoryUnsupported", message))
+    return rows
+
+
+@pytest.mark.parametrize("argv, error, message", _refusal_rows())
+def test_each_rule_refuses_with_one_message_before_any_draw_or_file(
+    capsys, tmp_path, sfc64_streams, argv, error, message
+):
+    # Each input rule has one owner, so every subcommand that takes the
+    # setting refuses it with the same error, before it builds a generator
+    # or opens an output file.
+    votes = tmp_path / "votes.jsonl"
+    votes.write_text('{"item_id": "q1", "annotator_id": "a1", "response": "yes"}\n')
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv.format(out=out, votes=votes).split(), "--json")
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": error, "message": message}
+    assert not out.exists()
+    assert sfc64_streams == []
+
+
 class TestErrorReporting:
     def test_missing_input_file_is_exit_3(self, capsys, tmp_path):
         code, _, err = run(
@@ -950,6 +1125,19 @@ class TestErrorReporting:
         )
         assert code == 3
         assert "missing.jsonl" in err
+
+    def test_unwritable_output_is_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "bias.csv"
+        code, out, err = run(
+            capsys,
+            "bias-curve", "--q", "0.6,0.3", "--cs", "0.1", "--n-values", "1,2",
+            "--estimators", "plugin", "--output", str(target), "--json",
+        )
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["error"] == "DataFileError"
+        assert error["message"].startswith(f"cannot write {target}: ")
+        assert not target.parent.exists()
 
     def test_json_errors_are_single_json_line(self, capsys):
         code, out, err = run(

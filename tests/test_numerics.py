@@ -15,7 +15,10 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from ambiq.binary_density import BinaryCounts, density_curve
 from ambiq.exceptions import DomainError, InternalConsistencyError
+from ambiq.frequentist import bias_curve
+from ambiq.measures import ProbabilityVector
 from ambiq.numerics import (
     DirichletParams,
     _dirichlet_draws,
@@ -27,6 +30,7 @@ from ambiq.numerics import (
     make_generator,
     regularized_incomplete_beta,
 )
+from ambiq.posterior_sampling import posterior_summaries
 from gamma_reference import dirichlet_rows
 
 
@@ -248,6 +252,21 @@ class TestParamValidation:
                 DirichletParams(proper=proper, cs=cs)
         assert DirichletParams.symmetric(3, 1e150).total == 4e150
         assert DirichletParams(proper=(5e153,), cs=5e153).total == 1e154
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf])
+    def test_every_symmetric_prior_is_refused_by_one_rule(self, beta):
+        # The symmetric prior, the summaries, the bias curve and the exact
+        # binary density all refuse a bad concentration with one message.
+        refusals = (
+            lambda: DirichletParams.symmetric(2, beta),
+            lambda: posterior_summaries((), prior_beta=beta),
+            lambda: bias_curve(ProbabilityVector((0.5, 0.3), 0.2), (1, 2), ("plugin",), beta),
+            lambda: density_curve(BinaryCounts(3, 1, 1), prior_beta=beta),
+        )
+        message = f"^prior concentration must be positive and finite, got {beta!r}$"
+        for refuse in refusals:
+            with pytest.raises(DomainError, match=message):
+                refuse()
 
     def test_symmetric_constructor(self):
         params = DirichletParams.symmetric(3, 0.5)

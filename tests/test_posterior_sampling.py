@@ -11,13 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ambiq.exceptions import DomainError, TooFewSamples
+from ambiq.exceptions import DomainError, SingleCategoryUnsupported, TooFewSamples
 from ambiq.measures import CountVector, MeasureKind, ambiguity, ambiguity_array, measure_arrays
 from ambiq.numerics import DirichletParams, _dirichlet_draws, make_generator
 from ambiq.posterior_analytics import (
     expected_amb,
     expected_amb_modified,
     posterior_mean_sd,
+    posterior_update,
 )
 from ambiq.posterior_sampling import (
     MODE_BINS,
@@ -362,6 +363,14 @@ class TestPosteriorSummary:
         with pytest.raises(DomainError, match="positive and finite"):
             posterior_summaries((), prior_beta=prior_beta)
 
+    @pytest.mark.parametrize("kind", [MeasureKind.MODIFIED, MeasureKind.OLD])
+    def test_refuses_one_category_before_any_draw(self, sfc64_streams, kind):
+        # An empty vector has no plug-in value to refuse first, so the
+        # refusal is sample_transformed's, made before it builds a generator.
+        with pytest.raises(SingleCategoryUnsupported, match=f"^{kind.value} ambiguity needs C >= 2$"):
+            posterior_summaries([CountVector((0,), 0)], measures=(kind,))
+        assert sfc64_streams == []
+
     def test_small_prior_with_zero_counts_still_samples(self):
         # Dir(0.05, 0.05 | 0.05) draws no all-zero gamma row in 200k.
         out = summary_of(CountVector(proper=(0, 0), cs=0), prior_beta=0.05, mc_samples=200_000)
@@ -594,6 +603,41 @@ def test_credible_intervals_are_calibrated(prior_beta):
             for counts, truth in zip(vectors, truths)
         ]
         assert abs(np.mean(covered) - mass) <= band, kind
+
+
+def _rank_chi_squares(n_cat, beta, prior_scale=1.0):
+    """Chi-squares of each measure's rank histogram in simulation-based
+    calibration: per replication, q ~ Dir(beta) over C + 1 entries, counts
+    ~ Mult(n, q) with n in 1..50, and the rank of each true measure among
+    99 values of sample_transformed from the posterior built on a
+    Dir(prior_scale * beta) prior, put into 10 bins of 10 ranks each."""
+    kinds = (MeasureKind.NEW, MeasureKind.MODIFIED, MeasureKind.OLD)
+    replications, draws, seed = 2000, 99, 1804
+    rng = np.random.default_rng(seed)
+    prior = DirichletParams.symmetric(n_cat, prior_scale * beta)
+    ranks = np.empty((len(kinds), replications), dtype=np.intp)
+    for i in range(replications):
+        q = rng.dirichlet(np.full(n_cat + 1, beta))
+        counts = rng.multinomial(int(rng.integers(1, 51)), q)
+        truth = measure_arrays(q[None, :-1], q[-1:], kinds)[:, 0]
+        posterior = posterior_update(prior, CountVector(tuple(counts[:-1]), counts[-1]))
+        values = sample_transformed(posterior, kinds, draws, seed, (i,))
+        ranks[:, i] = np.count_nonzero(values < truth[:, None], axis=1)
+    observed = np.array([np.bincount(row * 10 // (draws + 1), minlength=10) for row in ranks])
+    expected = replications / 10
+    return ((observed - expected) ** 2 / expected).sum(axis=1)
+
+
+@pytest.mark.parametrize("n_cat, prior_beta", [(2, 0.5), (3, 1.0), (4, 1.0)])
+def test_posterior_ranks_are_uniform(n_cat, prior_beta):
+    # Simulation-based calibration by ranks (Talts et al. 2018,
+    # arXiv:1804.06788): if the posterior sampler is right, the rank of the
+    # true measure among 99 posterior draws is uniform on 0..99, so its
+    # 10-bin histogram over 2000 replications has a chi-square with 9
+    # degrees of freedom. 27.88 is that law's 0.999 quantile.
+    assert np.all(_rank_chi_squares(n_cat, prior_beta) <= 27.88)
+    # The check has power: a posterior built from a doubled prior fails it.
+    assert np.all(_rank_chi_squares(n_cat, prior_beta, prior_scale=2.0) > 27.88)
 
 
 class TestMeasureSummary:
