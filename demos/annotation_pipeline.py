@@ -5,8 +5,9 @@ Run:  python3 demos/annotation_pipeline.py
 Simulates a small crowdsourced labeling job, writes it to a JSONL file,
 then walks the library pipeline: load and aggregate per-item counts,
 score every item with plug-in and posterior columns, rank by posterior
-mean, and export a report file. The same flow is available from the
-command line via `ambiq score` and `ambiq rank`.
+mean, and export a report file into a temporary directory, removed when
+the demo ends. The same flow is available from the command line via
+`ambiq score` and `ambiq rank`.
 """
 
 import json
@@ -54,7 +55,12 @@ def simulate(path: Path) -> None:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="ambiq-demo-"))
+    with tempfile.TemporaryDirectory(prefix="ambiq-demo-") as workdir:
+        walk(Path(workdir))
+
+
+def walk(workdir: Path) -> None:
+    """The pipeline, writing its files into workdir."""
     annotations = workdir / "annotations.jsonl"
     simulate(annotations)
     print(f"Simulated {len(TRUE_LABELS)} items x {N_ANNOTATORS} annotators")

@@ -299,6 +299,12 @@ def _format_float(value: float | None) -> str:
     return repr(float(value))
 
 
+def _check_report_format(format: str) -> None:
+    """Refuse a report file format other than json or csv."""
+    if format not in ("json", "csv"):
+        raise DomainError(f"format must be json or csv, got {format!r}")
+
+
 def _report_to_json_obj(report: ItemReport) -> dict:
     return {
         "item_id": report.item_id,
@@ -339,8 +345,7 @@ def export_reports(reports: Sequence[ItemReport], path: str, format: str = "json
     whole. CSV has one header for all rows, so a mixed set raises
     DomainError before the file is opened.
     """
-    if format not in ("json", "csv"):
-        raise DomainError(f"format must be json or csv, got {format!r}")
+    _check_report_format(format)
     if not reports:
         raise DomainError("nothing to export")
     ordered = sorted(reports, key=lambda r: r.item_id)
@@ -442,8 +447,7 @@ def import_reports(path: str, format: str = "json") -> list[ItemReport]:
             (0, 1), and a finite number in every measure field, where only
             a plug-in may be empty (null). NaN and infinities are refused.
     """
-    if format not in ("json", "csv"):
-        raise DomainError(f"format must be json or csv, got {format!r}")
+    _check_report_format(format)
     text = _read_text(path)
     reports = []
     if format == "json":

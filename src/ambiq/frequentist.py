@@ -75,6 +75,12 @@ class BiasSeries:
                     raise DomainError(f"missing or misshaped series for {label!r}")
 
 
+def _check_sample_size(n: int) -> None:
+    """Refuse a sample size below one."""
+    if n < 1:
+        raise DomainError(f"sample size must be positive, got {n}")
+
+
 def _check_sample_sizes(n_values: Sequence[int]) -> None:
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise DomainError("n_values must be strictly increasing")
@@ -116,8 +122,7 @@ def expected_plugin(
     Raises:
         SingleCategoryUnsupported: modified or old for C = 1.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be positive, got {n}")
+    _check_sample_size(n)
     if measure is MeasureKind.MODIFIED:
         return modified_from_new(expected_plugin(q, n), q.cs, q.n_proper)
     if measure is not MeasureKind.NEW:
@@ -208,8 +213,7 @@ def exhaustive_expected_estimator(
         TooLarge: beyond n = 12 or 4 total categories, where enumeration
             stops being an oracle and starts being a production path.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be positive, got {n}")
+    _check_sample_size(n)
     m = q.n_proper + 1
     if n > _EXHAUSTIVE_MAX_N or m > _EXHAUSTIVE_MAX_CATEGORIES:
         raise TooLarge(

@@ -64,6 +64,10 @@ LARGE_COUNTS = [
 ]
 LEVELS = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
 
+# Count vectors at which the continued fraction alone needed more than its
+# iteration cap near the conditional Beta mean, so the CDF raised.
+HUGE_COUNTS = [BinaryCounts(2_000_000, 2_000_000, 10), BinaryCounts(20_000_000, 10_000_000, 1_000_000)]
+
 
 def lower_bound(a, measure):
     """Smallest can't-solve mass u compatible with measure value a."""
@@ -380,6 +384,10 @@ class TestCdf:
 # -2, -1, 0, 1 and 2 sd: (counts, measure, prior, levels, values). The
 # values were written down from one-level calls before the incomplete
 # beta took its tails in batches, so any change in a float shows here.
+# The (3000, 2000, 500) and (6000, 4000, 1000) rows were written again
+# when their Beta pairs moved to Temme's expansion: each new float lies
+# within 1e-15 of the same quadrature run on scipy's betainc, where the
+# old ones were up to 7.7e-12 off.
 PINNED_CDF = [
     ((3, 1, 1), MeasureKind.NEW, 1.0, (0.283363, 0.409539, 0.535714, 0.66189, 0.788065), (
         0.040449063944860066,
@@ -466,60 +474,60 @@ PINNED_CDF = [
         0.9963504544937938,
     )),
     ((3000, 2000, 500), MeasureKind.NEW, 1.0, (0.520815, 0.524042, 0.527269, 0.530496, 0.533723), (
-        0.025015777925909078,
-        0.1584114041592948,
-        0.4944181093146461,
-        0.8416535200093365,
-        0.9795164172522054,
+        0.025015777925610924,
+        0.15841140415795366,
+        0.49441810931452007,
+        0.841653520010499,
+        0.9795164172524387,
     )),
     ((3000, 2000, 500), MeasureKind.NEW, 0.5, (0.520772, 0.524, 0.527227, 0.530455, 0.533682), (
-        0.025010761650301208,
-        0.15842121064026962,
-        0.49436997832724683,
-        0.8416645947296432,
-        0.9795121925538268,
+        0.025010761650054884,
+        0.15842121063914338,
+        0.4943699783271506,
+        0.8416645947306043,
+        0.9795121925540209,
     )),
     ((3000, 2000, 500), MeasureKind.MODIFIED, 1.0, (0.953414, 0.958455, 0.963496, 0.968537, 0.973578), (
-        0.027750790424865408,
-        0.15847849188022803,
-        0.4869087361984596,
-        0.8415188164520261,
-        0.9828637670794256,
+        0.02775079042453035,
+        0.15847849187830734,
+        0.4869087361936643,
+        0.8415188164539356,
+        0.9828637670796323,
     )),
     ((3000, 2000, 500), MeasureKind.MODIFIED, 0.5, (0.953393, 0.958436, 0.963479, 0.968522, 0.973565), (
-        0.027748855748579864,
-        0.15848084411802268,
-        0.48692756192699116,
-        0.8415383666375582,
-        0.9828683693521953,
+        0.027748855748300785,
+        0.1584808441164278,
+        0.4869275619230039,
+        0.8415383666391564,
+        0.9828683693523692,
     )),
     ((6000, 4000, 1000), MeasureKind.NEW, 1.0, (0.522707, 0.524989, 0.527271, 0.529552, 0.531834), (
-        0.024344957449658703,
-        0.15851300483895656,
-        0.4960748154875778,
-        0.8414449097135351,
-        0.9788555889360092,
+        0.02434495745024159,
+        0.15851300484162087,
+        0.4960748154877839,
+        0.8414449097111465,
+        0.978855588935519,
     )),
     ((6000, 4000, 1000), MeasureKind.NEW, 0.5, (0.522686, 0.524968, 0.52725, 0.529532, 0.531814), (
-        0.024349606024530856,
-        0.15851282101958775,
-        0.4960426246084378,
-        0.8415149667488697,
-        0.9788670250697836,
+        0.02434960602505072,
+        0.15851282102195582,
+        0.49604262460863763,
+        0.8415149667467275,
+        0.9788670250693438,
     )),
     ((6000, 4000, 1000), MeasureKind.MODIFIED, 1.0, (0.956437, 0.960002, 0.963566, 0.967131, 0.970695), (
-        0.026349022678022603,
-        0.15858792209988012,
-        0.49071920521060847,
-        0.8414473433632486,
-        0.9811539307799493,
+        0.026349022678665072,
+        0.15858792210375022,
+        0.4907192052182771,
+        0.8414473433593774,
+        0.9811539307794899,
     )),
     ((6000, 4000, 1000), MeasureKind.MODIFIED, 0.5, (0.956427, 0.959993, 0.963558, 0.967123, 0.970688), (
-        0.02634720530285535,
-        0.15860418632900397,
-        0.49078707502147445,
-        0.8414439582154313,
-        0.981158013977693,
+        0.026347205303429263,
+        0.15860418633243806,
+        0.49078707502830526,
+        0.8414439582119697,
+        0.9811580139772843,
     )),
 ]
 
@@ -691,6 +699,26 @@ class TestLargeCounts:
         )
         mass = np.diff(np.interp(quantiles, grid, cumulative))
         np.testing.assert_allclose(mass, np.diff(LEVELS), atol=0.01)
+
+
+class TestHugeCounts:
+    @pytest.mark.parametrize("counts", HUGE_COUNTS)
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    def test_cdf_at_mc_quantiles(self, counts, measure):
+        # 2M draws, in four blocks of one generator to bound memory; at
+        # each quantile the CDF must read its level within 5 standard
+        # errors, sqrt(p(1 - p) / 2M), at most 0.0018.
+        draws = 2_000_000
+        rng = np.random.default_rng(counts.total)
+        alpha = [counts.n_plus + 1.0, counts.n_minus + 1.0, counts.n_cs + 1.0]
+        values = []
+        for _ in range(4):
+            block = rng.dirichlet(alpha, size=draws // 4)
+            values.append(ambiguity_array(block[:, :2], block[:, 2], measure))
+        quantiles = np.quantile(np.concatenate(values), LEVELS)
+        cdf = [posterior_cdf_binary(float(a), counts, measure=measure) for a in quantiles]
+        se = np.sqrt(LEVELS * (1.0 - LEVELS) / draws)
+        assert np.all(np.abs(np.array(cdf) - LEVELS) <= 5.0 * se), (cdf, se)
 
 
 class TestDensityCurve:

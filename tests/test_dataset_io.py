@@ -456,6 +456,16 @@ def _reexport_matches(path, reports, fmt):
 
 
 class TestExportImport:
+    @pytest.mark.parametrize("side", ["export", "import"])
+    def test_both_sides_refuse_a_format_in_one_text(self, side, scored_reports, tmp_path):
+        path = str(tmp_path / "reports.xml")
+        with pytest.raises(DomainError, match=r"^format must be json or csv, got 'xml'$"):
+            if side == "export":
+                export_reports(scored_reports, path, format="xml")
+            else:
+                import_reports(path, format="xml")
+        assert not (tmp_path / "reports.xml").exists()
+
     def test_json_round_trip(self, scored_reports, tmp_path):
         reports = _with_prior_only(scored_reports)
         path = str(tmp_path / "reports.json")

@@ -143,6 +143,14 @@ class TestExpectedPlugin:
         with pytest.raises(DomainError):
             expected_plugin(ProbabilityVector((0.5, 0.5), 0.0), 0)
 
+    @pytest.mark.parametrize("expectation", [
+        lambda q, n: expected_plugin(q, n),
+        lambda q, n: exhaustive_expected_estimator(q, n, plugin_estimate),
+    ], ids=["expected_plugin", "exhaustive_expected_estimator"])
+    def test_both_expectations_refuse_a_sample_size_in_one_text(self, expectation):
+        with pytest.raises(DomainError, match=r"^sample size must be positive, got 0$"):
+            expectation(ProbabilityVector((0.5, 0.5), 0.0), 0)
+
 
 class TestBiasPlugin:
     def test_hand_value(self):

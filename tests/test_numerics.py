@@ -1,7 +1,8 @@
 """Numerics layer: special functions against scipy oracles, the SFC64
 generator contract, the gamma-method Dirichlet sampler, and the incomplete
-beta: its batch stop rule, its broadcasting over several (a, b) and its
-non-convergence error.
+beta: its batch stop rule, its broadcasting over several (a, b), its
+route through Temme's expansion at large shapes and its non-convergence
+error.
 
 scipy appears only here and in sibling test modules as an independent
 oracle; the package itself never imports it.
@@ -15,6 +16,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from ambiq import numerics
 from ambiq.binary_density import BinaryCounts, density_curve
 from ambiq.exceptions import DomainError, InternalConsistencyError
 from ambiq.frequentist import bias_curve
@@ -158,18 +160,24 @@ class TestRegularizedIncompleteBeta:
         with pytest.raises(DomainError):
             regularized_incomplete_beta(1.0, 1.0, 1.1)
 
-    def test_reports_the_element_that_does_not_converge(self):
-        with pytest.raises(InternalConsistencyError, match=r"a=1000000\.0, b=1000000\.0, x=0\.5"):
-            regularized_incomplete_beta(1e6, 1e6, np.array([0.1, 0.5]))
+    def test_reports_the_element_that_does_not_converge(self, monkeypatch):
+        # Five iterations are too few for the fraction near the mean of
+        # (301, 201), and enough at x = 0.1, far below it.
+        monkeypatch.setattr(numerics, "_BETAINC_SHIFTS", numerics._BETAINC_SHIFTS[:5])
+        with pytest.raises(InternalConsistencyError, match=r"a=301\.0, b=201\.0, x=0\.6"):
+            regularized_incomplete_beta(301.0, 201.0, np.array([0.1, 0.6]))
 
 
 def mixed_batch():
     """Shapes below and above one as (k, 1) columns a and b, and a (k, n)
     x holding 0, 1 and each row's crossover (a+1)/(a+b+2) with its
-    neighbours."""
+    neighbours. The last three pairs have both shapes at least 500, so
+    their crossovers lie in Temme's window and their random x mostly out
+    of it."""
     rng = np.random.default_rng(11)
     shapes = np.array(
-        [(0.3, 0.8), (0.5, 0.5), (2.0, 0.4), (1.0, 1.0), (7.5, 3.0), (41.0, 26.0), (301.0, 201.0), (51.0, 502.0)]
+        [(0.3, 0.8), (0.5, 0.5), (2.0, 0.4), (1.0, 1.0), (7.5, 3.0), (41.0, 26.0), (301.0, 201.0), (51.0, 502.0),
+         (3001.0, 2001.0), (1001.0, 10002.0), (2e6 + 1.0, 2e6 + 1.0)]
     )
     a, b = shapes[:, :1], shapes[:, 1:]
     cross = (a + 1.0) / (a + b + 2.0)
@@ -214,6 +222,55 @@ class TestIncompleteBetaBatches:
             regularized_incomplete_beta(np.ones(3), np.ones(2), 0.5)
         with pytest.raises(DomainError):
             regularized_incomplete_beta(np.ones((3, 1)), 1.0, np.full((2, 4), 0.5))
+
+
+# Posterior shapes (count + 1) from 5e2 to 1e8, a < b, a > b and a = b.
+TEMME_GRID = [(501.0, 2001.0), (2001.0, 501.0), (2001.0, 2001.0), (2001.0, 10001.0), (10001.0, 2001.0),
+              (10001.0, 10001.0), (10001.0, 100001.0), (100001.0, 10001.0), (100001.0, 100001.0),
+              (100001.0, 1000001.0), (1000001.0, 100001.0), (1000001.0, 1000001.0),
+              (1000001.0, 10000001.0), (10000001.0, 1000001.0), (10000001.0, 10000001.0),
+              (10000001.0, 100000001.0), (100000001.0, 10000001.0), (100000001.0, 100000001.0)]
+
+# Standard deviations from the Beta mean: both sides, and the window's
+# edges at 10 sd less a margin that rounding of x cannot cross.
+WINDOW_SD = np.array([-9.999, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 9.999])
+
+
+def beta_sd_points(a, b, sds):
+    mean = a / (a + b)
+    return mean + sds * math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+
+
+class TestTemmeRoute:
+    @pytest.mark.parametrize("a, b", TEMME_GRID)
+    def test_matches_scipy_in_the_window(self, a, b, monkeypatch):
+        # scipy's own error grows with the shapes: against a 50-digit
+        # evaluation of the same expansion it reads up to 8e-13 at 1e5 and
+        # 2.6e-11 at 1e8, while this route stays within 4e-14. The bounds
+        # are what scipy can confirm.
+        monkeypatch.setattr(numerics, "_fraction_route", None)  # the window never reaches it
+        x = beta_sd_points(a, b, WINDOW_SD)
+        rtol = 1e-12 if max(a, b) <= 1e5 + 1 else 2e-11
+        got = regularized_incomplete_beta(a, b, x)
+        np.testing.assert_allclose(got, scipy.special.betainc(a, b, x), rtol=rtol, atol=0.0)
+
+    def test_symmetric_pair_at_its_mean_is_one_half(self):
+        for a in (501.0, 2e6 + 1.0, 1e8 + 1.0):
+            assert regularized_incomplete_beta(a, a, 0.5) == 0.5
+
+    def test_smaller_shapes_and_far_tails_take_the_fraction(self, monkeypatch):
+        served = []
+        fraction = numerics._fraction_route
+
+        def recording(alpha, beta, owner, xi):
+            served.append(xi.copy())
+            return fraction(alpha, beta, owner, xi)
+
+        monkeypatch.setattr(numerics, "_fraction_route", recording)
+        outside = beta_sd_points(3001.0, 2001.0, np.array([-10.001, 10.001]))
+        regularized_incomplete_beta(3001.0, 2001.0, outside)
+        regularized_incomplete_beta(499.0, 2001.0, beta_sd_points(499.0, 2001.0, np.zeros(1)))
+        np.testing.assert_array_equal(np.concatenate(served), np.append(outside, 499.0 / 2500.0))
 
 
 BAD_SHAPES = (0.0, -2.0, math.nan, math.inf, -math.inf)
