@@ -229,15 +229,18 @@ def score_items(
 ) -> list[ItemReport]:
     """Score every item: plug-in point estimates plus posterior summaries.
 
-    Each item gets the posterior_summaries entry of its count vector,
-    computed once per distinct vector: means and sds by the method
-    posterior_analytics.methods names, and equal-tailed intervals from
-    one MC sample per count vector, shared across measures. That sample
-    is drawn from the stream (seed, (C, *proper, cs)), keyed on the
-    counts, so items with equal counts get equal reports, and a report
-    depends only on the item's counts and the scoring settings, never on
-    the other items or the scoring order. It raises what
-    posterior_summaries raises, before any draw.
+    Each item gets the posterior_summaries entry of its count vector:
+    means and sds by the method posterior_analytics.methods names, and
+    equal-tailed intervals from one MC sample per count multiset, shared
+    across measures. That sample is keyed on the count multiset (proper
+    counts in non-increasing order, then cs) and drawn from the stream
+    (seed, (C, *canonical proper, cs)). The measures are invariant under
+    permutations of the proper categories and the prior is symmetric, so
+    items whose proper counts are permutations of each other, mirrored
+    yes/no items among them, get equal posterior fields and differ only
+    in the plug-in, if at all. A report depends only on the item's counts
+    and the scoring settings, never on the other items or the scoring
+    order. It raises what posterior_summaries raises, before any draw.
     """
     summaries = posterior_summaries(
         items.values(), prior_beta, measures, mc_samples, credible_mass, seed

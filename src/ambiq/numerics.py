@@ -25,9 +25,10 @@ All functions are pure. Sampling takes explicit seeds and returns values;
 there is no hidden global RNG state. A Dirichlet sample draws one gamma
 row per category, each by the route its scalar shape picks
 (``_gamma_row``): at integer shapes 2, 3 and 4 an exact identity from
-uniforms, which costs less than numpy's gamma sampler there, and at
-every other shape numpy's standard_gamma. The route depends only on the
-shape, so reruns are byte-identical for a seed.
+uniforms, which costs less than numpy's gamma sampler there, at shape 1
+numpy's exponential sampler, which gives standard_gamma's own floats
+there, and at every other shape numpy's standard_gamma. The route
+depends only on the shape, so reruns are byte-identical for a seed.
 """
 
 from __future__ import annotations
@@ -661,10 +662,15 @@ def _gamma_row(
     (Devroye 1986, ch. IX): a whole row of uniforms U_1 (rng.random), then
     a row of U_2 whose complements multiply the first, and so on in order,
     with one log at the end. The law is exact, and the uniforms'
-    complements lie in (0, 1], so no log meets 0. Every other shape is a
-    row of numpy's standard_gamma.
+    complements lie in (0, 1], so no log meets 0. Shape 1 is a row of
+    numpy's standard_exponential: standard_gamma(1.0) calls the same
+    exponential sampler per element, so the floats and the generator's
+    state afterwards are the same, without the per-element dispatch.
+    Every other shape is a row of numpy's standard_gamma.
     """
-    if shape in _PRODUCT_SHAPES:
+    if shape == 1.0:
+        rng.standard_exponential(out=row)
+    elif shape in _PRODUCT_SHAPES:
         rng.random(out=row)
         np.subtract(1.0, row, out=row)
         for _ in range(int(shape) - 1):

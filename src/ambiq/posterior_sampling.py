@@ -10,12 +10,16 @@ a single user seed with explicit spawn keys, so any repeat structure is
 reproducible without coordination between callers.
 
 posterior_summaries is the per-count-vector summary, and MeasureSummary
-its record: one sample per distinct count vector, drawn from a stream
-keyed on the counts themselves, feeds every measure's interval, and the
-mean and sd of any measure that posterior_analytics.methods serves by
-Monte Carlo. A vector's summary depends only on (counts, prior,
-measures, sample size, credible mass, seed), never on the other vectors
-it is summarized with.
+its record: one sample per count multiset, drawn from a stream keyed on
+the count multiset (proper counts in non-increasing order, then cs),
+feeds every measure's interval, and the mean and sd of any measure that
+posterior_analytics.methods serves by Monte Carlo. Every measure is
+invariant under permutations of the proper categories and the prior is
+symmetric, so count vectors that are permutations of each other have
+the same posterior law of each measure, and they get the same posterior
+fields; only the plug-in is each vector's own. A vector's summary
+depends only on (counts, prior, measures, sample size, credible mass,
+seed), never on the other vectors it is summarized with.
 
 Quantiles and credible intervals are read off a sorted sample by
 _sorted_quantiles, Hyndman and Fan's type 7 rule (linear interpolation
@@ -214,15 +218,22 @@ def posterior_summaries(
     The posterior is Dir(prior_beta + counts) under a symmetric prior. One
     sample of mc_samples posterior vectors serves every measure: it gives
     the equal-tailed interval of each, and a Monte Carlo mean and sd by
-    posterior_mean_sd. The sample comes from the stream (seed, (C, *proper,
-    cs)), keyed on the counts, so equal count vectors get equal summaries
-    wherever they occur, and ``posterior_summaries((counts,), ...)[counts]``
-    is the summary of one vector. Each value is one MeasureSummary per
-    measure, keyed by measure name, in the order given.
+    posterior_mean_sd. The sample is keyed on the count multiset (proper
+    counts in non-increasing order, then cs): it is drawn from the
+    canonical posterior and the stream (seed, (C, *canonical proper,
+    cs)). The measures are invariant under permutations of the proper
+    categories and the prior is symmetric, so every permutation of the
+    proper counts has the same posterior law of each measure; all of
+    them get that one sample's posterior_mean, posterior_sd and interval,
+    and mirrored vectors such as (0, 5 | 0) and (5, 0 | 0) get equal
+    posterior fields. The plug-in is each vector's own.
+    ``posterior_summaries((counts,), ...)[counts]`` is the summary of one
+    vector. Each value is one MeasureSummary per measure, keyed by
+    measure name, in the order given.
 
-    Each distinct vector is summarized once, with the result it gets
-    alone. The vectors share one _sample_buffer per number of categories
-    C, so each vector's values are computed and sorted in place, and
+    Each count multiset is sampled once, with the result it gets alone.
+    The samples share one _sample_buffer per number of categories C, so
+    each sample's values are computed and sorted in place, and
     summarizing many vectors does not hand memory back to the system and
     fault it in again for the next one.
 
@@ -249,31 +260,34 @@ def posterior_summaries(
     distinct = list(dict.fromkeys(count_vectors))
     plugins = _plugin_values(distinct, measures)
     buffers: dict[int, np.ndarray] = {}
+    # (mean, sd, lo, hi) of each measure, per count multiset.
+    shared: dict[CountVector, list[tuple[float, float, float, float]]] = {}
     summaries = {}
     for counts in distinct:
-        n_proper = counts.n_proper
-        if n_proper not in buffers:
-            buffers[n_proper] = _sample_buffer(n_proper, len(measures), mc_samples)
-        buffer = buffers[n_proper]
-        posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), counts)
-        stream = (n_proper, *counts.proper, counts.cs)
-        rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
-        summary = {}
-        for measure, values, plugin in zip(measures, rows, plugins.get(counts, repeat(None))):
-            # Sorted only after the moments: a Monte Carlo mean and sd are
-            # pairwise sums, whose last bits depend on the order. The
-            # sd squares its deviations in the free first draw row.
-            mean, sd = posterior_mean_sd(posterior, measure, values, work=buffer[0])
-            values.sort()
-            lo, hi = _sorted_quantiles(values, (tail, 1.0 - tail))
-            summary[measure.value] = MeasureSummary(
-                plugin=plugin,
-                posterior_mean=mean,
-                posterior_sd=sd,
-                credible_lo=float(lo),
-                credible_hi=float(hi),
+        canonical = CountVector(tuple(sorted(counts.proper, reverse=True)), counts.cs)
+        if canonical not in shared:
+            n_proper = canonical.n_proper
+            if n_proper not in buffers:
+                buffers[n_proper] = _sample_buffer(n_proper, len(measures), mc_samples)
+            buffer = buffers[n_proper]
+            posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), canonical)
+            stream = (n_proper, *canonical.proper, canonical.cs)
+            rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
+            shared[canonical] = []
+            for measure, values in zip(measures, rows):
+                # Sorted only after the moments: a Monte Carlo mean and sd
+                # are pairwise sums, whose last bits depend on the order.
+                # The sd squares its deviations in the free first draw row.
+                mean, sd = posterior_mean_sd(posterior, measure, values, work=buffer[0])
+                values.sort()
+                lo, hi = _sorted_quantiles(values, (tail, 1.0 - tail))
+                shared[canonical].append((mean, sd, float(lo), float(hi)))
+        summaries[counts] = {
+            measure.value: MeasureSummary(plugin, *fields)
+            for measure, fields, plugin in zip(
+                measures, shared[canonical], plugins.get(counts, repeat(None))
             )
-        summaries[counts] = summary
+        }
     return summaries
 
 

@@ -331,6 +331,34 @@ class TestScoreItems:
         assert _measure_blocks(crowd[1]) == _measure_blocks(alone)
         assert _measure_blocks(renamed) == _measure_blocks(alone)
 
+    def test_mirrored_items_get_equal_posterior_fields(self):
+        items = {
+            "yes": CountVector(proper=(5, 0), cs=1),
+            "no": CountVector(proper=(0, 5), cs=1),
+            "p": CountVector(proper=(1, 4, 2), cs=0),
+            "q": CountVector(proper=(4, 2, 1), cs=0),
+        }
+        reports = {r.item_id: r for r in score_items(items, seed=5)}
+        for a, b in (("yes", "no"), ("p", "q")):
+            for column in ("posterior_mean", "posterior_sd", "credible_lo", "credible_hi"):
+                assert _column(reports[a], column) == _column(reports[b], column)
+            assert _column(reports[a], "plugin") == pytest.approx(_column(reports[b], "plugin"))
+
+    def test_adding_a_mirrored_item_leaves_the_other_reports_byte_identical(self, tmp_path):
+        items = {
+            "a": CountVector(proper=(3, 1), cs=1),
+            "b": CountVector(proper=(0, 2), cs=0),
+            "c": CountVector(proper=(1, 1), cs=2),
+        }
+        before, after = str(tmp_path / "before.csv"), str(tmp_path / "after.csv")
+        export_reports(score_items(items, seed=5), before, format="csv")
+        mirrored = {**items, "b-mirror": CountVector(proper=(2, 0), cs=0)}
+        export_reports(score_items(mirrored, seed=5), after, format="csv")
+        with open(before, "rb") as f1, open(after, "rb") as f2:
+            old_lines, new_lines = f1.read().splitlines(), f2.read().splitlines()
+        assert [line for line in new_lines if not line.startswith(b"b-mirror,")] == old_lines
+        assert len(new_lines) == len(old_lines) + 1
+
     def test_zero_counts_and_prior_only_items(self):
         items = {
             "empty": CountVector(proper=(0, 0, 0), cs=0),

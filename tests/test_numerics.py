@@ -439,9 +439,27 @@ class TestDirichletSample:
         np.testing.assert_allclose(proper.sum(axis=1) + cs, 1.0, rtol=0, atol=1e-15)
 
 
-# Shapes drawn as a product of uniforms, then unrouted neighbours of them.
-ROUTED_SHAPES = [2.0, 3.0, 4.0]
-UNROUTED_NEIGHBOURS = [0.5, 1.0, 5.0]
+# Shapes with a route of their own (an exponential fill at 1, a product of
+# uniforms at 2-4), then neighbours of them on standard_gamma.
+ROUTED_SHAPES = [1.0, 2.0, 3.0, 4.0]
+UNROUTED_NEIGHBOURS = [0.5, 5.0]
+
+
+def _generator_state(rng):
+    state = rng.bit_generator.state
+    return (tuple(state["state"]["state"].tolist()), state["has_uint32"], state["uinteger"])
+
+
+@pytest.mark.parametrize("stream", [(), (1,), (4, 2)])
+def test_shape_one_row_is_numpys_gamma_bit_for_bit(stream):
+    # The exponential fill gives standard_gamma(1.0)'s floats and leaves
+    # the generator where it does, over consecutive rows of one stream.
+    ours, theirs = make_generator(5, stream), make_generator(5, stream)
+    row, spare = np.empty(20_000), np.empty(20_000)
+    for _ in range(5):
+        _gamma_row(1.0, ours, row, spare)
+        np.testing.assert_array_equal(row, theirs.standard_gamma(1.0, 20_000))
+        assert _generator_state(ours) == _generator_state(theirs)
 
 
 @pytest.mark.parametrize("shape", ROUTED_SHAPES + UNROUTED_NEIGHBOURS)

@@ -259,6 +259,16 @@ def summary_of(counts, **settings):
     return posterior_summaries((counts,), **settings)[counts]
 
 
+def canonical_of(counts):
+    """The count multiset's representative: proper counts in non-increasing order."""
+    return CountVector(tuple(sorted(counts.proper, reverse=True)), counts.cs)
+
+
+def posterior_fields(summary):
+    """Every field of a MeasureSummary but the plug-in."""
+    return (summary.posterior_mean, summary.posterior_sd, summary.credible_lo, summary.credible_hi)
+
+
 class TestPosteriorSummary:
     COUNTS = CountVector(proper=(4, 0, 2), cs=1)
     POSTERIOR = DirichletParams(proper=(5.0, 1.0, 3.0), cs=2.0)
@@ -305,9 +315,12 @@ class TestPosteriorSummary:
     def test_old_moments_and_intervals_are_those_of_the_stream(self, summary):
         # The values are sorted for the interval only after the mean and sd
         # are taken, so both equal the unsorted sample's, and the interval
-        # equals np.quantile's on the same stream's draws.
-        stream = (3, *self.COUNTS.proper, self.COUNTS.cs)
-        proper, cs = _dirichlet_draws(self.POSTERIOR, 20_000, make_generator(4, stream))
+        # equals np.quantile's on the same stream's draws. The sample is
+        # that of the count multiset: the canonical vector (4, 2, 0 | 1),
+        # its posterior and its stream.
+        canonical = DirichletParams(proper=(5.0, 3.0, 1.0), cs=2.0)
+        stream = (3, 4, 2, 0, self.COUNTS.cs)
+        proper, cs = _dirichlet_draws(canonical, 20_000, make_generator(4, stream))
         tail = 0.5 * (1.0 - 0.9)
         for kind in MeasureKind:
             values = ambiguity_array(proper, cs, kind)
@@ -388,7 +401,10 @@ class TestPosteriorSummary:
 # measures of a sample were computed in one pass, so any change in a float
 # shows here. They were written down again when the gamma columns of shapes
 # 1/2, 3/2 and 2-4 moved to exact identities; the entries whose shapes are
-# all on numpy's sampler kept their floats.
+# all on numpy's sampler kept their floats. An entry whose proper counts are
+# not non-increasing pins its plug-in values only, (plugin,): its posterior
+# fields are those of its canonical permutation, the sorted counts, which
+# test_summary_floats_are_pinned summarizes on its own.
 PINNED_SUMMARIES = [
     ((3,), 1, 1.0, {
         'new': (0.25, 0.33333333333333337, 0.1781741612749496, 0.05396884095645024, 0.713796055104301),
@@ -423,9 +439,9 @@ PINNED_SUMMARIES = [
         'old': (0.5, 0.5981615539252568, 0.20275127665595055, 0.21562680617534466, 0.975301529056066),
     }),
     ((2, 0, 5), 1, 1.0, {
-        'new': (0.4821428571428571, 0.5757575757575757, 0.10175299107560434, 0.34929709724978497, 0.7414732463631308),
-        'modified': (0.6607142857142856, 0.7803030303030302, 0.13344733866324965, 0.4691971687821519, 0.9822909965586236),
-        'old': (0.5, 0.6070991054072524, 0.1363806037009732, 0.3180028248266573, 0.8860482501469239),
+        'new': (0.4821428571428571,),
+        'modified': (0.6607142857142856,),
+        'old': (0.5,),
     }),
     ((0, 0, 0), 0, 1.0, {
         'new': (None, 0.625, 0.1391941090707506, 0.3095874522404197, 0.8773767498057982),
@@ -433,9 +449,9 @@ PINNED_SUMMARIES = [
         'old': (None, 0.6696987925209962, 0.1736975433142591, 0.2778443553640068, 0.9443569492882102),
     }),
     ((12, 3, 0, 7), 2, 1.0, {
-        'new': (0.6174242424242424, 0.6475095785440613, 0.05520813172118684, 0.5153700013693138, 0.7434486926643514),
-        'modified': (0.7954545454545453, 0.8288633461047255, 0.06842245318964915, 0.6645654408190271, 0.9383319350440023),
-        'old': (0.5555555555555556, 0.61284310628869, 0.0862761679242306, 0.45004255334009574, 0.7758754876348194),
+        'new': (0.6174242424242424,),
+        'modified': (0.7954545454545453,),
+        'old': (0.5555555555555556,),
     }),
     ((0, 0, 0, 0), 4, 1.0, {
         'new': (1.0, 0.8222222222222222, 0.08056239708221913, 0.6353753644435938, 0.9395658745018447),
@@ -448,9 +464,9 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.7258049560620977, 0.09870630477454109, 0.5123001590721257, 0.8919181666447281),
     }),
     ((30, 2, 9, 0, 4), 6, 1.0, {
-        'new': (0.5638344226579519, 0.6057791537667698, 0.059594162245433485, 0.4741934222654365, 0.7100661250200943),
-        'modified': (0.6753812636165576, 0.7265221878224974, 0.07171857146966337, 0.5664611489695054, 0.8469775547460431),
-        'old': (0.48529411764705876, 0.5136141664726633, 0.06599354450579395, 0.38464274960997114, 0.6436500434506409),
+        'new': (0.5638344226579519,),
+        'modified': (0.6753812636165576,),
+        'old': (0.48529411764705876,),
     }),
     ((3,), 1, 0.5, {
         'new': (0.25, 0.30000000000000004, 0.18708286933869714, 0.026711863595613415, 0.7239560678387633),
@@ -485,9 +501,9 @@ PINNED_SUMMARIES = [
         'old': (0.5, 0.5605913937369544, 0.21457067870195992, 0.19496835170047902, 0.9654781319787209),
     }),
     ((2, 0, 5), 1, 0.5, {
-        'new': (0.4821428571428571, 0.5236842105263158, 0.11675785734017108, 0.251777845154702, 0.7173775237953959),
-        'modified': (0.6607142857142856, 0.7105263157894737, 0.15436255413869812, 0.3349374708944676, 0.959602510273592),
-        'old': (0.5, 0.5427963782530854, 0.15248493330613325, 0.22502546675811258, 0.830357873186451),
+        'new': (0.4821428571428571,),
+        'modified': (0.6607142857142856,),
+        'old': (0.5,),
     }),
     ((0, 0, 0), 0, 0.5, {
         'new': (None, 0.55, 0.20383233072213802, 0.12781634671301004, 0.9146998312436467),
@@ -495,9 +511,9 @@ PINNED_SUMMARIES = [
         'old': (None, 0.5662375854068785, 0.2246716336752272, 0.10764584518068548, 0.9428664909526788),
     }),
     ((12, 3, 0, 7), 2, 0.5, {
-        'new': (0.6174242424242424, 0.6241509433962265, 0.059309814295192796, 0.48528003716685747, 0.7210736629499219),
-        'modified': (0.7954545454545453, 0.8007547169811321, 0.07384252379879168, 0.6226281622915789, 0.911724913303218),
-        'old': (0.5555555555555556, 0.5774348380287172, 0.08269736835535747, 0.4211855519356168, 0.7323777844091611),
+        'new': (0.6174242424242424,),
+        'modified': (0.7954545454545453,),
+        'old': (0.5555555555555556,),
     }),
     ((0, 0, 0, 0), 4, 0.5, {
         'new': (1.0, 0.8461538461538461, 0.10088366960464615, 0.5970205855666594, 0.980266280207176),
@@ -510,9 +526,9 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.674725987207794, 0.11118522292234655, 0.4415605215930679, 0.8721958061134176),
     }),
     ((30, 2, 9, 0, 4), 6, 0.5, {
-        'new': (0.5638344226579519, 0.5819969453990073, 0.06289382119650305, 0.45240588958137834, 0.6936638243066795),
-        'modified': (0.6753812636165576, 0.6974035891561665, 0.07569169330613443, 0.5396089120124136, 0.8309204369615545),
-        'old': (0.48529411764705876, 0.48837849015390394, 0.06451015285370629, 0.36161044850439084, 0.6196324729331746),
+        'new': (0.5638344226579519,),
+        'modified': (0.6753812636165576,),
+        'old': (0.48529411764705876,),
     }),
 ]
 
@@ -543,15 +559,60 @@ def test_summary_floats_are_pinned(prior, kinds):
     names = list(dict.fromkeys(kind.value for kind in kinds))
     for counts, values in pinned.items():
         assert list(got[counts]) == names
+        canonical = canonical_of(counts)
+        if canonical != counts:
+            alone = summary_of(
+                canonical, prior_beta=prior, measures=kinds, mc_samples=2000, seed=11
+            )
         for name in names:
             summary = got[counts][name]
-            assert (
-                summary.plugin,
-                summary.posterior_mean,
-                summary.posterior_sd,
-                summary.credible_lo,
-                summary.credible_hi,
-            ) == values[name]
+            shared = () if canonical == counts else posterior_fields(alone[name])
+            assert (summary.plugin, *posterior_fields(summary)) == values[name] + shared
+
+
+# Count vectors whose proper counts are permutations of each other, the
+# canonical (non-increasing) one not among them at C = 3. The C = 4 class
+# holds permutations whose plug-ins differ in the last bit.
+PERMUTED_CLASSES = [
+    [CountVector((0, 5), 0), CountVector((5, 0), 0)],
+    [CountVector((1, 3), 2), CountVector((3, 1), 2)],
+    [CountVector((0, 2, 4), 1), CountVector((2, 4, 0), 1), CountVector((4, 0, 2), 1)],
+    [CountVector((6, 2, 1, 0), 1), CountVector((0, 1, 2, 6), 1), CountVector((1, 6, 0, 2), 1)],
+]
+
+
+@pytest.mark.parametrize("prior", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "vectors", PERMUTED_CLASSES, ids=lambda vs: "-".join("".join(map(str, v.proper)) for v in vs)
+)
+def test_permuted_vectors_share_posterior_fields(prior, vectors):
+    # The measures are permutation invariant under a symmetric prior, so a
+    # count multiset has one posterior law of each measure: every vector of
+    # it gets the canonical vector's posterior fields, summarized alone,
+    # and keeps the plug-in at its own frequencies.
+    got = posterior_summaries(vectors, prior, mc_samples=2000, seed=5)
+    alone = summary_of(canonical_of(vectors[0]), prior_beta=prior, mc_samples=2000, seed=5)
+    for counts in vectors:
+        own = posterior_update(DirichletParams.symmetric(counts.n_proper, prior), counts)
+        q = counts.as_probability_vector()
+        for kind in MeasureKind:
+            summary = got[counts][kind.value]
+            assert posterior_fields(summary) == posterior_fields(alone[kind.value])
+            assert summary.plugin == ambiguity(q, kind)
+            if kind is not MeasureKind.OLD:
+                # Closed forms agree across the class to the last bit anyway.
+                moments = (summary.posterior_mean, summary.posterior_sd)
+                assert moments == posterior_mean_sd(own, kind)
+    if len(vectors[0].proper) == 4:
+        assert got[vectors[0]]["new"].plugin != got[vectors[1]]["new"].plugin
+
+
+def test_one_sample_per_count_multiset(sfc64_streams):
+    vectors = [CountVector((0, 5), 0), CountVector((5, 0), 0), CountVector((2, 3), 1),
+               CountVector((3, 2), 1), CountVector((4, 1), 0)]
+    posterior_summaries(vectors, mc_samples=2000, seed=5)
+    # One stream per multiset, keyed on (C, *sorted proper, cs).
+    assert sfc64_streams == [(5, (2, 5, 0, 0)), (5, (2, 3, 2, 1)), (5, (2, 4, 1, 0))]
 
 
 def test_memory_does_not_grow_with_vectors():
