@@ -237,10 +237,11 @@ def score_items(
     (seed, (C, *canonical proper, cs)). The measures are invariant under
     permutations of the proper categories and the prior is symmetric, so
     items whose proper counts are permutations of each other, mirrored
-    yes/no items among them, get equal posterior fields and differ only
-    in the plug-in, if at all. A report depends only on the item's counts
-    and the scoring settings, never on the other items or the scoring
-    order. It raises what posterior_summaries raises, before any draw.
+    yes/no items among them, get equal measure blocks: the plug-in is
+    taken at the canonical order too, so such items tie exactly in
+    rank_and_filter and fall back to item_id. A report depends only on
+    the item's counts and the scoring settings, never on the other items
+    or the scoring order. It raises what posterior_summaries raises, before any draw.
     """
     summaries = posterior_summaries(
         items.values(), prior_beta, measures, mc_samples, credible_mass, seed

@@ -48,7 +48,8 @@ class TooFewSamples(AmbiqError, ValueError):
 
 
 class TooLarge(AmbiqError, ValueError):
-    """Exhaustive enumeration refused: the outcome space exceeds the cap."""
+    """A size refused before any work: an enumeration whose outcome space
+    exceeds its cap, or Beta shapes past what the incomplete beta serves."""
 
 
 class UnknownLabel(AmbiqError, ValueError):

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, InternalConsistencyError
+from .exceptions import DomainError, InternalConsistencyError, TooLarge
 
 __all__ = [
     "DirichletParams",
@@ -248,6 +248,8 @@ def beta_pdf_pair(a: float, b: float, x, one_minus_x):
 
 
 _BETAINC_MAX_ITER = 500
+# Largest a + b that regularized_incomplete_beta serves (see its docstring).
+_BETAINC_MAX_TOTAL = 2.0**53
 _BETAINC_EPS = 1e-15
 _BETAINC_TINY = 1e-300
 
@@ -582,9 +584,16 @@ def regularized_incomplete_beta(a, b, x):
     _BETAINC_MAX_ITER iterations, as the mean of a = b = 9e5 did before
     the expansion served it.
 
+    Shapes are served up to a + b = 2**53 (_BETAINC_MAX_TOTAL), where
+    consecutive integers stop having doubles of their own; past it the
+    crossover (a + 1)/(a + b + 2) can round onto x itself, as at
+    (1e50, 2e50, 1/3), whose value is about 0 but would read 1. No count
+    a file can hold comes near the bound.
+
     Raises:
         DomainError: for a or b not positive and finite, x outside [0, 1],
             or shapes that do not broadcast.
+        TooLarge: for any pair with a + b above 2**53, before any work.
         InternalConsistencyError: naming an (a, b, x) whose continued
             fraction did not converge.
     """
@@ -598,6 +607,8 @@ def regularized_incomplete_beta(a, b, x):
         raise DomainError(f"a, b and x do not broadcast: {exc}") from None
     if not np.all((alpha > 0.0) & (alpha < math.inf) & (beta > 0.0) & (beta < math.inf)):
         raise DomainError(f"Beta shapes must be positive finite reals; got a={a}, b={b}")
+    if np.any(alpha + beta > _BETAINC_MAX_TOTAL):
+        raise TooLarge(f"Beta shapes must sum to at most 2**53; got a={a}, b={b}")
     owner = np.broadcast_to(np.arange(alpha.size).reshape(alpha.shape), shape).ravel()
     flat = np.broadcast_to(arr, shape).ravel()
     alpha, beta = alpha.ravel(), beta.ravel()

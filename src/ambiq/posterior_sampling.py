@@ -16,24 +16,28 @@ feeds every measure's interval, and the mean and sd of any measure that
 posterior_analytics.methods serves by Monte Carlo. Every measure is
 invariant under permutations of the proper categories and the prior is
 symmetric, so count vectors that are permutations of each other have
-the same posterior law of each measure, and they get the same posterior
-fields; only the plug-in is each vector's own. A vector's summary
-depends only on (counts, prior, measures, sample size, credible mass,
-seed), never on the other vectors it is summarized with.
+the same posterior law of each measure, and they get the same summary,
+the plug-in included, which is taken at the canonical order. A vector's
+summary depends only on (counts, prior, measures, sample size, credible
+mass, seed), never on the other vectors it is summarized with.
 
-Quantiles and credible intervals are read off a sorted sample by
-_sorted_quantiles, Hyndman and Fan's type 7 rule (linear interpolation
-between order statistics at virtual index (n - 1) p), with numpy's own
-arithmetic, so they are the same floats np.quantile gives for the same
-sample. One sort serves every level; np.quantile partitions the sample
-around the order statistics of each level on every call, which costs more
-than the sort on numpy 2's vectorized np.sort. Means and sds are taken
-before the sort: a pairwise sum's last bits depend on the order of its
-terms.
+Quantiles and credible intervals follow Hyndman and Fan's type 7 rule
+(linear interpolation between order statistics at virtual index
+(n - 1) p) with numpy's own arithmetic, so they are the same floats
+np.quantile gives for the same sample. Where a level's order statistics
+lie is _type7_point's; how they are interpolated is _type7's. They are
+read off a sorted sample by _sorted_quantiles, where one sort serves
+many levels (`ambiq posterior`'s seven), or found by _selected_interval,
+two single-kth partitions in place, where an interval needs only its two
+levels (posterior_summaries). Either costs less than np.quantile, which
+partitions around every order statistic of every level on each call.
+Means and sds are taken before the values are reordered: a pairwise
+sum's last bits depend on the order of its terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -181,27 +185,73 @@ def _sample_buffer(n_proper: int, n_measures: int, count: int) -> np.ndarray:
     return np.empty((n_proper + 1 + n_measures + 2, count))
 
 
+def _type7_point(n: int, level: float) -> tuple[int, int, float]:
+    """Where the type 7 quantile at `level` of n values lies: order
+    statistics k and k1 and the weight t of the upper one, as np.quantile
+    (method "linear") finds them.
+
+    The virtual index v = (n - 1) p lies between k = floor(v) and
+    k1 = k + 1, and t = v - k. At the top (v >= n - 1) both are n - 1, the
+    largest value, and t = v + 1, numpy's weight there.
+    """
+    virtual = (n - 1) * level
+    if virtual >= n - 1:
+        return n - 1, n - 1, virtual + 1.0
+    k = math.floor(virtual)
+    return k, k + 1, virtual - k
+
+
+def _type7(a: float, b: float, t: float) -> float:
+    """The type 7 quantile between order statistics a <= b at weight t,
+    interpolated as numpy does, from the nearer end: a + (b - a) t, or
+    b - (b - a)(1 - t) when t is at least 0.5."""
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
 def _sorted_quantiles(sorted_values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
     """Quantiles of a finite, ascending sample at levels in [0, 1]: the
-    same floats as ``np.quantile(sorted_values, levels)`` (method "linear").
-
-    Level p sits at virtual index v = (n - 1) p, between order statistics
-    a = x[floor(v)] and b = x[floor(v) + 1], and is interpolated as numpy
-    does, from the nearer end: a + (b - a) t, or b - (b - a)(1 - t) when
-    t = v - floor(v) is at least 0.5. At the top (v = n - 1) both indexes
-    are -1, the last value, and t = v + 1, as in numpy.
-    """
+    same floats as ``np.quantile(sorted_values, levels)`` (method "linear"),
+    each read at its _type7_point and interpolated by _type7."""
     n = sorted_values.shape[0]
-    virtual = (n - 1) * np.asarray(levels, dtype=float)
-    below = np.floor(virtual)
-    top = virtual >= n - 1
-    below[top] = -1.0
-    t = virtual - below
-    i = below.astype(np.intp)
-    a = sorted_values[i]
-    b = sorted_values[np.where(top, -1, i + 1)]
-    d = b - a
-    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    quantiles = []
+    for level in levels:
+        k, k1, t = _type7_point(n, float(level))
+        quantiles.append(_type7(float(sorted_values[k]), float(sorted_values[k1]), t))
+    return np.array(quantiles, dtype=float)
+
+
+def _selected_interval(
+    values: np.ndarray, lo_level: float, hi_level: float
+) -> tuple[float, float]:
+    """Quantiles at lo_level <= hi_level of a finite sample: the floats
+    _sorted_quantiles reads off its sorted copy, found by two single-kth
+    partitions of `values` in place instead of a sort.
+
+    The first partition, at the lower level's k1, puts order statistic
+    x[k1] there and the smaller values before it, whose max is x[k]. The
+    values after it are the order statistics above k1; a partition of
+    them at the upper level's k puts x[k] there and the larger values
+    after it, whose min is the upper level's x[k1]. An upper level whose
+    k is at most the lower one's k1 (credible masses near 0) reads what
+    the first partition found. A partition only places its kth value, so
+    the neighbours are taken as that max and min, never by position.
+    numpy's partition at all four indexes at once costs about four sorts
+    of 20 000 values; these two cost less than one.
+    """
+    n = values.shape[0]
+    i, i1, s = _type7_point(n, lo_level)
+    j, j1, t = _type7_point(n, hi_level)
+    values.partition(i1)
+    lower = (float(values[:i1].max()) if i < i1 else float(values[i1]), float(values[i1]))
+    if j < i1:
+        upper = lower
+    else:
+        if j > i1:
+            values[i1 + 1 :].partition(j - i1 - 1)
+        a = float(values[j])
+        upper = (a, float(values[j + 1 :].min()) if j1 > j else a)
+    return _type7(*lower, s), _type7(*upper, t)
 
 
 def posterior_summaries(
@@ -225,25 +275,24 @@ def posterior_summaries(
     categories and the prior is symmetric, so every permutation of the
     proper counts has the same posterior law of each measure; all of
     them get that one sample's posterior_mean, posterior_sd and interval,
-    and mirrored vectors such as (0, 5 | 0) and (5, 0 | 0) get equal
-    posterior fields. The plug-in is each vector's own.
+    and the plug-in of the canonical vector, so mirrored vectors such as
+    (0, 5 | 0) and (5, 0 | 0) get equal summaries.
     ``posterior_summaries((counts,), ...)[counts]`` is the summary of one
     vector. Each value is one MeasureSummary per measure, keyed by
     measure name, in the order given.
 
     Each count multiset is sampled once, with the result it gets alone.
     The samples share one _sample_buffer per number of categories C, so
-    each sample's values are computed and sorted in place, and
+    each sample's values are computed and partitioned in place, and
     summarizing many vectors does not hand memory back to the system and
     fault it in again for the next one.
 
-    Each measure's values are sorted in place once its mean and sd are
-    taken, and the interval is read off the sorted sample by the type 7
-    rule of _sorted_quantiles: the same floats as np.quantile. A measure
-    listed twice has a row of its own, so its second mean is taken from
-    unsorted values too. The plug-in values of all non-empty vectors come
-    from one measure_arrays call per C; the kernel works row by row, so
-    they are the floats of ambiguity at each vector's frequencies.
+    Once a measure's mean and sd are taken, its interval is found by
+    _selected_interval, two partitions of its values in place: the same
+    floats as np.quantile, without a sort. A measure listed twice has a
+    row of its own, so its second mean is taken from unpartitioned values
+    too. The plug-in values of all non-empty count multisets come from
+    one measure_arrays call per C, at the canonical vectors' frequencies.
 
     Raises:
         TooFewSamples: mc_samples below 1000.
@@ -257,14 +306,14 @@ def posterior_summaries(
     if not measures:
         raise DomainError("need at least one measure")
     tail = 0.5 * (1.0 - credible_mass)
-    distinct = list(dict.fromkeys(count_vectors))
-    plugins = _plugin_values(distinct, measures)
+    # Each distinct count vector and its canonical permutation.
+    distinct = {counts: _canonical(counts) for counts in count_vectors}
+    plugins = _plugin_values(dict.fromkeys(distinct.values()), measures)
     buffers: dict[int, np.ndarray] = {}
     # (mean, sd, lo, hi) of each measure, per count multiset.
     shared: dict[CountVector, list[tuple[float, float, float, float]]] = {}
     summaries = {}
-    for counts in distinct:
-        canonical = CountVector(tuple(sorted(counts.proper, reverse=True)), counts.cs)
+    for counts, canonical in distinct.items():
         if canonical not in shared:
             n_proper = canonical.n_proper
             if n_proper not in buffers:
@@ -275,30 +324,39 @@ def posterior_summaries(
             rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
             shared[canonical] = []
             for measure, values in zip(measures, rows):
-                # Sorted only after the moments: a Monte Carlo mean and sd
-                # are pairwise sums, whose last bits depend on the order.
-                # The sd squares its deviations in the free first draw row.
+                # Partitioned only after the moments: a Monte Carlo mean
+                # and sd are pairwise sums, whose last bits depend on the
+                # order. The sd squares its deviations in the free first
+                # draw row.
                 mean, sd = posterior_mean_sd(posterior, measure, values, work=buffer[0])
-                values.sort()
-                lo, hi = _sorted_quantiles(values, (tail, 1.0 - tail))
-                shared[canonical].append((mean, sd, float(lo), float(hi)))
+                lo, hi = _selected_interval(values, tail, 1.0 - tail)
+                shared[canonical].append((mean, sd, lo, hi))
         summaries[counts] = {
             measure.value: MeasureSummary(plugin, *fields)
             for measure, fields, plugin in zip(
-                measures, shared[canonical], plugins.get(counts, repeat(None))
+                measures, shared[canonical], plugins.get(canonical, repeat(None))
             )
         }
     return summaries
 
 
+def _canonical(counts: CountVector) -> CountVector:
+    """The representative of a count multiset: proper counts in
+    non-increasing order, then cs."""
+    return CountVector(tuple(sorted(counts.proper, reverse=True)), counts.cs)
+
+
 def _plugin_values(
-    count_vectors: Sequence[CountVector], measures: tuple[MeasureKind, ...]
+    count_vectors: Iterable[CountVector], measures: tuple[MeasureKind, ...]
 ) -> dict[CountVector, tuple[float, ...]]:
     """Each measure at the empirical frequencies of each non-empty count
     vector, in the order of `measures`: one measure_arrays call per number
     of categories. A frequency v / n is the float that
     CountVector.as_probability_vector gives, since both counts are exact
-    in a double."""
+    in a double, and the kernel works row by row, so each value is the
+    float of ambiguity at that vector's frequencies. The kernel sums
+    across columns in order, so permutations of one vector can differ in
+    the last bits; posterior_summaries passes canonical vectors only."""
     groups: dict[int, list] = {}
     for counts in count_vectors:
         if counts.total:

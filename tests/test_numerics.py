@@ -18,7 +18,7 @@ import scipy.stats
 
 from ambiq import numerics
 from ambiq.binary_density import BinaryCounts, density_curve
-from ambiq.exceptions import DomainError, InternalConsistencyError
+from ambiq.exceptions import DomainError, InternalConsistencyError, TooLarge
 from ambiq.frequentist import bias_curve
 from ambiq.measures import ProbabilityVector
 from ambiq.numerics import (
@@ -285,6 +285,22 @@ class TestBetaShapeValidation:
             regularized_incomplete_beta(1.0, bad, 0.5)
         with pytest.raises(DomainError):
             regularized_incomplete_beta(np.array([2.0, bad]), 1.0, np.array([[0.5], [0.0]]))
+
+    @pytest.mark.parametrize("a, b", [(1e50, 2e50), (1e154, 2e154), (2.0**52, 2.0**52 + 2.0)])
+    def test_incomplete_beta_refuses_shapes_summing_past_two_to_the_53(self, a, b):
+        # Unrefused, (1e50, 2e50, 1/3) read 1.0 where I is about 0, and
+        # (1e154, 2e154, 1/3) raised InternalConsistencyError after
+        # overflow warnings. The refusal comes before any work, in a batch
+        # too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge):
+                regularized_incomplete_beta(a, b, 1.0 / 3.0)
+            with pytest.raises(TooLarge):
+                regularized_incomplete_beta(np.array([2.0, a]), np.array([3.0, b]), 0.5)
+
+    def test_incomplete_beta_serves_shapes_summing_to_two_to_the_53(self):
+        assert regularized_incomplete_beta(2.0**52, 2.0**52, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("bad", BAD_SHAPES)
     def test_beta_pdf_needs_positive_finite_shapes(self, bad):

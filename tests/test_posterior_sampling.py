@@ -1,8 +1,9 @@
 """Monte Carlo posterior layer: transformed-sample determinism and range,
-sample means against closed-form moments, sorted-sample quantiles against
-np.quantile (including a constant sample), the histogram mode, the
-repeat-based density uncertainty bands, and the per-count-vector posterior
-summary against closed forms and an independent numpy Dirichlet sample.
+sample means against closed-form moments, sorted-sample quantiles and
+intervals by selection against np.quantile (including a constant sample),
+the histogram mode, the repeat-based density uncertainty bands, and the
+per-count-vector posterior summary against closed forms and an independent
+numpy Dirichlet sample.
 """
 
 import math
@@ -25,7 +26,9 @@ from ambiq.posterior_sampling import (
     DensityEstimate,
     MeasureSummary,
     _sample_buffer,
+    _selected_interval,
     _sorted_quantiles,
+    _type7_point,
     density_with_uncertainty,
     histogram_mode,
     posterior_summaries,
@@ -149,6 +152,97 @@ class TestSortedQuantiles:
 
     def test_no_levels(self):
         assert _sorted_quantiles(np.sort(np.random.default_rng(2).random(10)), ()).size == 0
+
+
+# Credible masses from nearly none to nearly all: at 1e-5 and n = 20 000
+# both levels read the same pair of order statistics.
+INTERVAL_MASSES = [1e-5, 1e-3, 0.5, 0.95, 0.9999, 1.0 - 1e-6]
+
+
+def interval_levels(mass):
+    """(tail, 1 - tail), computed as posterior_summaries computes them."""
+    tail = 0.5 * (1.0 - mass)
+    return tail, 1.0 - tail
+
+
+class TestSelectedInterval:
+    """_selected_interval against np.quantile, compared as floats with ==."""
+
+    @staticmethod
+    def check(x, mass):
+        levels = interval_levels(mass)
+        expected = np.quantile(x, levels).tolist()
+        work = x.copy()
+        assert list(_selected_interval(work, *levels)) == expected
+        # The partitions only reorder the sample.
+        assert np.array_equal(np.sort(work), np.sort(x))
+
+    @pytest.mark.parametrize("mass", INTERVAL_MASSES)
+    @pytest.mark.parametrize("n", [1000, 1001, 20_000, 20_001])
+    def test_equals_numpy_quantile(self, n, mass):
+        rng = np.random.default_rng([n, 1])
+        self.check(rng.random(n), mass)
+        # Far-apart order statistics, where interpolating from the wrong
+        # end shows in the last bits.
+        self.check(rng.standard_exponential(n) ** 4, mass)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_random_level_pairs(self, n):
+        # Many (k, k1) pairs of both levels: partition guarantees only that
+        # x[k] lands at k, not that its neighbours are x[k - 1] and x[k + 1].
+        rng = np.random.default_rng([n, 2])
+        x = rng.random(n)
+        pairs = np.sort(rng.random((1000, 2)), axis=1).tolist()
+        # And pairs whose upper k is the lower k1, or the order statistic
+        # just above it.
+        pairs += [
+            ((k + 0.3) / (n - 1), (k + step) / (n - 1)) for k in range(n - 3) for step in (1.6, 2.6)
+        ]
+        for lo, hi in pairs:
+            expected = np.quantile(x, [lo, hi]).tolist()
+            assert list(_selected_interval(x.copy(), lo, hi)) == expected
+
+    @pytest.mark.parametrize("mass", INTERVAL_MASSES)
+    @pytest.mark.parametrize("n", [1000, 1001, 20_000, 20_001])
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_equals_numpy_quantile_with_ties(self, n, mass, decimals):
+        x = np.round(np.random.default_rng([n, decimals]).beta(2.0, 5.0, n), decimals)
+        self.check(x, mass)
+
+    @pytest.mark.parametrize("mass", INTERVAL_MASSES)
+    @pytest.mark.parametrize("n", [1000, 20_001])
+    def test_constant_sample(self, n, mass):
+        x = np.full(n, 0.37)
+        self.check(x, mass)
+        assert _selected_interval(x, *interval_levels(mass)) == (0.37, 0.37)
+
+    @pytest.mark.parametrize("mass", INTERVAL_MASSES)
+    @pytest.mark.parametrize("n", [1000, 1001, 20_000, 20_001])
+    def test_samples_holding_exact_zeros_and_ones(self, n, mass):
+        # A third of the sample at each end, as a measure at a vertex or
+        # at the uniform vector gives them, so some order statistics the
+        # levels read are 0 or 1 and some pairs span the jump.
+        rng = np.random.default_rng([n, 3])
+        x = rng.random(n)
+        x[rng.permutation(n)[: 2 * (n // 3)]] = np.repeat([0.0, 1.0], n // 3)
+        self.check(x, mass)
+
+    @pytest.mark.parametrize("n", [20_000, 20_001])
+    def test_levels_sharing_order_statistics(self, n):
+        # At mass 1e-5 the upper level needs no order statistic above the
+        # lower one's pair, so the second partition is not made.
+        lo, hi = interval_levels(1e-5)
+        (_, lower_k1, _), (upper_k, _, _) = _type7_point(n, lo), _type7_point(n, hi)
+        assert upper_k <= lower_k1
+        x = np.random.default_rng(n).random(n)
+        for sample in (x, np.round(x, 2)):
+            self.check(sample, 1e-5)
+
+    def test_smallest_samples(self):
+        # One value is the top of every level; two values share one pair.
+        for x in (np.array([0.25]), np.array([0.75, 0.25]), np.array([0.5, 0.0, 1.0])):
+            for mass in INTERVAL_MASSES:
+                self.check(x, mass)
 
 
 def reference_mode(values):
@@ -402,9 +496,12 @@ class TestPosteriorSummary:
 # shows here. They were written down again when the gamma columns of shapes
 # 1/2, 3/2 and 2-4 moved to exact identities; the entries whose shapes are
 # all on numpy's sampler kept their floats. An entry whose proper counts are
-# not non-increasing pins its plug-in values only, (plugin,): its posterior
-# fields are those of its canonical permutation, the sorted counts, which
-# test_summary_floats_are_pinned summarizes on its own.
+# not non-increasing pins its plug-in values only, (plugin,): its whole
+# summary is that of its canonical permutation, the sorted counts, which
+# test_summary_floats_are_pinned summarizes on its own. Those plug-ins were
+# pinned at each vector's own column order until the plug-in moved to the
+# canonical order; the new and modified plug-ins of (30, 2, 9, 0, 4 | 6)
+# moved up by one ulp then.
 PINNED_SUMMARIES = [
     ((3,), 1, 1.0, {
         'new': (0.25, 0.33333333333333337, 0.1781741612749496, 0.05396884095645024, 0.713796055104301),
@@ -464,8 +561,8 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.7258049560620977, 0.09870630477454109, 0.5123001590721257, 0.8919181666447281),
     }),
     ((30, 2, 9, 0, 4), 6, 1.0, {
-        'new': (0.5638344226579519,),
-        'modified': (0.6753812636165576,),
+        'new': (0.563834422657952,),
+        'modified': (0.6753812636165577,),
         'old': (0.48529411764705876,),
     }),
     ((3,), 1, 0.5, {
@@ -526,8 +623,8 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.674725987207794, 0.11118522292234655, 0.4415605215930679, 0.8721958061134176),
     }),
     ((30, 2, 9, 0, 4), 6, 0.5, {
-        'new': (0.5638344226579519,),
-        'modified': (0.6753812636165576,),
+        'new': (0.563834422657952,),
+        'modified': (0.6753812636165577,),
         'old': (0.48529411764705876,),
     }),
 ]
@@ -568,11 +665,14 @@ def test_summary_floats_are_pinned(prior, kinds):
             summary = got[counts][name]
             shared = () if canonical == counts else posterior_fields(alone[name])
             assert (summary.plugin, *posterior_fields(summary)) == values[name] + shared
+            if canonical != counts:
+                assert summary == alone[name]
 
 
 # Count vectors whose proper counts are permutations of each other, the
 # canonical (non-increasing) one not among them at C = 3. The C = 4 class
-# holds permutations whose plug-ins differ in the last bit.
+# holds permutations whose measures at their own frequencies differ in the
+# last bit.
 PERMUTED_CLASSES = [
     [CountVector((0, 5), 0), CountVector((5, 0), 0)],
     [CountVector((1, 3), 2), CountVector((3, 1), 2)],
@@ -588,23 +688,60 @@ PERMUTED_CLASSES = [
 def test_permuted_vectors_share_posterior_fields(prior, vectors):
     # The measures are permutation invariant under a symmetric prior, so a
     # count multiset has one posterior law of each measure: every vector of
-    # it gets the canonical vector's posterior fields, summarized alone,
-    # and keeps the plug-in at its own frequencies.
+    # it gets the canonical vector's summary, summarized alone, the plug-in
+    # at the canonical frequencies included.
     got = posterior_summaries(vectors, prior, mc_samples=2000, seed=5)
-    alone = summary_of(canonical_of(vectors[0]), prior_beta=prior, mc_samples=2000, seed=5)
+    canonical = canonical_of(vectors[0])
+    alone = summary_of(canonical, prior_beta=prior, mc_samples=2000, seed=5)
     for counts in vectors:
         own = posterior_update(DirichletParams.symmetric(counts.n_proper, prior), counts)
-        q = counts.as_probability_vector()
         for kind in MeasureKind:
             summary = got[counts][kind.value]
-            assert posterior_fields(summary) == posterior_fields(alone[kind.value])
-            assert summary.plugin == ambiguity(q, kind)
+            assert summary == alone[kind.value]
+            assert summary.plugin == ambiguity(canonical.as_probability_vector(), kind)
             if kind is not MeasureKind.OLD:
                 # Closed forms agree across the class to the last bit anyway.
                 moments = (summary.posterior_mean, summary.posterior_sd)
                 assert moments == posterior_mean_sd(own, kind)
     if len(vectors[0].proper) == 4:
-        assert got[vectors[0]]["new"].plugin != got[vectors[1]]["new"].plugin
+        # At their own column order the two plug-ins would differ.
+        own_plugins = {ambiguity(v.as_probability_vector(), MeasureKind.NEW) for v in vectors[:2]}
+        assert len(own_plugins) == 2
+
+
+# Vectors at C = 1-4, with zero counts, can't-solve-only, empty and
+# non-canonical ones among them.
+SELECTION_GRID = [
+    CountVector((3,), 1),
+    CountVector((0,), 0),
+    CountVector((7, 2), 1),
+    CountVector((0, 0), 3),
+    CountVector((1, 4, 2), 0),
+    CountVector((5, 5, 5), 2),
+    CountVector((12, 3, 0, 7), 2),
+    CountVector((0, 0, 0, 0), 0),
+]
+
+
+@pytest.mark.parametrize("mass", [1e-5, 0.95, 1.0 - 1e-6])
+@pytest.mark.parametrize("prior", [1.0, 0.5])
+def test_intervals_are_those_of_the_sorted_sample(prior, mass):
+    # posterior_summaries finds each interval by selection; the reference
+    # sorts a copy of the same stream's values and reads them off it.
+    levels = interval_levels(mass)
+    for n_proper in (1, 2, 3, 4):
+        kinds = tuple(MeasureKind) if n_proper > 1 else (MeasureKind.NEW,)
+        vectors = [v for v in SELECTION_GRID if v.n_proper == n_proper]
+        got = posterior_summaries(vectors, prior, kinds, credible_mass=mass, seed=9)
+        for counts in vectors:
+            canonical = canonical_of(counts)
+            posterior = posterior_update(DirichletParams.symmetric(n_proper, prior), canonical)
+            stream = (n_proper, *canonical.proper, canonical.cs)
+            rows = sample_transformed(posterior, kinds, 20_000, 9, stream)
+            for kind, values in zip(kinds, rows):
+                lo, hi = _sorted_quantiles(np.sort(values), levels).tolist()
+                summary = got[counts][kind.value]
+                assert (summary.credible_lo, summary.credible_hi) == (lo, hi)
 
 
 def test_one_sample_per_count_multiset(sfc64_streams):
