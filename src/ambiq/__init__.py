@@ -20,6 +20,7 @@ from .measures import (  # noqa: F401
     ambiguity_old,
     modified_from_new,
     normalized_entropy,
+    plugin_estimate,
 )
 from .numerics import (  # noqa: F401
     DirichletParams,
@@ -59,7 +60,6 @@ from .frequentist import (  # noqa: F401
     bias_plugin,
     exhaustive_expected_estimator,
     expected_plugin,
-    plugin_estimate,
 )
 from .dataset_io import (  # noqa: F401
     ItemReport,

@@ -28,6 +28,7 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 from typing import Sequence
 
 from . import __version__
@@ -48,6 +49,7 @@ from .measures import (
     MeasureKind,
     ProbabilityVector,
     ambiguity,
+    plugin_estimate,
 )
 from .numerics import DirichletParams, make_generator
 from .posterior_analytics import ANALYTIC, CLOSED_FORM, methods, posterior_mean_sd, posterior_update
@@ -166,14 +168,18 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if (args.q is None) == (args.counts is None):
         raise DomainError("provide exactly one of --q or --counts")
     if args.q is not None:
+        if args.cs_count is not None:
+            raise DomainError("--cs-count goes with --counts; with --q give the can't-solve mass")
         q = _parse_probability(args.q, args.cs)
-        source = "probabilities"
+        evaluate, source = partial(ambiguity, q), "probabilities"
     else:
-        counts = _parse_counts(args.counts, args.cs_count)
+        if args.cs is not None:
+            raise DomainError("--cs goes with --q; with --counts give --cs-count")
+        counts = _parse_counts(args.counts, args.cs_count or 0)
         q = counts.as_probability_vector()
-        source = "plug-in frequencies"
+        evaluate, source = partial(plugin_estimate, counts), "plug-in frequencies"
     measures = _parse_list(args.measures, "--measures", MeasureKind.parse)
-    values = {m.value: ambiguity(q, m) for m in measures}
+    values = {m.value: evaluate(m) for m in measures}
     if args.json:
         _emit_json(
             {
@@ -514,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", parents=[common], help="evaluate measures at a point")
     p.add_argument("--q", help="probabilities; last entry is cs unless --cs is given")
-    p.add_argument("--cs", type=float, default=None, help="can't-solve probability")
+    p.add_argument("--cs", type=float, default=None, help="can't-solve probability (--q only)")
     p.add_argument("--counts", help="proper-category counts, converted via plug-in")
-    p.add_argument("--cs-count", type=int, default=0, help="can't-solve count")
+    p.add_argument("--cs-count", type=int, default=None, help="can't-solve count (--counts only)")
     p.add_argument("--measures", default="new,modified,old")
     p.set_defaults(func=_cmd_measure)
 

@@ -230,18 +230,18 @@ def score_items(
     """Score every item: plug-in point estimates plus posterior summaries.
 
     Each item gets the posterior_summaries entry of its count vector:
-    means and sds by the method posterior_analytics.methods names, and
-    equal-tailed intervals from one MC sample per count multiset, shared
-    across measures. That sample is keyed on the count multiset (proper
-    counts in non-increasing order, then cs) and drawn from the stream
-    (seed, (C, *canonical proper, cs)). The measures are invariant under
-    permutations of the proper categories and the prior is symmetric, so
-    items whose proper counts are permutations of each other, mirrored
-    yes/no items among them, get equal measure blocks: the plug-in is
-    taken at the canonical order too, so such items tie exactly in
-    rank_and_filter and fall back to item_id. A report depends only on
-    the item's counts and the scoring settings, never on the other items
-    or the scoring order. It raises what posterior_summaries raises, before any draw.
+    plug-ins by plugin_estimate, means and sds by the method
+    posterior_analytics.methods names, and equal-tailed intervals from one
+    MC sample per count multiset, shared across measures. That sample is
+    keyed on the count multiset (proper counts in non-increasing order,
+    then cs) and drawn from the stream (seed, (C, *canonical proper, cs)).
+    The measures are invariant under permutations of the proper categories
+    and the prior is symmetric, so items whose proper counts are
+    permutations of each other, mirrored yes/no items among them, get
+    equal measure blocks and tie exactly in rank_and_filter, falling back
+    to item_id. A report depends only on the item's counts and the scoring
+    settings, never on the other items or the scoring order. It raises
+    what posterior_summaries raises, before any draw.
     """
     summaries = posterior_summaries(
         items.values(), prior_beta, measures, mc_samples, credible_mass, seed

@@ -1,10 +1,11 @@
 """Point estimation of ambiguity from finite annotation samples.
 
 The plug-in estimator applies a measure to the empirical response
-frequencies. Its expectation under multinomial sampling is exact at every
-sample size for all three measures: a closed form for the quadratic-entropy
-measures, and one sum over the can't-solve count of binomial expectations
-for total variation. For the quadratic measures the bias is known to be
+frequencies: measures.plugin_estimate, re-exported here. Its expectation
+under multinomial sampling is exact at every sample size for all three
+measures: a closed form for the quadratic-entropy measures, and one sum
+over the can't-solve count of binomial expectations for total
+variation. For the quadratic measures the bias is known to be
 negative at every finite n: squared frequencies are biased-up estimates of
 squared probabilities, and the measure subtracts them. bias_curve sets the
 plug-in beside the Bayesian alternatives, the posterior mean and mode under
@@ -27,6 +28,7 @@ import numpy as np
 from .exceptions import DomainError, TooLarge
 from .measures import (
     CountVector, MeasureKind, ProbabilityVector, _check_categories, ambiguity, modified_from_new,
+    plugin_estimate,
 )
 from .numerics import DirichletParams, _check_prior, ln_gamma, make_generator
 from .posterior_analytics import MC, methods, posterior_mean_sd, posterior_update
@@ -86,15 +88,6 @@ def _check_sample_sizes(n_values: Sequence[int]) -> None:
         raise DomainError("n_values must be strictly increasing")
     if any(n < 1 for n in n_values):
         raise DomainError("n_values must be positive")
-
-
-def plugin_estimate(counts: CountVector, measure: MeasureKind = MeasureKind.NEW) -> float:
-    """Measure applied to the empirical frequencies.
-
-    Equals 1 whenever every response was can't-solve, and raises
-    EmptySample when there are no responses at all.
-    """
-    return ambiguity(counts.as_probability_vector(), measure)
 
 
 def expected_plugin(

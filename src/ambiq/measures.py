@@ -19,12 +19,13 @@ All three live in [0, 1], are invariant under permutations of the proper
 categories, and treat q_cs asymmetrically: abstention mass always pushes
 ambiguity up. CountVector, the response counts that estimators and
 posteriors take, sits beside the ProbabilityVector of its frequencies.
-Each measure is written once, in one array kernel over rows of (proper,
-cs), measure_arrays, which computes every requested measure of a sample in
-one pass and can write into a workspace its caller reuses. The samplers
-call it on millions of vectors at a time; ambiguity_array and the scalar
-functions are calls of it, so a plug-in value and a Monte Carlo draw of
-the same vector get the same floats.
+plugin_estimate, a measure at those frequencies, is one quotient of the
+integer counts, so it is correctly rounded. A float soft label goes
+through one array kernel, measure_arrays, which computes every requested
+measure of rows of (proper, cs) in one pass, into a workspace its caller
+can reuse. The samplers call it on millions of vectors at a time;
+ambiguity_array and the scalar functions are calls of it, so a soft label
+and a Monte Carlo draw of it get the same floats.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "ProbabilityVector",
     "CountVector",
     "MeasureKind",
+    "plugin_estimate",
     "ambiguity_new",
     "ambiguity_modified",
     "modified_from_new",
@@ -206,6 +208,39 @@ class CountVector:
         )
 
 
+def plugin_estimate(counts: CountVector, measure: MeasureKind = MeasureKind.NEW) -> float:
+    """The measure at the empirical frequencies of `counts`, correctly rounded.
+
+    Each measure is one quotient of Python ints, and int / int rounds
+    once. With N_p = sum_k n_k, N = N_p + cs and Q = sum_k n_k^2, new is
+    (N N_p - Q) / (N N_p), modified is (cs N_p (C - 1) + C (N_p^2 - Q)) /
+    ((C - 1) N N_p), old is (2 (C - 1) N - sum_k |C n_k - N_p|) /
+    (2 (C - 1) N), and N_p = 0 gives 1. So permuted counts tie exactly and
+    the end points are exact: the old measure of (3, 0, 0, 0, 0 | 0) is 0.0.
+    It raises EmptySample for no responses at all, then
+    SingleCategoryUnsupported for modified or old at C = 1.
+
+    Examples:
+        >>> plugin_estimate(CountVector((4, 1)), MeasureKind.MODIFIED)
+        0.64
+    """
+    n_proper = sum(counts.proper)
+    n, c = n_proper + counts.cs, counts.n_proper
+    if n == 0:
+        raise EmptySample("cannot form frequencies from zero responses")
+    _check_categories((measure,), c)
+    if n_proper == 0:
+        return 1.0
+    if measure is MeasureKind.OLD:
+        spread = sum(abs(c * k - n_proper) for k in counts.proper)
+        return (2 * (c - 1) * n - spread) / (2 * (c - 1) * n)
+    squares = sum(k * k for k in counts.proper)
+    if measure is MeasureKind.NEW:
+        return (n * n_proper - squares) / (n * n_proper)
+    numerator = counts.cs * n_proper * (c - 1) + c * (n_proper**2 - squares)
+    return numerator / ((c - 1) * n * n_proper)
+
+
 def ambiguity(q: ProbabilityVector, kind: MeasureKind) -> float:
     """The measure named by `kind` at one soft label.
 
@@ -238,7 +273,8 @@ def ambiguity_modified(q: ProbabilityVector) -> float:
 
     ``q_cs + C/(C-1) * [(1 - q_cs) - (sum_k q_k^2)/(1 - q_cs)]`` with the
     degenerate branch returning 1. Reaches 1 whenever the conditional
-    distribution is uniform, regardless of q_cs.
+    distribution is uniform, regardless of q_cs; the float kernel can miss
+    it by an ulp (0.9999999999999999 at five labels of 0.2).
 
     Raises:
         SingleCategoryUnsupported: for C = 1 (the C/(C-1) rescaling is
@@ -277,7 +313,8 @@ def ambiguity_old(q: ProbabilityVector) -> float:
     ``1 - (1-q_cs)/2 * C/(C-1) * sum_k |p_k - 1/C|`` with p the conditional
     vector; 1 on the degenerate branch. Saturates at 1 for any distribution
     whose conditional part is uniform, and more broadly compresses the upper
-    range compared to the other two measures.
+    range compared to the other two measures. The float kernel can miss
+    the end point 0 by an ulp (1.1e-16 at the vertex (1, 0, 0, 0, 0)).
 
     Raises:
         SingleCategoryUnsupported: for C = 1.

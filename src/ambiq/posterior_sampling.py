@@ -17,9 +17,10 @@ posterior_analytics.methods serves by Monte Carlo. Every measure is
 invariant under permutations of the proper categories and the prior is
 symmetric, so count vectors that are permutations of each other have
 the same posterior law of each measure, and they get the same summary,
-the plug-in included, which is taken at the canonical order. A vector's
-summary depends only on (counts, prior, measures, sample size, credible
-mass, seed), never on the other vectors it is summarized with.
+the plug-in included: measures.plugin_estimate depends on the multiset
+only. A vector's summary depends only on (counts, prior, measures,
+sample size, credible mass, seed), never on the other vectors it is
+summarized with.
 
 Quantiles and credible intervals follow Hyndman and Fan's type 7 rule
 (linear interpolation between order statistics at virtual index
@@ -39,13 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exceptions import DomainError, TooFewSamples
-from .measures import CountVector, MeasureKind, _check_categories, measure_arrays
+from .measures import CountVector, MeasureKind, _check_categories, measure_arrays, plugin_estimate
 from .numerics import DirichletParams, _check_prior, dirichlet_sample
 from .posterior_analytics import posterior_mean_sd, posterior_update
 
@@ -79,11 +79,11 @@ def _check_mc_settings(mc_samples: int, credible_mass: float | None = None) -> N
 class MeasureSummary:
     """Posterior summary of one measure for one count vector.
 
-    plugin is the measure at the empirical frequencies, None for a count
-    vector with no annotations. posterior_mean and posterior_sd are by the
-    moments method of posterior_analytics.methods; the equal-tailed
-    credible interval [credible_lo, credible_hi] always comes from the
-    Monte Carlo sample. The field names, in order, are the
+    plugin is plugin_estimate, the measure at the empirical frequencies,
+    None for a count vector with no annotations. posterior_mean and
+    posterior_sd are by the moments method of posterior_analytics.methods;
+    the equal-tailed credible interval [credible_lo, credible_hi] always
+    comes from the Monte Carlo sample. The field names, in order, are the
     per-measure columns of a score report file.
     """
 
@@ -263,36 +263,26 @@ def posterior_summaries(
     seed: int = 0,
 ) -> dict[CountVector, dict[str, MeasureSummary]]:
     """Plug-in value and posterior summary of each measure for each
-    distinct count vector, keyed by count vector.
+    distinct count vector, keyed by count vector: one MeasureSummary per
+    measure, keyed by measure name, in the order given.
+    ``posterior_summaries((counts,), ...)[counts]`` is one vector's.
 
     The posterior is Dir(prior_beta + counts) under a symmetric prior. One
-    sample of mc_samples posterior vectors serves every measure: it gives
-    the equal-tailed interval of each, and a Monte Carlo mean and sd by
-    posterior_mean_sd. The sample is keyed on the count multiset (proper
-    counts in non-increasing order, then cs): it is drawn from the
-    canonical posterior and the stream (seed, (C, *canonical proper,
-    cs)). The measures are invariant under permutations of the proper
-    categories and the prior is symmetric, so every permutation of the
-    proper counts has the same posterior law of each measure; all of
-    them get that one sample's posterior_mean, posterior_sd and interval,
-    and the plug-in of the canonical vector, so mirrored vectors such as
-    (0, 5 | 0) and (5, 0 | 0) get equal summaries.
-    ``posterior_summaries((counts,), ...)[counts]`` is the summary of one
-    vector. Each value is one MeasureSummary per measure, keyed by
-    measure name, in the order given.
+    sample of mc_samples posterior vectors per count multiset serves every
+    measure: it gives the equal-tailed interval of each, and a Monte Carlo
+    mean and sd by posterior_mean_sd. It is drawn from the canonical
+    posterior (proper counts in non-increasing order, then cs) and the
+    stream (seed, (C, *canonical proper, cs)), and every permutation of
+    the proper counts gets the result the multiset gets alone. The plug-in
+    is plugin_estimate, None for a vector with no annotations.
 
-    Each count multiset is sampled once, with the result it gets alone.
     The samples share one _sample_buffer per number of categories C, so
-    each sample's values are computed and partitioned in place, and
     summarizing many vectors does not hand memory back to the system and
-    fault it in again for the next one.
-
-    Once a measure's mean and sd are taken, its interval is found by
-    _selected_interval, two partitions of its values in place: the same
-    floats as np.quantile, without a sort. A measure listed twice has a
-    row of its own, so its second mean is taken from unpartitioned values
-    too. The plug-in values of all non-empty count multisets come from
-    one measure_arrays call per C, at the canonical vectors' frequencies.
+    fault it in again for the next one. Once a measure's mean and sd are
+    taken, its interval is found by _selected_interval, two partitions of
+    its values in place: the same floats as np.quantile, without a sort.
+    A measure listed twice has a row of its own, so its second mean is
+    taken from unpartitioned values too.
 
     Raises:
         TooFewSamples: mc_samples below 1000.
@@ -306,9 +296,12 @@ def posterior_summaries(
     if not measures:
         raise DomainError("need at least one measure")
     tail = 0.5 * (1.0 - credible_mass)
-    # Each distinct count vector and its canonical permutation.
-    distinct = {counts: _canonical(counts) for counts in count_vectors}
-    plugins = _plugin_values(dict.fromkeys(distinct.values()), measures)
+    # Each distinct count vector and its multiset's canonical vector.
+    distinct = {
+        counts: CountVector(tuple(sorted(counts.proper, reverse=True)), counts.cs)
+        for counts in count_vectors
+    }
+    _check_categories(measures, min((c.n_proper for c in distinct), default=2))
     buffers: dict[int, np.ndarray] = {}
     # (mean, sd, lo, hi) of each measure, per count multiset.
     shared: dict[CountVector, list[tuple[float, float, float, float]]] = {}
@@ -332,42 +325,12 @@ def posterior_summaries(
                 lo, hi = _selected_interval(values, tail, 1.0 - tail)
                 shared[canonical].append((mean, sd, lo, hi))
         summaries[counts] = {
-            measure.value: MeasureSummary(plugin, *fields)
-            for measure, fields, plugin in zip(
-                measures, shared[canonical], plugins.get(canonical, repeat(None))
+            measure.value: MeasureSummary(
+                plugin_estimate(counts, measure) if counts.total else None, *fields
             )
+            for measure, fields in zip(measures, shared[canonical])
         }
     return summaries
-
-
-def _canonical(counts: CountVector) -> CountVector:
-    """The representative of a count multiset: proper counts in
-    non-increasing order, then cs."""
-    return CountVector(tuple(sorted(counts.proper, reverse=True)), counts.cs)
-
-
-def _plugin_values(
-    count_vectors: Iterable[CountVector], measures: tuple[MeasureKind, ...]
-) -> dict[CountVector, tuple[float, ...]]:
-    """Each measure at the empirical frequencies of each non-empty count
-    vector, in the order of `measures`: one measure_arrays call per number
-    of categories. A frequency v / n is the float that
-    CountVector.as_probability_vector gives, since both counts are exact
-    in a double, and the kernel works row by row, so each value is the
-    float of ambiguity at that vector's frequencies. The kernel sums
-    across columns in order, so permutations of one vector can differ in
-    the last bits; posterior_summaries passes canonical vectors only."""
-    groups: dict[int, list] = {}
-    for counts in count_vectors:
-        if counts.total:
-            groups.setdefault(counts.n_proper, []).append(counts)
-    plugins = {}
-    for n_proper, group in groups.items():
-        freq = np.array([(*c.proper, c.cs) for c in group], dtype=float)
-        freq /= np.array([[c.total] for c in group], dtype=float)
-        values = measure_arrays(freq[:, :n_proper], freq[:, n_proper], measures)
-        plugins.update(zip(group, zip(*values.tolist())))
-    return plugins
 
 
 def density_with_uncertainty(

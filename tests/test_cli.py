@@ -83,6 +83,34 @@ class TestMeasureCommand:
         assert code == 2
         assert "sum" in err
 
+    def test_counts_give_the_correctly_rounded_plugin(self, capsys):
+        # The float kernel at the frequencies (0.8, 0.2) reads
+        # 0.31999999999999984, 0.6399999999999997 and 0.3999999999999999.
+        code, payload, _ = run_json(capsys, "measure", "--counts", "4,1")
+        assert code == 0
+        assert payload["measures"] == {"new": 0.32, "modified": 0.64, "old": 0.4}
+        code, payload, _ = run_json(capsys, "measure", "--counts", "3,0,0,0,0")
+        assert payload["measures"]["old"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--counts", "3,1", "--cs", "0.5"), "--cs goes with --q; with --counts give --cs-count"),
+            (("--counts", "3,1", "--cs", "0"), "--cs goes with --q; with --counts give --cs-count"),
+            (
+                ("--q", "0.5,0.5", "--cs", "0", "--cs-count", "4"),
+                "--cs-count goes with --counts; with --q give the can't-solve mass",
+            ),
+            (
+                ("--q", "0.5,0.5,0", "--cs-count", "0"),
+                "--cs-count goes with --counts; with --q give the can't-solve mass",
+            ),
+        ],
+    )
+    def test_refuses_a_can_t_solve_option_of_the_other_input(self, capsys, argv, message):
+        code, out, err = run(capsys, "measure", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestPosteriorCommand:
     def test_closed_form_mean(self, capsys):
@@ -995,6 +1023,55 @@ class TestScoreRankPipeline:
         with open(report, "w", encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerows(rows)
         self._rank_rejects(capsys, report, "csv", 3)
+
+
+def test_measure_counts_print_the_plugins_that_score_reports(capsys, tmp_path):
+    # Each item's plug-ins, as number tokens, from `measure --counts --json`
+    # and from both report formats of `score`: mirrored items, unanimous,
+    # uniform and can't-solve-only votes among them.
+    labels = ("a", "b", "c", "d", "e")
+    items = {
+        "u1": (3, 0, 0, 0, 0, 0), "u2": (0, 0, 0, 0, 3, 0), "even": (2, 2, 2, 2, 2, 0),
+        "p": (4, 1, 0, 0, 0, 0), "p-mirror": (0, 0, 0, 1, 4, 0), "mixed": (30, 2, 9, 0, 4, 6),
+        "mixed-perm": (0, 9, 4, 30, 2, 6), "cs-only": (0, 0, 0, 0, 0, 2),
+    }
+    rows = [
+        json.dumps({"item_id": item, "annotator_id": f"x{i}", "response": label})
+        for item, counts in items.items()
+        for label, count in zip((*labels, "cs"), counts)
+        for i in range(count)
+    ]
+    votes = tmp_path / "votes.jsonl"
+    votes.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    reports = {}
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"reports.{fmt}"
+        code, _, _ = run(
+            capsys, "score", "--input", str(votes), "--labels", ",".join(labels),
+            "--mc-samples", "1000", "--output", str(path), "--output-format", fmt,
+        )
+        assert code == 0
+        reports[fmt] = path.read_text(encoding="utf-8")
+    from_json = {
+        entry["item_id"]: {name: block["plugin"] for name, block in entry["measures"].items()}
+        for entry in json.loads(reports["json"], parse_float=str)
+    }
+    from_csv = {
+        row["item_id"]: {name: row[f"{name}_plugin"] for name in ("new", "modified", "old")}
+        for row in csv.DictReader(io.StringIO(reports["csv"]))
+    }
+    for item, counts in items.items():
+        code, out, _ = run(
+            capsys, "measure", "--counts", ",".join(map(str, counts[:-1])),
+            "--cs-count", str(counts[-1]), "--json",
+        )
+        assert code == 0
+        printed = json.loads(out, parse_float=str)["measures"]
+        assert printed == from_json[item] == from_csv[item]
+    assert from_json["u1"]["old"] == from_json["u2"]["old"] == "0.0"
+    assert from_json["even"]["modified"] == "1.0"
+    assert from_json["p"] == from_json["p-mirror"]
+    assert from_json["mixed"] == from_json["mixed-perm"]
 
 
 class TestSeedResolution:

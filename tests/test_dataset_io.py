@@ -464,9 +464,9 @@ class TestRankAndFilter:
 
     @pytest.mark.parametrize("descending", [True, False])
     def test_permuted_counts_tie_on_plugin(self, descending):
-        # At their own column order the new measure reads 0.5444444444444445
-        # for b and 0.5444444444444444 for a; one count multiset has one
-        # plug-in, so the tie falls back to item_id either way.
+        # At their own column order the float kernel reads 0.5444444444444445
+        # for b and 0.5444444444444444 for a; plugin_estimate is a function
+        # of the count multiset, so the tie falls back to item_id either way.
         items = {
             "b": CountVector(proper=(0, 1, 2, 6), cs=1),
             "a": CountVector(proper=(6, 2, 1, 0), cs=1),

@@ -1,19 +1,29 @@
 """Measure layer: hand-computed values for all three measures, the algebraic
 relation between plain and modified ambiguity, degenerate-mass handling,
 validation, normalized entropy, agreement of the array fast paths with
-the scalar functions, and the one-pass kernel that computes several
-measures of a block at once.
+the scalar functions, the one-pass kernel that computes several
+measures of a block at once, and the plug-in of a count vector against an
+exact rational oracle.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ambiq.exceptions import DomainError, InternalConsistencyError, SingleCategoryUnsupported
+import ambiq
+import ambiq.frequentist
+from ambiq.exceptions import (
+    DomainError,
+    EmptySample,
+    InternalConsistencyError,
+    SingleCategoryUnsupported,
+)
 from ambiq.measures import (
     DEGENERACY_THRESHOLD,
     CategorySchema,
+    CountVector,
     MeasureKind,
     ProbabilityVector,
     _check_array_range,
@@ -25,8 +35,10 @@ from ambiq.measures import (
     measure_arrays,
     modified_from_new,
     normalized_entropy,
+    plugin_estimate,
 )
 from ambiq.numerics import DirichletParams, dirichlet_sample
+from plugin_oracle import measures_of, plugin_fraction, random_count_vectors
 
 
 def random_soft_labels(rng, count, n_proper, max_cs=0.95):
@@ -446,3 +458,66 @@ class TestRangeCheck:
     def test_rejects_values_beyond_the_tolerance(self, bad):
         with pytest.raises(InternalConsistencyError):
             _check_array_range(np.array([0.5, bad]), "x")
+
+
+class TestPluginEstimate:
+    def test_is_the_correctly_rounded_value(self):
+        # 20 000 seeded vectors at C = 1-7: the float kernel at the
+        # frequencies misses the rounded value on about half of them.
+        vectors = random_count_vectors(np.random.default_rng(26), 20_000)
+        for counts in vectors:
+            for kind in measures_of(counts):
+                assert plugin_estimate(counts, kind) == float(plugin_fraction(counts, kind))
+
+    @pytest.mark.parametrize("n_proper", range(2, 8))
+    def test_end_points_are_exact(self, n_proper):
+        for position, votes in itertools.product(range(n_proper), (1, 3, 40)):
+            unanimous = [0] * n_proper
+            unanimous[position] = votes
+            for kind in MeasureKind:
+                assert plugin_estimate(CountVector(tuple(unanimous)), kind) == 0.0
+        for votes, cs in itertools.product((1, 2, 7), (0, 3)):
+            uniform = CountVector((votes,) * n_proper, cs)
+            assert plugin_estimate(uniform, MeasureKind.MODIFIED) == 1.0
+            assert plugin_estimate(uniform, MeasureKind.OLD) == 1.0
+            new = plugin_estimate(uniform, MeasureKind.NEW)
+            assert new == float(plugin_fraction(uniform, MeasureKind.NEW))
+        for kind in MeasureKind:
+            assert plugin_estimate(CountVector((0,) * n_proper, 4), kind) == 1.0
+
+    @pytest.mark.parametrize(
+        "proper, kind, value",
+        [
+            ((3, 0, 0, 0, 0), MeasureKind.OLD, 0.0),
+            ((3, 0, 0, 0, 0, 0, 0), MeasureKind.OLD, 0.0),
+            ((2, 2, 2, 2, 2), MeasureKind.MODIFIED, 1.0),
+            ((4, 1), MeasureKind.MODIFIED, 0.64),
+            ((4, 1), MeasureKind.NEW, 0.32),
+            ((4, 1), MeasureKind.OLD, 0.4),
+        ],
+    )
+    def test_values_the_float_kernel_misses(self, proper, kind, value):
+        counts = CountVector(proper)
+        assert ambiguity(counts.as_probability_vector(), kind) != value
+        assert plugin_estimate(counts, kind) == value
+
+    def test_permutations_tie(self):
+        for kind in MeasureKind:
+            values = {
+                plugin_estimate(CountVector(proper, 1), kind)
+                for proper in itertools.permutations((6, 2, 1, 0))
+            }
+            assert len(values) == 1
+
+    @pytest.mark.parametrize("kind", [MeasureKind.MODIFIED, MeasureKind.OLD])
+    def test_refusals_in_order(self, kind):
+        with pytest.raises(EmptySample):
+            plugin_estimate(CountVector((0,), 0), kind)
+        with pytest.raises(SingleCategoryUnsupported, match=f"^{kind.value} ambiguity needs C >= 2$"):
+            plugin_estimate(CountVector((3,), 1), kind)
+        with pytest.raises(EmptySample):
+            plugin_estimate(CountVector((0, 0), 0), kind)
+
+    def test_one_function_under_every_name(self):
+        assert ambiq.plugin_estimate is plugin_estimate
+        assert ambiq.frequentist.plugin_estimate is plugin_estimate

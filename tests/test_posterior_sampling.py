@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ambiq.exceptions import DomainError, SingleCategoryUnsupported, TooFewSamples
-from ambiq.measures import CountVector, MeasureKind, ambiguity, ambiguity_array, measure_arrays
+from ambiq.measures import CountVector, MeasureKind, ambiguity_array, measure_arrays
 from ambiq.numerics import DirichletParams, _dirichlet_draws, make_generator
 from ambiq.posterior_analytics import (
     expected_amb,
@@ -34,6 +34,7 @@ from ambiq.posterior_sampling import (
     posterior_summaries,
     sample_transformed,
 )
+from plugin_oracle import measures_of, plugin_fraction, random_count_vectors
 
 PARAMS = DirichletParams(proper=(2.0, 1.0, 3.0), cs=1.0)
 
@@ -426,9 +427,8 @@ class TestPosteriorSummary:
                 assert summary["old"].posterior_sd == float(values.std())
 
     def test_plugin_values(self, summary):
-        q = self.COUNTS.as_probability_vector()
         for kind in MeasureKind:
-            assert summary[kind.value].plugin == ambiguity(q, kind)
+            assert summary[kind.value].plugin == float(plugin_fraction(self.COUNTS, kind))
 
     def test_stream_keyed_on_counts(self, summary):
         again = summary_of(self.COUNTS, mc_samples=20_000, credible_mass=0.9, seed=4)
@@ -470,12 +470,17 @@ class TestPosteriorSummary:
         with pytest.raises(DomainError, match="positive and finite"):
             posterior_summaries((), prior_beta=prior_beta)
 
+    @pytest.mark.parametrize(
+        "vectors",
+        [[CountVector((0,), 0)], [CountVector((2, 1), 0), CountVector((3,), 1)]],
+        ids=["empty", "after-a-two-category-vector"],
+    )
     @pytest.mark.parametrize("kind", [MeasureKind.MODIFIED, MeasureKind.OLD])
-    def test_refuses_one_category_before_any_draw(self, sfc64_streams, kind):
-        # An empty vector has no plug-in value to refuse first, so the
-        # refusal is sample_transformed's, made before it builds a generator.
+    def test_refuses_one_category_before_any_draw(self, sfc64_streams, kind, vectors):
+        # A one-category vector anywhere in the collection is refused before
+        # the first generator is built, even when other vectors come first.
         with pytest.raises(SingleCategoryUnsupported, match=f"^{kind.value} ambiguity needs C >= 2$"):
-            posterior_summaries([CountVector((0,), 0)], measures=(kind,))
+            posterior_summaries(vectors, measures=(kind,))
         assert sfc64_streams == []
 
     def test_small_prior_with_zero_counts_still_samples(self):
@@ -498,10 +503,10 @@ class TestPosteriorSummary:
 # all on numpy's sampler kept their floats. An entry whose proper counts are
 # not non-increasing pins its plug-in values only, (plugin,): its whole
 # summary is that of its canonical permutation, the sorted counts, which
-# test_summary_floats_are_pinned summarizes on its own. Those plug-ins were
-# pinned at each vector's own column order until the plug-in moved to the
-# canonical order; the new and modified plug-ins of (30, 2, 9, 0, 4 | 6)
-# moved up by one ulp then.
+# test_summary_floats_are_pinned summarizes on its own. The plug-ins were
+# written down again when they became the correctly rounded values of
+# plugin_estimate, which test_pinned_plugins_are_correctly_rounded checks;
+# every other float kept its bytes then.
 PINNED_SUMMARIES = [
     ((3,), 1, 1.0, {
         'new': (0.25, 0.33333333333333337, 0.1781741612749496, 0.05396884095645024, 0.713796055104301),
@@ -516,9 +521,9 @@ PINNED_SUMMARIES = [
         'new': (None, 0.5, 0.2886751345948129, 0.02176849997624637, 0.979747563584254),
     }),
     ((4, 1), 0, 1.0, {
-        'new': (0.31999999999999984, 0.4375, 0.1301041249666333, 0.159455064580459, 0.6661576125740897),
-        'modified': (0.6399999999999997, 0.75, 0.22047927592204916, 0.26439842068355324, 0.9994990522956319),
-        'old': (0.3999999999999999, 0.5982684785676772, 0.23182356251699787, 0.16853775367797105, 0.9795752394257194),
+        'new': (0.32, 0.4375, 0.1301041249666333, 0.159455064580459, 0.6661576125740897),
+        'modified': (0.64, 0.75, 0.22047927592204916, 0.26439842068355324, 0.9994990522956319),
+        'old': (0.4, 0.5982684785676772, 0.23182356251699787, 0.16853775367797105, 0.9795752394257194),
     }),
     ((0, 0), 0, 1.0, {
         'new': (None, 0.5555555555555556, 0.18921540406584894, 0.14943439444459786, 0.9054919653632213),
@@ -531,13 +536,13 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.8272335604767607, 0.14738314438302172, 0.4480708814578008, 0.9956795355706038),
     }),
     ((7, 2), 1, 1.0, {
-        'new': (0.4111111111111112, 0.46153846153846156, 0.11043819363869117, 0.20453705804415837, 0.6484604070713328),
-        'modified': (0.7222222222222224, 0.7692307692307693, 0.18551585732015546, 0.334966366459794, 0.9992974734010253),
+        'new': (0.4111111111111111, 0.46153846153846156, 0.11043819363869117, 0.20453705804415837, 0.6484604070713328),
+        'modified': (0.7222222222222222, 0.7692307692307693, 0.18551585732015546, 0.334966366459794, 0.9992974734010253),
         'old': (0.5, 0.5981615539252568, 0.20275127665595055, 0.21562680617534466, 0.975301529056066),
     }),
     ((2, 0, 5), 1, 1.0, {
-        'new': (0.4821428571428571,),
-        'modified': (0.6607142857142856,),
+        'new': (0.48214285714285715,),
+        'modified': (0.6607142857142857,),
         'old': (0.5,),
     }),
     ((0, 0, 0), 0, 1.0, {
@@ -547,7 +552,7 @@ PINNED_SUMMARIES = [
     }),
     ((12, 3, 0, 7), 2, 1.0, {
         'new': (0.6174242424242424,),
-        'modified': (0.7954545454545453,),
+        'modified': (0.7954545454545454,),
         'old': (0.5555555555555556,),
     }),
     ((0, 0, 0, 0), 4, 1.0, {
@@ -556,14 +561,14 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.8129765130370054, 0.09722233287118495, 0.5891703950801073, 0.9540942891469095),
     }),
     ((1, 1, 1, 1, 1), 0, 1.0, {
-        'new': (0.7999999999999999, 0.7520661157024793, 0.05129671646126809, 0.6221590856858307, 0.8294942396013018),
-        'modified': (0.9999999999999999, 0.9173553719008264, 0.05803447806678784, 0.7669968833303484, 0.9883131667914294),
+        'new': (0.8, 0.7520661157024793, 0.05129671646126809, 0.6221590856858307, 0.8294942396013018),
+        'modified': (1.0, 0.9173553719008264, 0.05803447806678784, 0.7669968833303484, 0.9883131667914294),
         'old': (1.0, 0.7258049560620977, 0.09870630477454109, 0.5123001590721257, 0.8919181666447281),
     }),
     ((30, 2, 9, 0, 4), 6, 1.0, {
         'new': (0.563834422657952,),
         'modified': (0.6753812636165577,),
-        'old': (0.48529411764705876,),
+        'old': (0.4852941176470588,),
     }),
     ((3,), 1, 0.5, {
         'new': (0.25, 0.30000000000000004, 0.18708286933869714, 0.026711863595613415, 0.7239560678387633),
@@ -578,9 +583,9 @@ PINNED_SUMMARIES = [
         'new': (None, 0.5, 0.3535533905932738, 0.0013511648550284389, 0.9982118716323023),
     }),
     ((4, 1), 0, 0.5, {
-        'new': (0.31999999999999984, 0.37362637362637363, 0.14531902368613392, 0.07945008796583841, 0.6178181162113255),
-        'modified': (0.6399999999999997, 0.6703296703296704, 0.2612289238544097, 0.13478589553678197, 0.9988114414217475),
-        'old': (0.3999999999999999, 0.5156107402864738, 0.25717017471706205, 0.08070883956167428, 0.9674921220658066),
+        'new': (0.32, 0.37362637362637363, 0.14531902368613392, 0.07945008796583841, 0.6178181162113255),
+        'modified': (0.64, 0.6703296703296704, 0.2612289238544097, 0.13478589553678197, 0.9988114414217475),
+        'old': (0.4, 0.5156107402864738, 0.25717017471706205, 0.08070883956167428, 0.9674921220658066),
     }),
     ((0, 0), 0, 0.5, {
         'new': (None, 0.5, 0.2581988897471611, 0.02939333868730533, 0.9648623062672613),
@@ -593,13 +598,13 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.8598016579322462, 0.1407388558029264, 0.4802525065991113, 0.9979201549126082),
     }),
     ((7, 2), 1, 0.5, {
-        'new': (0.4111111111111112, 0.4268774703557312, 0.12044565016187501, 0.1837663363071961, 0.629561915640146),
-        'modified': (0.7222222222222224, 0.7233201581027667, 0.2077996789200933, 0.29871752246960825, 0.9987204117874239),
+        'new': (0.4111111111111111, 0.4268774703557312, 0.12044565016187501, 0.1837663363071961, 0.629561915640146),
+        'modified': (0.7222222222222222, 0.7233201581027667, 0.2077996789200933, 0.29871752246960825, 0.9987204117874239),
         'old': (0.5, 0.5605913937369544, 0.21457067870195992, 0.19496835170047902, 0.9654781319787209),
     }),
     ((2, 0, 5), 1, 0.5, {
-        'new': (0.4821428571428571,),
-        'modified': (0.6607142857142856,),
+        'new': (0.48214285714285715,),
+        'modified': (0.6607142857142857,),
         'old': (0.5,),
     }),
     ((0, 0, 0), 0, 0.5, {
@@ -609,7 +614,7 @@ PINNED_SUMMARIES = [
     }),
     ((12, 3, 0, 7), 2, 0.5, {
         'new': (0.6174242424242424,),
-        'modified': (0.7954545454545453,),
+        'modified': (0.7954545454545454,),
         'old': (0.5555555555555556,),
     }),
     ((0, 0, 0, 0), 4, 0.5, {
@@ -618,14 +623,14 @@ PINNED_SUMMARIES = [
         'old': (1.0, 0.8313724380702654, 0.11140320837006558, 0.5627673743522085, 0.9814545540324503),
     }),
     ((1, 1, 1, 1, 1), 0, 0.5, {
-        'new': (0.7999999999999999, 0.7242647058823529, 0.06518335395630163, 0.562249956118857, 0.8170471444448989),
-        'modified': (0.9999999999999999, 0.8897058823529411, 0.07647870339911375, 0.6920841056522085, 0.9839001490897179),
+        'new': (0.8, 0.7242647058823529, 0.06518335395630163, 0.562249956118857, 0.8170471444448989),
+        'modified': (1.0, 0.8897058823529411, 0.07647870339911375, 0.6920841056522085, 0.9839001490897179),
         'old': (1.0, 0.674725987207794, 0.11118522292234655, 0.4415605215930679, 0.8721958061134176),
     }),
     ((30, 2, 9, 0, 4), 6, 0.5, {
         'new': (0.563834422657952,),
         'modified': (0.6753812636165577,),
-        'old': (0.48529411764705876,),
+        'old': (0.4852941176470588,),
     }),
 ]
 
@@ -669,10 +674,37 @@ def test_summary_floats_are_pinned(prior, kinds):
                 assert summary == alone[name]
 
 
+def test_pinned_plugins_are_correctly_rounded():
+    for proper, cs, _, values in PINNED_SUMMARIES:
+        counts = CountVector(proper, cs)
+        for name, pinned in values.items():
+            exact = float(plugin_fraction(counts, MeasureKind(name))) if counts.total else None
+            assert pinned[0] == exact
+
+
+def test_plugins_of_many_vectors_are_correctly_rounded():
+    # Seeded vectors at C = 1-7, mirrored ones and the end points among
+    # them; C = 2-7 in one call, so vectors of several C share it.
+    vectors = random_count_vectors(np.random.default_rng(7), 150, max_proper=12)
+    for n_proper in range(2, 8):
+        vectors += [
+            CountVector((3,) + (0,) * (n_proper - 1)),
+            CountVector((0,) * (n_proper - 1) + (3,)),
+            CountVector((2,) * n_proper),
+            CountVector((0,) * n_proper, 2),
+        ]
+    for kinds in (tuple(MeasureKind), (MeasureKind.NEW,)):
+        group = [counts for counts in vectors if measures_of(counts) == kinds]
+        got = posterior_summaries(group, measures=kinds, mc_samples=1000, seed=3)
+        for counts in group:
+            for kind in kinds:
+                assert got[counts][kind.value].plugin == float(plugin_fraction(counts, kind))
+
+
 # Count vectors whose proper counts are permutations of each other, the
 # canonical (non-increasing) one not among them at C = 3. The C = 4 class
 # holds permutations whose measures at their own frequencies differ in the
-# last bit.
+# last bit in the float kernel.
 PERMUTED_CLASSES = [
     [CountVector((0, 5), 0), CountVector((5, 0), 0)],
     [CountVector((1, 3), 2), CountVector((3, 1), 2)],
@@ -688,8 +720,8 @@ PERMUTED_CLASSES = [
 def test_permuted_vectors_share_posterior_fields(prior, vectors):
     # The measures are permutation invariant under a symmetric prior, so a
     # count multiset has one posterior law of each measure: every vector of
-    # it gets the canonical vector's summary, summarized alone, the plug-in
-    # at the canonical frequencies included.
+    # it gets the canonical vector's summary, summarized alone, and the
+    # plug-in is the correctly rounded value of the multiset.
     got = posterior_summaries(vectors, prior, mc_samples=2000, seed=5)
     canonical = canonical_of(vectors[0])
     alone = summary_of(canonical, prior_beta=prior, mc_samples=2000, seed=5)
@@ -698,15 +730,11 @@ def test_permuted_vectors_share_posterior_fields(prior, vectors):
         for kind in MeasureKind:
             summary = got[counts][kind.value]
             assert summary == alone[kind.value]
-            assert summary.plugin == ambiguity(canonical.as_probability_vector(), kind)
+            assert summary.plugin == float(plugin_fraction(counts, kind))
             if kind is not MeasureKind.OLD:
                 # Closed forms agree across the class to the last bit anyway.
                 moments = (summary.posterior_mean, summary.posterior_sd)
                 assert moments == posterior_mean_sd(own, kind)
-    if len(vectors[0].proper) == 4:
-        # At their own column order the two plug-ins would differ.
-        own_plugins = {ambiguity(v.as_probability_vector(), MeasureKind.NEW) for v in vectors[:2]}
-        assert len(own_plugins) == 2
 
 
 # Vectors at C = 1-4, with zero counts, can't-solve-only, empty and
