@@ -11,6 +11,10 @@ squared probabilities, and the measure subtracts them. bias_curve sets the
 plug-in beside the Bayesian alternatives, the posterior mean and mode under
 a symmetric Dirichlet prior, whose bias it estimates by Monte Carlo over
 repeated count draws. Counts arrive as measures.CountVector records.
+Repeats that draw a posterior sample draw it from a stream of their own,
+and run on every CPU this process may use, one thread and one 20 000-draw
+sample buffer per worker, so memory grows by a buffer per extra worker
+while the output bytes do not depend on the CPU count.
 
 exhaustive_expected_estimator enumerates count vectors exhaustively and is
 deliberately capped at small n and few categories; it exists as an oracle
@@ -32,7 +36,7 @@ from .measures import (
 )
 from .numerics import DirichletParams, _check_prior, ln_gamma, make_generator
 from .posterior_analytics import MC, methods, posterior_mean_sd, posterior_update
-from .posterior_sampling import _sample_buffer, histogram_mode, sample_transformed
+from .posterior_sampling import _run_tasks, _sample_buffer, histogram_mode, sample_transformed
 
 __all__ = [
     "BiasSeries",
@@ -250,7 +254,10 @@ def bias_curve(
     by the moments method of posterior_analytics.methods; its mode, and a
     Monte Carlo mean, come from one posterior sample of 20 000 draws from
     the substream (seed, (n_index, r)), shared by both Bayes columns, so
-    the whole curve is reproducible from the single seed.
+    the whole curve is reproducible from the single seed. The repeats of
+    every sample size are run by posterior_sampling._run_tasks, on the
+    usable CPUs where they draw a sample, and the curve is the same floats
+    at any CPU count.
     """
     for index, name in enumerate(estimators):
         if name not in ESTIMATOR_NAMES:
@@ -280,35 +287,47 @@ def bias_curve(
     need_sample = bool(bayes_names) and (
         "bayes_mode" in bayes_names or methods(measure, n_cat).moments == MC
     )
-    # Every repeat's sample is drawn and measured in this one buffer, so no
-    # repeat hands its memory back to malloc for the next to fault in again.
-    buffer = _sample_buffer(n_cat, 1, _MODE_SAMPLES) if need_sample else None
+    # Repeat r at sample size n_values[i] is task i * mc_repeats + r. Each
+    # worker draws and measures every sample of its repeats in one buffer,
+    # so no repeat hands its memory back to malloc for the next to fault in
+    # again, and the sd and the mode's bins go into its free draw row.
+    buffers: dict[int, np.ndarray] = {}
+    counts = [
+        make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
+        for n_index, n in enumerate(n_tuple)
+        if bayes_names
+    ]
+    estimates = {name: np.empty((len(n_tuple), mc_repeats)) for name in bayes_names}
 
+    def estimate_repeat(index: int, worker: int) -> None:
+        n_index, r = divmod(index, mc_repeats)
+        post = posterior_update(prior, _row_counts(counts[n_index][r], n_cat))
+        values = scratch = None
+        if need_sample:
+            buffer = buffers.get(worker)
+            if buffer is None:
+                buffer = buffers[worker] = _sample_buffer(n_cat, 1, _MODE_SAMPLES)
+            values = sample_transformed(
+                post, (measure,), _MODE_SAMPLES, seed, (n_index, r), out=buffer
+            )[0]
+            scratch = buffer[0]
+        if "bayes_mean" in estimates:
+            estimates["bayes_mean"][n_index, r], _ = posterior_mean_sd(
+                post, measure, values, work=scratch
+            )
+        if "bayes_mode" in estimates:
+            estimates["bayes_mode"][n_index, r] = histogram_mode(values, _scratch=scratch)
+
+    _run_tasks(len(counts) * mc_repeats, estimate_repeat, _MODE_SAMPLES if need_sample else 0)
     for n_index, n in enumerate(n_tuple):
-        estimates = {name: np.empty(mc_repeats) for name in bayes_names}
-        if bayes_names:
-            draws = make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
-            for r, row in enumerate(draws):
-                post = posterior_update(prior, _row_counts(row, n_cat))
-                values = (
-                    sample_transformed(
-                        post, (measure,), _MODE_SAMPLES, seed, (n_index, r), out=buffer
-                    )[0]
-                    if need_sample
-                    else None
-                )
-                if "bayes_mean" in estimates:
-                    estimates["bayes_mean"][r], _ = posterior_mean_sd(post, measure, values)
-                if "bayes_mode" in estimates:
-                    estimates["bayes_mode"][r] = histogram_mode(values)
-
         for name, label in zip(estimators, labels):
             if name == "plugin":
                 bias[label].append(expected_plugin(q, n, measure) - truth)
                 stderr[label].append(0.0)
                 continue
-            bias[label].append(float(estimates[name].mean()) - truth)
-            stderr[label].append(float(estimates[name].std() / math.sqrt(mc_repeats)))
+            row = estimates[name][n_index]
+            bias[label].append(float(row.mean()) - truth)
+            stderr[label].append(float(row.std() / math.sqrt(mc_repeats)))
 
     return BiasSeries(
         n_values=n_tuple,

@@ -1,5 +1,7 @@
 """Fixtures shared by more than one test module."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,14 @@ def sfc64_streams(monkeypatch):
 
     monkeypatch.setattr(np.random, "SFC64", recording_sfc64)
     return streams
+
+
+@pytest.fixture()
+def usable_cpus(monkeypatch):
+    """usable_cpus(n) makes the process's CPU affinity read as n CPUs, the
+    count the Monte Carlo loops run their threads by."""
+
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return pin

@@ -473,22 +473,29 @@ class TestPosteriorMcBlock:
         assert json.loads(err) == {"error": error, "message": message}
         assert not density.exists()
 
-    def test_refuses_a_prior_whose_draws_underflow(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "posterior --counts 0,0 --beta 0.001 --mc-samples 2000",
+            "prior-explore --n-categories 2 --betas 0.001,1 --mc-samples 2000 --density {out}",
+        ],
+    )
+    def test_refuses_a_prior_whose_draws_underflow(self, capsys, tmp_path, usable_cpus, argv):
         # Dir(0.001, 0.001 | 0.001) draws vectors whose gammas all underflow
-        # to 0; they are refused, not scored as 1 after a 0/0 warning.
+        # to 0; they are refused, not scored as 1 after a 0/0 warning, on
+        # two threads as on one. Both draw from the stream (0, ()).
+        usable_cpus(2)
+        out = tmp_path / "band.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(
-                capsys,
-                "posterior", "--counts", "0,0", "--beta", "0.001", "--mc-samples", "2000",
-                "--json",
-            )
-        assert code == 2
-        assert out == ""
-        assert caught == []
-        error = json.loads(err)
-        assert error["error"] == "DomainError"
-        assert "underflowed to all-zero gamma variates" in error["message"]
+            code, stdout, err = run(capsys, *argv.format(out=out).split(), "--json")
+        assert (code, stdout, caught) == (2, "", [])
+        assert not out.exists()
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "211 of 2000 Dirichlet draws underflowed to all-zero gamma variates at"
+            " concentrations (0.001, 0.001, 0.001)",
+        }
 
 
 class TestListOptions:

@@ -2,10 +2,11 @@
 expectation for every measure (checked against exhaustive multinomial
 enumeration, and for total variation against scipy's binomial and a large
 multinomial sample), the exact bias identity, strict sign and monotonicity
-of the bias, and the bias-curve driver.
+of the bias, and bias_curve against a plain loop at several CPU counts.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -498,12 +499,18 @@ def reference_bias_curve(q, n_values, measure, mc_repeats, seed):
     )
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 @pytest.mark.parametrize("measure", list(MeasureKind))
-def test_bias_curve_equals_reference_loop(measure):
+def test_bias_curve_equals_reference_loop(measure, cpus, usable_cpus):
+    # The repeats run on as many threads as there are usable CPUs (at
+    # most the 12 repeats), and the curve is the plain loop's at each.
+    usable_cpus(cpus)
     q = ProbabilityVector((0.5, 0.3), 0.2)
     kwargs = dict(measure=measure, mc_repeats=6, seed=17)
     expected = reference_bias_curve(q, (2, 7), **kwargs)
+    threads = threading.active_count()
     assert bias_curve(q, n_values=(2, 7), **kwargs) == expected
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("measure", list(MeasureKind))

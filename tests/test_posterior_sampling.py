@@ -1,12 +1,20 @@
 """Monte Carlo posterior layer: transformed-sample determinism and range,
 sample means against closed-form moments, sorted-sample quantiles and
 intervals by selection against np.quantile (including a constant sample),
-the histogram mode, the repeat-based density uncertainty bands, and the
+the histogram mode, the repeat-based density uncertainty bands, the
 per-count-vector posterior summary against closed forms and an independent
-numpy Dirichlet sample.
+numpy Dirichlet sample, and the threads that run independent streams:
+results that do not depend on the CPU count, the serial loop's error, and
+no thread left behind.
 """
 
+import collections
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +33,8 @@ from ambiq.posterior_sampling import (
     MODE_BINS,
     DensityEstimate,
     MeasureSummary,
+    _THREADED_MIN_DRAWS,
+    _run_tasks,
     _sample_buffer,
     _selected_interval,
     _sorted_quantiles,
@@ -307,6 +317,10 @@ class TestHistogramMode:
             "nan": np.concatenate([rng.beta(2.0, 5.0, size=5000), [np.nan]]),
         }[case]
         assert histogram_mode(values) == reference_mode(values)
+        # Bins written into a caller's longer, dirty float row pick the
+        # same mode.
+        scratch = np.full(len(values) + 3, np.nan)
+        assert histogram_mode(values, _scratch=scratch) == reference_mode(values)
 
 
 @pytest.fixture(scope="module")
@@ -776,14 +790,19 @@ def test_one_sample_per_count_multiset(sfc64_streams):
     vectors = [CountVector((0, 5), 0), CountVector((5, 0), 0), CountVector((2, 3), 1),
                CountVector((3, 2), 1), CountVector((4, 1), 0)]
     posterior_summaries(vectors, mc_samples=2000, seed=5)
-    # One stream per multiset, keyed on (C, *sorted proper, cs).
-    assert sfc64_streams == [(5, (2, 5, 0, 0)), (5, (2, 3, 2, 1)), (5, (2, 4, 1, 0))]
+    # One stream per multiset, keyed on (C, *sorted proper, cs). Workers
+    # build them in any order, but none twice.
+    assert collections.Counter(sfc64_streams) == collections.Counter(
+        [(5, (2, 5, 0, 0)), (5, (2, 3, 2, 1)), (5, (2, 4, 1, 0))]
+    )
 
 
-def test_memory_does_not_grow_with_vectors():
-    # One buffer per C holds the draws, their row sums, every measure's
-    # values and the old measure's squared deviations: nothing else of a
-    # sample's size is allocated.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_does_not_grow_with_vectors(usable_cpus, workers):
+    # One buffer per worker and C holds the draws, their row sums, every
+    # measure's values and the old measure's squared deviations: nothing
+    # else of a sample's size is allocated.
+    usable_cpus(workers)
     n = 20_000
     vectors = [CountVector(proper=(k, 20 - k, 3, 1), cs=2) for k in range(20)]
     posterior_summaries(vectors[:1], mc_samples=1000)
@@ -798,7 +817,179 @@ def test_memory_does_not_grow_with_vectors():
 
     buffer_bytes = (5 + 3 + 2) * n * 8
     assert peak(vectors) <= peak(vectors[:2]) + 64_000
-    assert peak(vectors) <= buffer_bytes + 64_000
+    assert peak(vectors) <= workers * buffer_bytes + 64_000
+
+
+CPU_COUNTS = (1, 2, 3, 7)
+
+
+def same_at_every_cpu_count(usable_cpus, call):
+    """Results of call() with the affinity read as each of CPU_COUNTS,
+    asserting that no call leaves a thread behind."""
+    results = []
+    for cpus in CPU_COUNTS:
+        usable_cpus(cpus)
+        threads = threading.active_count()
+        results.append(call())
+        assert threading.active_count() == threads
+    return results
+
+
+def test_summaries_do_not_depend_on_the_cpu_count(usable_cpus):
+    # Vectors of C = 2, 3 and 4 interleaved, with permutations of one
+    # another among them, so workers switch buffers and share multisets.
+    vectors = [CountVector((3, 1), 0), CountVector((0, 2, 5), 1), CountVector((1, 3), 0),
+               CountVector((4, 1, 1, 2), 2), CountVector((5, 0, 2), 1), CountVector((2, 2), 3),
+               CountVector((1, 2, 4, 1), 2), CountVector((0, 0, 0), 4), CountVector((2, 5, 0), 1)]
+    results = same_at_every_cpu_count(
+        usable_cpus, lambda: posterior_summaries(vectors, mc_samples=_THREADED_MIN_DRAWS, seed=21)
+    )
+    assert all(list(got) == vectors and got == results[0] for got in results)
+
+
+def test_density_band_does_not_depend_on_the_cpu_count(usable_cpus):
+    def band():
+        estimate = density_with_uncertainty(
+            PARAMS, MeasureKind.OLD, samples_per_repeat=_THREADED_MIN_DRAWS, seed=4
+        )
+        return [estimate.median_density.tobytes(), estimate.iqr_lo.tobytes(),
+                estimate.iqr_hi.tobytes()]
+
+    results = same_at_every_cpu_count(usable_cpus, band)
+    assert all(got == results[0] for got in results)
+
+
+def test_density_band_raises_the_first_repeats_underflow(usable_cpus):
+    # Every repeat at concentrations 0.001 has draws that underflow, each
+    # a count of its own; repeat 0's is the one a plain loop raises.
+    params = DirichletParams.symmetric(2, 0.001)
+    n = _THREADED_MIN_DRAWS
+
+    def message():
+        with pytest.raises(DomainError, match="underflowed") as caught:
+            density_with_uncertainty(params, MeasureKind.NEW, samples_per_repeat=n, seed=3)
+        return str(caught.value)
+
+    results = same_at_every_cpu_count(usable_cpus, message)
+    assert all(got == results[0] for got in results)
+    with pytest.raises(DomainError) as caught:
+        sample_transformed(params, (MeasureKind.NEW,), n, 3, (0,))
+    assert results[0] == str(caught.value)
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_every_index_runs_once_under_fast_switching(self, usable_cpus, cpus):
+        # More workers than cores, switching threads every microsecond: a
+        # lost update of the next index would run an index twice or never.
+        usable_cpus(cpus)
+        count = 3000
+        runs = [0] * count
+        workers = set()
+
+        def task(index, worker):
+            runs[index] += 1
+            workers.add(worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=_run_tasks, args=(count, task, _THREADED_MIN_DRAWS))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert runs == [1] * count
+        assert workers <= set(range(cpus))
+
+    def test_one_task_or_short_tasks_run_in_the_calling_thread(self, usable_cpus):
+        usable_cpus(7)
+        caller = threading.get_ident()
+        ran = []
+
+        def task(index, worker):
+            ran.append((index, worker, threading.get_ident()))
+
+        _run_tasks(0, lambda index, worker: pytest.fail("no task to run"), _THREADED_MIN_DRAWS)
+        _run_tasks(1, task, _THREADED_MIN_DRAWS)
+        _run_tasks(5, task, _THREADED_MIN_DRAWS - 1)
+        assert ran == [(0, 0, caller)] + [(index, 0, caller) for index in range(5)]
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_raises_the_lowest_failure_and_starts_no_more(self, usable_cpus, cpus):
+        # Task 3 fails at once while every other task sleeps, so no worker
+        # is free between the failure and its record.
+        usable_cpus(cpus)
+        threads = threading.active_count()
+        started = []
+
+        def task(index, worker):
+            started.append(index)
+            if index == 3:
+                raise ValueError(index)
+            time.sleep(0.05)
+
+        with pytest.raises(ValueError, match="^3$"):
+            _run_tasks(50, task, _THREADED_MIN_DRAWS)
+        assert threading.active_count() == threads
+        # Indexes go out in order. When task 3 fails, at most the other
+        # W - 1 workers' tasks are running, the highest index 3 + W - 1,
+        # and no worker takes another index after them: at W = 1 the
+        # tasks run are 0 to 3.
+        assert sorted(started) == list(range(len(started)))
+        assert 4 <= len(started) <= 3 + cpus
+
+    def test_a_later_failure_on_another_worker_loses_to_the_lower(self, usable_cpus):
+        # Task 3 raises only after task 5 has failed on the other worker;
+        # the caller still gets task 3's exception, and task 6 never starts.
+        usable_cpus(2)
+        five_failed = threading.Event()
+        workers = {}
+
+        def task(index, worker):
+            workers[index] = worker
+            if index == 3:
+                assert five_failed.wait(timeout=30)
+                raise ValueError(3)
+            if index == 5:
+                five_failed.set()
+                raise ValueError(5)
+
+        with pytest.raises(ValueError, match="^3$"):
+            _run_tasks(10, task, _THREADED_MIN_DRAWS)
+        assert sorted(workers) == [0, 1, 2, 3, 4, 5]
+        assert workers[3] != workers[5]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_repeats_a_parallel_call(self, usable_cpus):
+        # The benchmark forks a child per op after warming up in the
+        # parent: no lock may be left held, and no thread expected, there.
+        usable_cpus(2)
+        vectors = [CountVector((k, 6 - k, 1), 1) for k in range(4)]
+
+        def call():
+            return posterior_summaries(vectors, mc_samples=_THREADED_MIN_DRAWS, seed=2)
+
+        expected = call()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if call() == expected else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("prior_beta", [1.0, 0.5])
