@@ -229,12 +229,6 @@ def exhaustive_expected_estimator(
     return math.fsum(terms)
 
 
-def _estimator_label(name: str, prior_beta: float) -> str:
-    if name == "plugin":
-        return "plugin"
-    return f"{name}({prior_beta:g})"
-
-
 def bias_curve(
     q: ProbabilityVector,
     n_values: Sequence[int],
@@ -275,11 +269,8 @@ def bias_curve(
     pvals = np.array([*q.proper, q.cs])
     pvals = pvals / pvals.sum()
     n_cat = q.n_proper
-    labels = tuple(_estimator_label(name, prior_beta) for name in estimators)
-
-    bias: dict[str, list[float]] = {label: [] for label in labels}
-    stderr: dict[str, list[float]] = {label: [] for label in labels}
-    bayes_names = {name for name in estimators if name != "plugin"}
+    labels = {name: name if name == "plugin" else f"{name}({prior_beta:g})" for name in estimators}
+    bayes_names = [name for name in estimators if name != "plugin"]
     # Built before any draw, so a prior too large to update is refused up
     # front; the plug-in alone uses no prior.
     prior = DirichletParams.symmetric(n_cat, prior_beta) if bayes_names else None
@@ -287,55 +278,47 @@ def bias_curve(
     need_sample = bool(bayes_names) and (
         "bayes_mode" in bayes_names or methods(measure, n_cat).moments == MC
     )
-    # Repeat r at sample size n_values[i] is task i * mc_repeats + r. Each
-    # worker draws and measures every sample of its repeats in one buffer,
-    # so no repeat hands its memory back to malloc for the next to fault in
-    # again, and the sd and the mode's bins go into its free draw row.
+    # Repeat r at sample size n_values[i] is task, counts row and estimate
+    # i * mc_repeats + r. Each worker draws and measures every sample of its
+    # repeats in one buffer, so no repeat hands its memory back to malloc for
+    # the next to fault in again, and the sd and the mode's bins go into its
+    # free draw row.
     buffers: dict[int, np.ndarray] = {}
-    counts = [
+    draws = [
         make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
         for n_index, n in enumerate(n_tuple)
         if bayes_names
     ]
-    estimates = {name: np.empty((len(n_tuple), mc_repeats)) for name in bayes_names}
+    counts = np.array(draws, dtype=np.int64).reshape(-1, n_cat + 1)
+    estimates = {name: np.empty(len(counts)) for name in bayes_names}
 
     def estimate_repeat(index: int, worker: int) -> None:
-        n_index, r = divmod(index, mc_repeats)
-        post = posterior_update(prior, _row_counts(counts[n_index][r], n_cat))
+        post = posterior_update(prior, CountVector(counts[index, :n_cat], counts[index, n_cat]))
         values = scratch = None
         if need_sample:
             buffer = buffers.get(worker)
             if buffer is None:
                 buffer = buffers[worker] = _sample_buffer(n_cat, 1, _MODE_SAMPLES)
             values = sample_transformed(
-                post, (measure,), _MODE_SAMPLES, seed, (n_index, r), out=buffer
+                post, (measure,), _MODE_SAMPLES, seed, divmod(index, mc_repeats), out=buffer
             )[0]
             scratch = buffer[0]
         if "bayes_mean" in estimates:
-            estimates["bayes_mean"][n_index, r], _ = posterior_mean_sd(
+            estimates["bayes_mean"][index], _ = posterior_mean_sd(
                 post, measure, values, work=scratch
             )
         if "bayes_mode" in estimates:
-            estimates["bayes_mode"][n_index, r] = histogram_mode(values, _scratch=scratch)
+            estimates["bayes_mode"][index] = histogram_mode(values, _scratch=scratch)
 
-    _run_tasks(len(counts) * mc_repeats, estimate_repeat, _MODE_SAMPLES if need_sample else 0)
-    for n_index, n in enumerate(n_tuple):
-        for name, label in zip(estimators, labels):
-            if name == "plugin":
-                bias[label].append(expected_plugin(q, n, measure) - truth)
-                stderr[label].append(0.0)
-                continue
-            row = estimates[name][n_index]
-            bias[label].append(float(row.mean()) - truth)
-            stderr[label].append(float(row.std() / math.sqrt(mc_repeats)))
-
-    return BiasSeries(
-        n_values=n_tuple,
-        labels=labels,
-        bias={k: tuple(v) for k, v in bias.items()},
-        stderr={k: tuple(v) for k, v in stderr.items()},
-    )
-
-
-def _row_counts(row: np.ndarray, n_cat: int) -> CountVector:
-    return CountVector(proper=tuple(int(v) for v in row[:n_cat]), cs=int(row[n_cat]))
+    _run_tasks(len(counts), estimate_repeat, _MODE_SAMPLES if need_sample else 0)
+    bias: dict[str, tuple[float, ...]] = {}
+    stderr: dict[str, tuple[float, ...]] = {}
+    for name, label in labels.items():
+        if name == "plugin":
+            bias[label] = tuple(expected_plugin(q, n, measure) - truth for n in n_tuple)
+            stderr[label] = (0.0,) * len(n_tuple)
+        else:
+            rows = estimates[name].reshape(len(n_tuple), mc_repeats)
+            bias[label] = tuple(float(row.mean()) - truth for row in rows)
+            stderr[label] = tuple(float(row.std() / math.sqrt(mc_repeats)) for row in rows)
+    return BiasSeries(n_values=n_tuple, labels=tuple(labels.values()), bias=bias, stderr=stderr)

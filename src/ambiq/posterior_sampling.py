@@ -30,6 +30,10 @@ draws only from its own stream and writes only its own result, so the
 output bytes do not depend on the CPU count; memory grows by one sample
 buffer per extra worker.
 
+One 256-bin count, _mode_bins, serves the mode and the density band:
+histogram_mode reads the midpoint of its fullest bin, and
+density_with_uncertainty normalizes each repeat's counts to heights.
+
 Quantiles and credible intervals follow Hyndman and Fan's type 7 rule
 (linear interpolation between order statistics at virtual index
 (n - 1) p) with numpy's own arithmetic, so they are the same floats
@@ -132,44 +136,48 @@ class DensityEstimate:
                 raise DomainError(f"{name} must have {n_bins} entries")
 
 
-def histogram_mode(values: np.ndarray, *, _scratch: np.ndarray | None = None) -> float:
-    """Mode by the fixed-histogram convention: midpoint of the fullest of
-    256 equal bins on [0, 1], first bin winning ties.
+def _mode_bins(values: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Counts of a sample inside [0, 1] in the MODE_BINS equal bins of
+    [0, 1], value v in bin ``min(floor(256 v), 255)``: the bins numpy's
+    ``histogram`` picks, at a fraction of its cost. Multiplying by 256 is
+    exact, so the index is exact, and numpy's edges ``linspace(0, 1, 257)``
+    are exactly k/256, so its own edge corrections never move a value.
 
-    A constant sample defeats the convention (every bin but one is empty,
-    and which one depends on rounding), so the constant itself is returned.
-
-    A sample inside [0, 1] is binned as ``min(floor(256 v), 255)`` with
-    ``np.bincount``, which picks the same bins as ``np.histogram`` does at
-    a fraction of its cost: multiplying by 256 is exact, so the index is
-    exact, and ``np.histogram``'s edges ``linspace(0, 1, 257)`` are
-    exactly k/256, so its own edge corrections never move a value. The
-    midpoint (2k + 1)/512 is exact either way. Any other sample, one with
-    NaN included, goes through ``np.histogram``.
-
-    The bin indexes are written into ``_scratch``, a free contiguous float
+    The bin indexes are written into ``scratch``, a free contiguous float
     row at least as long as the sample, where a caller has one (a draw row
     of a _sample_buffer once sample_transformed has returned), and into a
     new array otherwise.
+    """
+    if scratch is None:
+        bins = np.empty(values.shape, dtype=np.intp)
+    else:
+        bins = scratch.view(np.intp)[: values.shape[0]]
+    # The product is taken in float and truncated as it is stored, as
+    # astype(np.intp) truncates it.
+    np.multiply(values, MODE_BINS, out=bins, casting="unsafe")
+    np.minimum(bins, MODE_BINS - 1, out=bins)
+    return np.bincount(bins, minlength=MODE_BINS)
+
+
+def histogram_mode(values: np.ndarray, *, _scratch: np.ndarray | None = None) -> float:
+    """Mode by the fixed-histogram convention: midpoint of the fullest of
+    256 equal bins on [0, 1], first bin winning ties, counted by _mode_bins
+    (into ``_scratch`` where a caller has a free float row).
+
+    A constant sample defeats the convention (every bin but one is empty,
+    and which one depends on rounding), so the constant itself is returned.
+    Values outside [0, 1], and NaN, fall in no bin, as in numpy's
+    ``histogram`` with ``range=(0, 1)``, and a sample with none inside
+    reads the first bin. The midpoint (2k + 1)/512 is exact.
     """
     values = np.asarray(values, dtype=float)
     low = float(values.min())
     high = float(values.max())
     if low == high:
         return low
-    if 0.0 <= low and high <= 1.0:
-        if _scratch is None:
-            bins = np.empty(values.shape, dtype=np.intp)
-        else:
-            bins = _scratch.view(np.intp)[: values.shape[0]]
-        # The product is taken in float and truncated as it is stored,
-        # as astype(np.intp) truncates it.
-        np.multiply(values, MODE_BINS, out=bins, casting="unsafe")
-        np.minimum(bins, MODE_BINS - 1, out=bins)
-        return (int(np.argmax(np.bincount(bins))) + 0.5) / MODE_BINS
-    hist, edges = np.histogram(values, bins=MODE_BINS, range=(0.0, 1.0))
-    top = int(np.argmax(hist))
-    return float(0.5 * (edges[top] + edges[top + 1]))
+    if not (0.0 <= low and high <= 1.0):
+        values = values[(values >= 0.0) & (values <= 1.0)]
+    return (int(np.argmax(_mode_bins(values, _scratch))) + 0.5) / MODE_BINS
 
 
 def sample_transformed(
@@ -447,12 +455,13 @@ def density_with_uncertainty(
     """Histogram density of the transformed posterior with an IQR band.
 
     Repeat r of 100 draws samples_per_repeat values from the stream (seed,
-    (r,)) and histograms them on the mode's MODE_BINS bins of [0, 1],
-    normalized to integrate to one; the returned band summarizes the
-    per-bin spread across these independent, reproducible repeats. The
-    repeats are run by _run_tasks on the usable CPUs from 8000 draws up,
-    each worker drawing into one _sample_buffer of its own, and the band
-    is the same floats at any CPU count.
+    (r,)) and counts them in the mode's MODE_BINS bins of [0, 1] by
+    _mode_bins, into a free draw row, normalized to integrate to one in
+    the steps of numpy's histogram(density=True); the returned band
+    summarizes the per-bin spread across these independent, reproducible
+    repeats. The repeats are run by _run_tasks on the usable CPUs from 8000
+    draws up, each worker drawing into one _sample_buffer of its own, and
+    the band is the same floats at any CPU count.
     """
     edges = np.linspace(0.0, 1.0, MODE_BINS + 1)
     heights = np.empty((100, MODE_BINS))
@@ -463,7 +472,8 @@ def density_with_uncertainty(
         if buffer is None:
             buffer = buffers[worker] = _sample_buffer(params.n_proper, 1, samples_per_repeat)
         values = sample_transformed(params, (measure,), samples_per_repeat, seed, (r,), out=buffer)
-        heights[r], _ = np.histogram(values[0], bins=edges, density=True)
+        counts = _mode_bins(values[0], buffer[0])
+        heights[r] = counts / np.diff(edges) / counts.sum()
 
     _run_tasks(len(heights), histogram_repeat, samples_per_repeat)
     lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)

@@ -251,6 +251,19 @@ class TestBiasCurve:
         q = ProbabilityVector((0.6, 0.3), 0.1)
         series = bias_curve(q, n_values=(1, 2), estimators=("plugin",), mc_repeats=5, seed=0)
         assert series.labels == ("plugin",)
+        # Other subsets, in orders other than the default: labels follow the
+        # order given, and each column is the one the full curve has.
+        full = reference_bias_curve(q, (1, 2), MeasureKind.NEW, mc_repeats=5, seed=0)
+        for estimators in [("bayes_mode", "plugin"), ("bayes_mean",)]:
+            series = bias_curve(q, n_values=(1, 2), estimators=estimators, mc_repeats=5, seed=0)
+            labels = tuple(name if name == "plugin" else f"{name}(1)" for name in estimators)
+            assert series.labels == labels
+            assert series == BiasSeries(
+                n_values=(1, 2),
+                labels=labels,
+                bias={label: full.bias[label] for label in labels},
+                stderr={label: full.stderr[label] for label in labels},
+            )
 
     def test_unknown_estimator_rejected(self):
         q = ProbabilityVector((0.6, 0.3), 0.1)

@@ -297,6 +297,10 @@ class TestHistogramMode:
             "constant",
             "outside",
             "nan",
+            "infinities",
+            "all_nan",
+            "all_outside",
+            "nan_mixed",
         ],
     )
     def test_same_result_as_numpy_histogram(self, case):
@@ -315,6 +319,13 @@ class TestHistogramMode:
             "constant": np.full(100, 0.3),
             "outside": np.concatenate([rng.uniform(-0.1, 1.1, size=5000), [0.4] * 40]),
             "nan": np.concatenate([rng.beta(2.0, 5.0, size=5000), [np.nan]]),
+            # Values outside [0, 1] and NaN fall in no bin, as in np.histogram.
+            "infinities": np.array([np.inf, -np.inf, 0.7, 0.2, 0.7, np.inf, np.inf]),
+            "all_nan": np.full(10, np.nan),
+            "all_outside": np.array([2.0, 3.0, -0.5, np.nextafter(1.0, 2.0), -1e-300]),
+            "nan_mixed": np.where(
+                rng.uniform(size=3000) < 0.3, np.nan, rng.beta(5.0, 2.0, size=3000)
+            ),
         }[case]
         assert histogram_mode(values) == reference_mode(values)
         # Bins written into a caller's longer, dirty float row pick the
@@ -857,6 +868,39 @@ def test_density_band_does_not_depend_on_the_cpu_count(usable_cpus):
 
     results = same_at_every_cpu_count(usable_cpus, band)
     assert all(got == results[0] for got in results)
+
+
+BAND_CASES = [
+    pytest.param(params, measure, id=f"C{params.n_proper}-{measure.value}")
+    for params, measures in (
+        (DirichletParams((3.0, 1.5), 0.5), MeasureKind),
+        (PARAMS, MeasureKind),
+        (DirichletParams((2.0,), 1.5), (MeasureKind.NEW,)),
+    )
+    for measure in measures
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("params, measure", BAND_CASES)
+def test_density_band_equals_np_histogram_loop(params, measure, cpus, usable_cpus):
+    # The band as a plain loop: each repeat's sample from its own stream,
+    # histogrammed by np.histogram itself, then the quartiles across repeats.
+    usable_cpus(cpus)
+    n, seed = _THREADED_MIN_DRAWS, 6
+    heights = [
+        np.histogram(
+            sample_transformed(params, (measure,), n, seed, (r,))[0],
+            bins=np.linspace(0.0, 1.0, MODE_BINS + 1),
+            density=True,
+        )[0]
+        for r in range(100)
+    ]
+    lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)
+    estimate = density_with_uncertainty(params, measure, samples_per_repeat=n, seed=seed)
+    assert estimate.iqr_lo.tobytes() == lo.tobytes()
+    assert estimate.median_density.tobytes() == med.tobytes()
+    assert estimate.iqr_hi.tobytes() == hi.tobytes()
 
 
 def test_density_band_raises_the_first_repeats_underflow(usable_cpus):
