@@ -236,7 +236,7 @@ def _density_to_file(
             [[repr(float(a)), repr(float(v))] for a, v in zip(grid, values)],
         )
         return
-    estimate = density_with_uncertainty(posterior, measure, seed=seed)
+    estimate = density_with_uncertainty(posterior, measure, args.mc_samples, seed)
     _write_csv(args.density, _BAND_HEADER, _band_rows(estimate))
 
 

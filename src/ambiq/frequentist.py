@@ -13,8 +13,8 @@ a symmetric Dirichlet prior, whose bias it estimates by Monte Carlo over
 repeated count draws. Counts arrive as measures.CountVector records.
 Repeats that draw a posterior sample draw it from a stream of their own,
 and run on every CPU this process may use, one thread and one 20 000-draw
-sample buffer per worker, so memory grows by a buffer per extra worker
-while the output bytes do not depend on the CPU count.
+sample buffer per CPU, so memory grows by a buffer per extra thread while
+the output bytes do not depend on the CPU count.
 
 exhaustive_expected_estimator enumerates count vectors exhaustively and is
 deliberately capped at small n and few categories; it exists as an oracle
@@ -36,7 +36,7 @@ from .measures import (
 )
 from .numerics import DirichletParams, _check_prior, ln_gamma, make_generator
 from .posterior_analytics import MC, methods, posterior_mean_sd, posterior_update
-from .posterior_sampling import _run_tasks, _sample_buffer, histogram_mode, sample_transformed
+from .posterior_sampling import _run_tasks, _sample_rows, histogram_mode, sample_transformed
 
 __all__ = [
     "BiasSeries",
@@ -279,11 +279,9 @@ def bias_curve(
         "bayes_mode" in bayes_names or methods(measure, n_cat).moments == MC
     )
     # Repeat r at sample size n_values[i] is task, counts row and estimate
-    # i * mc_repeats + r. Each worker draws and measures every sample of its
-    # repeats in one buffer, so no repeat hands its memory back to malloc for
-    # the next to fault in again, and the sd and the mode's bins go into its
-    # free draw row.
-    buffers: dict[int, np.ndarray] = {}
+    # i * mc_repeats + r. Each thread draws and measures every sample of its
+    # repeats in the one buffer _run_tasks gives it, and the sd and the
+    # mode's bins go into its free draw row.
     draws = [
         make_generator(seed, (n_index,)).multinomial(n, pvals, size=mc_repeats)
         for n_index, n in enumerate(n_tuple)
@@ -292,13 +290,10 @@ def bias_curve(
     counts = np.array(draws, dtype=np.int64).reshape(-1, n_cat + 1)
     estimates = {name: np.empty(len(counts)) for name in bayes_names}
 
-    def estimate_repeat(index: int, worker: int) -> None:
+    def estimate_repeat(index: int, buffer: np.ndarray) -> None:
         post = posterior_update(prior, CountVector(counts[index, :n_cat], counts[index, n_cat]))
         values = scratch = None
         if need_sample:
-            buffer = buffers.get(worker)
-            if buffer is None:
-                buffer = buffers[worker] = _sample_buffer(n_cat, 1, _MODE_SAMPLES)
             values = sample_transformed(
                 post, (measure,), _MODE_SAMPLES, seed, divmod(index, mc_repeats), out=buffer
             )[0]
@@ -310,7 +305,9 @@ def bias_curve(
         if "bayes_mode" in estimates:
             estimates["bayes_mode"][index] = histogram_mode(values, _scratch=scratch)
 
-    _run_tasks(len(counts), estimate_repeat, _MODE_SAMPLES if need_sample else 0)
+    _run_tasks(
+        len(counts), estimate_repeat, _sample_rows(n_cat, 1), _MODE_SAMPLES if need_sample else 0
+    )
     bias: dict[str, tuple[float, ...]] = {}
     stderr: dict[str, tuple[float, ...]] = {}
     for name, label in labels.items():

@@ -4,8 +4,8 @@ Everything here flows through one pipeline: draw full probability vectors
 from Dir(params), push them through an ambiguity measure, and summarize
 the resulting scalar sample. sample_transformed(params, measures, count,
 seed, stream) is that draw and push for one stream, one row of values per
-measure, optionally into a _sample_buffer the caller reuses. Every Monte
-Carlo sample of the package is drawn through it. Streams are derived from
+measure, optionally into a buffer the caller reuses. Every Monte Carlo
+sample of the package is drawn through it. Streams are derived from
 a single user seed with explicit spawn keys, so any repeat structure is
 reproducible without coordination between callers.
 
@@ -25,10 +25,11 @@ summarized with.
 Loops over independent streams (posterior_summaries' count multisets,
 density_with_uncertainty's repeats and frequentist.bias_curve's repeats)
 run on every CPU this process may use, one thread each, through
-_run_tasks, where each stream draws at least 8000 vectors. Each task
-draws only from its own stream and writes only its own result, so the
-output bytes do not depend on the CPU count; memory grows by one sample
-buffer per extra worker.
+_run_tasks, where each stream draws at least 8000 vectors. Each thread
+draws into one sample buffer of its own, handed to every task it runs,
+so memory grows by one buffer per extra thread. Each task draws only
+from its own stream and writes only its own result, so the output bytes
+do not depend on the CPU count.
 
 One 256-bin count, _mode_bins, serves the mode and the density band:
 histogram_mode reads the midpoint of its fullest bin, and
@@ -145,8 +146,8 @@ def _mode_bins(values: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
 
     The bin indexes are written into ``scratch``, a free contiguous float
     row at least as long as the sample, where a caller has one (a draw row
-    of a _sample_buffer once sample_transformed has returned), and into a
-    new array otherwise.
+    of sample_transformed's `out` once it has returned), and into a new
+    array otherwise.
     """
     if scratch is None:
         bins = np.empty(values.shape, dtype=np.intp)
@@ -193,11 +194,12 @@ def sample_transformed(
     (len(measures), count) rows of measure_arrays, so one draw feeds
     several measures. A measure that C does not support is refused first.
 
-    A float array `out` from _sample_buffer(C, len(measures), count)
-    receives the draws in its first C + 1 rows and the measures' workspace
-    in the rest, and the values are a view of it, so a caller drawing many
-    samples of one shape can reuse one buffer and allocate nothing per
-    sample. The values are the same either way.
+    A contiguous float array `out` of _sample_rows(C, len(measures)) rows
+    of count receives the draws in its first C + 1 rows and the measures'
+    workspace in the rest, and the values are a view of it, so a caller
+    drawing many samples can reuse one buffer, or the leading rows of a
+    wider one, and allocate nothing per sample. The values are the same
+    either way.
     """
     _check_categories(measures, params.n_proper)
     n_draws = params.n_proper + 1
@@ -206,12 +208,12 @@ def sample_transformed(
     return measure_arrays(proper, cs, measures, work)
 
 
-def _sample_buffer(n_proper: int, n_measures: int, count: int) -> np.ndarray:
-    """`out` for sample_transformed: C + 1 rows of draws, then n_measures + 2
-    of workspace, whose first row is the draws' scratch and row sums until
-    the measures take it over. Once sample_transformed returns, the draw
-    rows are free for the caller's scratch."""
-    return np.empty((n_proper + 1 + n_measures + 2, count))
+def _sample_rows(n_proper: int, n_measures: int) -> int:
+    """Rows of sample_transformed's `out`: C + 1 rows of draws, then
+    n_measures + 2 of workspace, whose first row is the draws' scratch and
+    row sums until the measures take it over. Once sample_transformed
+    returns, the draw rows are free for the caller's scratch."""
+    return n_proper + 1 + n_measures + 2
 
 
 def _usable_cpus() -> int:
@@ -231,19 +233,20 @@ def _usable_cpus() -> int:
 _THREADED_MIN_DRAWS = 8000
 
 
-def _run_tasks(count: int, task: Callable[[int, int], None], task_draws: int) -> None:
-    """Call task(index, worker) for each index in range(count), on W
-    threads: as many as this process has usable CPUs, read on every call,
-    and at most count. Worker numbers run from 0 to W - 1, and worker 0
-    is the calling thread. W is 1, a plain loop, where each task draws
-    fewer than _THREADED_MIN_DRAWS vectors (task_draws).
+def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, draws: int) -> None:
+    """Call task(index, buffer) for each index in range(count), on W
+    threads, the calling thread among them: as many as this process has
+    usable CPUs, read on every call, and at most count; 1 where each task
+    draws fewer than _THREADED_MIN_DRAWS vectors (draws).
 
-    Indexes are handed out in increasing order, each to the next free
-    worker. A task must write only its own result slot and draw only from
-    its own stream, and may keep scratch per worker number; then nothing
-    it computes depends on W or on which worker ran it. numpy releases the
-    interpreter lock in its random fills and ufuncs, so the draws of
-    different tasks overlap.
+    Each thread allocates one np.empty((rows, draws)) before its first
+    task and hands it to every task it runs, so no sample hands its memory
+    back to the system for the next to fault in again. Indexes are handed
+    out in increasing order, each to the next free thread. A task must
+    write only its own result slot and draw only from its own stream; then
+    nothing it computes depends on W or on which thread ran it. numpy
+    releases the interpreter lock in its random fills and ufuncs, so the
+    draws of different tasks overlap.
 
     Once a task raises, no further task starts; the running ones finish,
     and the exception of the lowest failing index is raised. Every lower
@@ -251,17 +254,14 @@ def _run_tasks(count: int, task: Callable[[int, int], None], task_draws: int) ->
     Every thread is joined before this returns or raises, so none outlives
     the call, and a process forked afterwards inherits none.
     """
-    workers = min(_usable_cpus(), count) if task_draws >= _THREADED_MIN_DRAWS else 1
-    if workers <= 1:
-        for index in range(count):
-            task(index, 0)
-        return
+    workers = min(_usable_cpus(), count) if draws >= _THREADED_MIN_DRAWS else 1
     lock = threading.Lock()
     next_index = 0
     failures: dict[int, BaseException] = {}
 
-    def work(worker: int) -> None:
+    def work() -> None:
         nonlocal next_index
+        buffer = None
         while True:
             with lock:
                 if failures or next_index == count:
@@ -269,7 +269,9 @@ def _run_tasks(count: int, task: Callable[[int, int], None], task_draws: int) ->
                 index = next_index
                 next_index += 1
             try:
-                task(index, worker)
+                if buffer is None:
+                    buffer = np.empty((rows, draws))
+                task(index, buffer)
             except BaseException as error:  # raised again by the calling thread
                 with lock:
                     failures[index] = error
@@ -277,11 +279,11 @@ def _run_tasks(count: int, task: Callable[[int, int], None], task_draws: int) ->
 
     threads = []
     try:
-        for worker in range(1, workers):
-            thread = threading.Thread(target=work, args=(worker,))
+        for _ in range(1, workers):
+            thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()
@@ -382,10 +384,10 @@ def posterior_summaries(
 
     The count multisets are sampled by _run_tasks, one task each, on the
     usable CPUs from 8000 draws up; the summaries are the same floats at
-    any CPU count. The
-    samples share one _sample_buffer per worker and number of categories
-    C, so summarizing many vectors does not hand memory back to the system
-    and fault it in again for the next one. Once a measure's mean and sd are
+    any CPU count. Each thread's one buffer is sized for the widest C
+    among the vectors, and a multiset draws into its leading
+    _sample_rows(C, len(measures)) rows, so summarizing many vectors, of
+    any mix of C, holds one buffer per thread. Once a measure's mean and sd are
     taken, its interval is found by _selected_interval, two partitions of
     its values in place: the same floats as np.quantile, without a sort.
     A measure listed twice has a row of its own, so its second mean is
@@ -412,16 +414,11 @@ def posterior_summaries(
     multisets = list(dict.fromkeys(distinct.values()))
     # (mean, sd, lo, hi) of each measure, per count multiset, in its slot.
     per_multiset: list[list[tuple[float, float, float, float]]] = [[] for _ in multisets]
-    buffers: dict[tuple[int, int], np.ndarray] = {}
 
-    def summarize_multiset(index: int, worker: int) -> None:
+    def summarize_multiset(index: int, widest_buffer: np.ndarray) -> None:
         canonical = multisets[index]
         n_proper = canonical.n_proper
-        buffer = buffers.get((worker, n_proper))
-        if buffer is None:
-            buffer = buffers[worker, n_proper] = _sample_buffer(
-                n_proper, len(measures), mc_samples
-            )
+        buffer = widest_buffer[: _sample_rows(n_proper, len(measures))]
         posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), canonical)
         stream = (n_proper, *canonical.proper, canonical.cs)
         rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
@@ -433,7 +430,10 @@ def posterior_summaries(
             lo, hi = _selected_interval(values, tail, 1.0 - tail)
             per_multiset[index].append((mean, sd, lo, hi))
 
-    _run_tasks(len(multisets), summarize_multiset, mc_samples)
+    widest = max((c.n_proper for c in multisets), default=1)
+    _run_tasks(
+        len(multisets), summarize_multiset, _sample_rows(widest, len(measures)), mc_samples
+    )
     shared = dict(zip(multisets, per_multiset))
     return {
         counts: {
@@ -460,22 +460,20 @@ def density_with_uncertainty(
     the steps of numpy's histogram(density=True); the returned band
     summarizes the per-bin spread across these independent, reproducible
     repeats. The repeats are run by _run_tasks on the usable CPUs from 8000
-    draws up, each worker drawing into one _sample_buffer of its own, and
-    the band is the same floats at any CPU count.
+    draws up, each thread drawing into the one buffer _run_tasks gives it,
+    and the band is the same floats at any CPU count.
     """
     edges = np.linspace(0.0, 1.0, MODE_BINS + 1)
     heights = np.empty((100, MODE_BINS))
-    buffers: dict[int, np.ndarray] = {}
 
-    def histogram_repeat(r: int, worker: int) -> None:
-        buffer = buffers.get(worker)
-        if buffer is None:
-            buffer = buffers[worker] = _sample_buffer(params.n_proper, 1, samples_per_repeat)
+    def histogram_repeat(r: int, buffer: np.ndarray) -> None:
         values = sample_transformed(params, (measure,), samples_per_repeat, seed, (r,), out=buffer)
         counts = _mode_bins(values[0], buffer[0])
         heights[r] = counts / np.diff(edges) / counts.sum()
 
-    _run_tasks(len(heights), histogram_repeat, samples_per_repeat)
+    _run_tasks(
+        len(heights), histogram_repeat, _sample_rows(params.n_proper, 1), samples_per_repeat
+    )
     lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)
     return DensityEstimate(
         bin_edges=edges,

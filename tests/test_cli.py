@@ -18,7 +18,7 @@ from ambiq.cli import main
 from ambiq.measures import CountVector, MeasureKind
 from ambiq.numerics import DirichletParams, make_generator
 from ambiq.posterior_analytics import posterior_update
-from ambiq.posterior_sampling import histogram_mode, sample_transformed
+from ambiq.posterior_sampling import density_with_uncertainty, histogram_mode, sample_transformed
 
 
 def run(capsys, *argv):
@@ -187,6 +187,22 @@ class TestPosteriorCommand:
         with open(density, newline="") as handle:
             header = next(csv.reader(handle))
         assert header == ["bin_lo", "bin_hi", "median_density", "iqr_lo", "iqr_hi"]
+
+    def test_band_repeats_draw_mc_samples(self, capsys, tmp_path):
+        # Each repeat of the Monte Carlo band draws --mc-samples vectors,
+        # not the function's default of 100 000.
+        band = tmp_path / "band.csv"
+        code, _, _ = run_json(
+            capsys,
+            "posterior", "--counts", "4,2,7", "--cs-count", "1", "--mc-samples", "8000",
+            "--density", str(band), "--seed", "3",
+        )
+        assert code == 0
+        posterior = posterior_update(DirichletParams.symmetric(3, 1.0), CountVector((4, 2, 7), 1))
+        estimate = density_with_uncertainty(posterior, MeasureKind.NEW, 8000, 3)
+        with open(band, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:] == ambiq.cli._band_rows(estimate)
 
 
 # `posterior` stdout at four configurations, recorded before its Monte Carlo

@@ -35,7 +35,7 @@ from ambiq.posterior_sampling import (
     MeasureSummary,
     _THREADED_MIN_DRAWS,
     _run_tasks,
-    _sample_buffer,
+    _sample_rows,
     _selected_interval,
     _sorted_quantiles,
     _type7_point,
@@ -111,7 +111,7 @@ class TestSampleTransformed:
         kinds = (MeasureKind.NEW,) * n_measures
         if n_proper > 1:
             kinds = tuple(MeasureKind)[:n_measures]
-        out = _sample_buffer(n_proper, n_measures, 3000)
+        out = np.empty((_sample_rows(n_proper, n_measures), 3000))
         for stream in [(), (3,), (1, 4)]:
             values = sample_transformed(params, kinds, 3000, 6, stream, out=out)
             assert np.shares_memory(values, out)
@@ -808,14 +808,26 @@ def test_one_sample_per_count_multiset(sfc64_streams):
     )
 
 
+# C = 4, 3 and 2 interleaved: the first two vectors already need the
+# widest buffer, so twenty need no more.
+MIXED_C_VECTORS = [
+    CountVector(proper=(k, 20 - k, 3, 1)[: 4 - k % 3], cs=2) for k in range(20)
+]
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[CountVector(proper=(k, 20 - k, 3, 1), cs=2) for k in range(20)], MIXED_C_VECTORS],
+    ids=["C4", "C2-3-4"],
+)
 @pytest.mark.parametrize("workers", [1, 2])
-def test_memory_does_not_grow_with_vectors(usable_cpus, workers):
-    # One buffer per worker and C holds the draws, their row sums, every
-    # measure's values and the old measure's squared deviations: nothing
-    # else of a sample's size is allocated.
+def test_memory_does_not_grow_with_vectors(usable_cpus, workers, vectors):
+    # One buffer per thread, sized for the widest C (4) whatever mix of C
+    # the vectors have, holds the draws, their row sums, every measure's
+    # values and the old measure's squared deviations: nothing else of a
+    # sample's size is allocated.
     usable_cpus(workers)
     n = 20_000
-    vectors = [CountVector(proper=(k, 20 - k, 3, 1), cs=2) for k in range(20)]
     posterior_summaries(vectors[:1], mc_samples=1000)
 
     def peak(count_vectors):
@@ -826,7 +838,7 @@ def test_memory_does_not_grow_with_vectors(usable_cpus, workers):
         finally:
             tracemalloc.stop()
 
-    buffer_bytes = (5 + 3 + 2) * n * 8
+    buffer_bytes = _sample_rows(4, 3) * n * 8
     assert peak(vectors) <= peak(vectors[:2]) + 64_000
     assert peak(vectors) <= workers * buffer_bytes + 64_000
 
@@ -848,7 +860,8 @@ def same_at_every_cpu_count(usable_cpus, call):
 
 def test_summaries_do_not_depend_on_the_cpu_count(usable_cpus):
     # Vectors of C = 2, 3 and 4 interleaved, with permutations of one
-    # another among them, so workers switch buffers and share multisets.
+    # another among them, so each thread draws C's of every width into the
+    # leading rows of its one buffer, and threads share multisets.
     vectors = [CountVector((3, 1), 0), CountVector((0, 2, 5), 1), CountVector((1, 3), 0),
                CountVector((4, 1, 1, 2), 2), CountVector((5, 0, 2), 1), CountVector((2, 2), 3),
                CountVector((1, 2, 4, 1), 2), CountVector((0, 0, 0), 4), CountVector((2, 5, 0), 1)]
@@ -924,75 +937,89 @@ def test_density_band_raises_the_first_repeats_underflow(usable_cpus):
 class TestRunTasks:
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     def test_every_index_runs_once_under_fast_switching(self, usable_cpus, cpus):
-        # More workers than cores, switching threads every microsecond: a
+        # More threads than cores, switching threads every microsecond: a
         # lost update of the next index would run an index twice or never.
+        # Each thread gets one buffer of (rows, draws) for all of its tasks.
         usable_cpus(cpus)
         count = 3000
         runs = [0] * count
-        workers = set()
+        # Buffers by thread, kept alive so that no two share an id.
+        buffers = collections.defaultdict(dict)
 
-        def task(index, worker):
+        def task(index, buffer):
             runs[index] += 1
-            workers.add(worker)
+            buffers[threading.get_ident()][id(buffer)] = buffer
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(target=_run_tasks, args=(count, task, _THREADED_MIN_DRAWS))
+            runner = threading.Thread(
+                target=_run_tasks, args=(count, task, 3, _THREADED_MIN_DRAWS)
+            )
             runner.start()
             runner.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert runs == [1] * count
-        assert workers <= set(range(cpus))
+        assert 1 <= len(buffers) <= cpus
+        assert all(len(used) == 1 for used in buffers.values())
+        owned = [buffer for used in buffers.values() for buffer in used.values()]
+        assert len({id(buffer) for buffer in owned}) == len(buffers)
+        assert all(buffer.shape == (3, _THREADED_MIN_DRAWS) for buffer in owned)
 
     def test_one_task_or_short_tasks_run_in_the_calling_thread(self, usable_cpus):
         usable_cpus(7)
         caller = threading.get_ident()
         ran = []
 
-        def task(index, worker):
-            ran.append((index, worker, threading.get_ident()))
+        def task(index, buffer):
+            ran.append((index, threading.get_ident(), buffer))
 
-        _run_tasks(0, lambda index, worker: pytest.fail("no task to run"), _THREADED_MIN_DRAWS)
-        _run_tasks(1, task, _THREADED_MIN_DRAWS)
-        _run_tasks(5, task, _THREADED_MIN_DRAWS - 1)
-        assert ran == [(0, 0, caller)] + [(index, 0, caller) for index in range(5)]
+        _run_tasks(0, lambda index, buffer: pytest.fail("no task to run"), 2, _THREADED_MIN_DRAWS)
+        _run_tasks(1, task, 2, _THREADED_MIN_DRAWS)
+        _run_tasks(5, task, 2, _THREADED_MIN_DRAWS - 1)
+        assert [(index, thread) for index, thread, _ in ran] == [(0, caller)] + [
+            (index, caller) for index in range(5)
+        ]
+        assert ran[0][2].shape == (2, _THREADED_MIN_DRAWS)
+        # The five short tasks share one buffer of the calling thread.
+        assert ran[1][2].shape == (2, _THREADED_MIN_DRAWS - 1)
+        assert all(buffer is ran[1][2] for _, _, buffer in ran[1:])
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     def test_raises_the_lowest_failure_and_starts_no_more(self, usable_cpus, cpus):
-        # Task 3 fails at once while every other task sleeps, so no worker
+        # Task 3 fails at once while every other task sleeps, so no thread
         # is free between the failure and its record.
         usable_cpus(cpus)
         threads = threading.active_count()
         started = []
 
-        def task(index, worker):
+        def task(index, buffer):
             started.append(index)
             if index == 3:
                 raise ValueError(index)
             time.sleep(0.05)
 
         with pytest.raises(ValueError, match="^3$"):
-            _run_tasks(50, task, _THREADED_MIN_DRAWS)
+            _run_tasks(50, task, 1, _THREADED_MIN_DRAWS)
         assert threading.active_count() == threads
         # Indexes go out in order. When task 3 fails, at most the other
-        # W - 1 workers' tasks are running, the highest index 3 + W - 1,
-        # and no worker takes another index after them: at W = 1 the
+        # W - 1 threads' tasks are running, the highest index 3 + W - 1,
+        # and no thread takes another index after them: at W = 1 the
         # tasks run are 0 to 3.
         assert sorted(started) == list(range(len(started)))
         assert 4 <= len(started) <= 3 + cpus
 
     def test_a_later_failure_on_another_worker_loses_to_the_lower(self, usable_cpus):
-        # Task 3 raises only after task 5 has failed on the other worker;
+        # Task 3 raises only after task 5 has failed on the other thread;
         # the caller still gets task 3's exception, and task 6 never starts.
         usable_cpus(2)
         five_failed = threading.Event()
-        workers = {}
+        buffers = {}
 
-        def task(index, worker):
-            workers[index] = worker
+        def task(index, buffer):
+            buffers[index] = buffer
             if index == 3:
                 assert five_failed.wait(timeout=30)
                 raise ValueError(3)
@@ -1001,9 +1028,9 @@ class TestRunTasks:
                 raise ValueError(5)
 
         with pytest.raises(ValueError, match="^3$"):
-            _run_tasks(10, task, _THREADED_MIN_DRAWS)
-        assert sorted(workers) == [0, 1, 2, 3, 4, 5]
-        assert workers[3] != workers[5]
+            _run_tasks(10, task, 1, _THREADED_MIN_DRAWS)
+        assert sorted(buffers) == [0, 1, 2, 3, 4, 5]
+        assert buffers[3] is not buffers[5]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_repeats_a_parallel_call(self, usable_cpus):
