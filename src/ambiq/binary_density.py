@@ -161,7 +161,8 @@ def _panels(a, lo, cond: Shapes, cs: Shapes, is_new: bool):
     """Integration panels in s for each a, over both halves of [lo, a].
 
     Returns (owner, base, sign, center, half_width) per panel of positive
-    width; on the panel, u = base + sign * s**2.
+    width, in increasing owner, the index of the panel's a; on the panel,
+    u = base + sign * s**2.
     """
     x = np.clip(_bulk(cond), 0.0, 1.0)
     spread = (1.0 - 2.0 * x) ** 2
@@ -189,8 +190,9 @@ def _panels(a, lo, cond: Shapes, cs: Shapes, is_new: bool):
     return owner[live], base[live], sign[live], center[live], half_width[live]
 
 
-def _integrate(a, lo, cond: Shapes, cs: Shapes, is_new: bool, cdf: bool):
-    """Per-a integral over u in [lo, a] of the density (or CDF) integrand.
+def _integrate(a, lo, panels, cond: Shapes, cs: Shapes, is_new: bool, cdf: bool):
+    """Per-a integral over u in [lo, a] of the density (or CDF) integrand,
+    over panels, the _panels of these values of a.
 
     Each half of the interval is written in s with u = lo + s**2 or
     u = a - s**2, and every piece is built cancellation-free from s, so
@@ -201,7 +203,7 @@ def _integrate(a, lo, cond: Shapes, cs: Shapes, is_new: bool, cdf: bool):
     are one batch of the incomplete beta: three rows of x, one per (a, b).
     Returns (values, error estimates, evaluations).
     """
-    owner, base, sign, center, half_width = _panels(a, lo, cond, cs, is_new)
+    owner, base, sign, center, half_width = panels
     s = center[:, None] + half_width[:, None] * _NODES
     s2 = s * s
     a_node = a[owner][:, None]
@@ -250,6 +252,11 @@ def _integrate(a, lo, cond: Shapes, cs: Shapes, is_new: bool, cdf: bool):
 def _evaluate(a, counts: BinaryCounts, prior_beta: float, measure: MeasureKind, cdf: bool):
     """Density (or CDF) at every a in (0, 1), in chunks of _CHUNK values.
 
+    The panels of every a are built in one _panels call. A panel row
+    depends on its own a only and the rows come in the order of their a,
+    so each chunk integrates its slice, renumbered from 0: the same floats
+    as panels built per chunk.
+
     Returns (values, error estimates, integrand evaluations).
     """
     if methods(measure, 2).density != ANALYTIC:
@@ -257,13 +264,19 @@ def _evaluate(a, counts: BinaryCounts, prior_beta: float, measure: MeasureKind, 
     cond, cs = _beta_params(counts, prior_beta)
     is_new = measure is MeasureKind.NEW
     a = np.asarray(a, dtype=float)
+    lo = np.maximum(0.0, 2.0 * a - 1.0) if is_new else np.zeros_like(a)
+    owner, *rest = _panels(a, lo, cond, cs, is_new)
+    starts = range(0, a.size, _CHUNK)
+    cuts = np.searchsorted(owner, [*starts, a.size])
     values = np.empty_like(a)
     errors = np.empty_like(a)
     evaluations = 0
-    for start in range(0, a.size, _CHUNK):
+    for start, first, stop in zip(starts, cuts[:-1], cuts[1:]):
         part = a[start : start + _CHUNK]
-        lo = np.maximum(0.0, 2.0 * part - 1.0) if is_new else np.zeros_like(part)
-        value, error, count = _integrate(part, lo, cond, cs, is_new, cdf)
+        panels = (owner[first:stop] - start, *(column[first:stop] for column in rest))
+        value, error, count = _integrate(
+            part, lo[start : start + _CHUNK], panels, cond, cs, is_new, cdf
+        )
         if not cdf and not is_new:
             scale = 1.0 / np.sqrt(1.0 - part)
             value, error = value * scale, error * scale

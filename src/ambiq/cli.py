@@ -56,6 +56,7 @@ from .posterior_analytics import ANALYTIC, CLOSED_FORM, methods, posterior_mean_
 from .posterior_sampling import (
     DensityEstimate,
     _check_mc_settings,
+    _run_tasks,
     _sorted_quantiles,
     density_with_uncertainty,
     histogram_mode,
@@ -213,16 +214,17 @@ def _band_rows(estimate: DensityEstimate, prefix: Sequence[str] = ()) -> list[li
     return [[*prefix, *(repr(float(v)) for v in row)] for row in zip(*columns)]
 
 
-def _density_to_file(
+def _density_table(
     args: argparse.Namespace,
     posterior: DirichletParams,
     counts: CountVector,
     measure: MeasureKind,
     density_method: str,
     seed: int,
-) -> None:
-    """Write the posterior density curve: the exact analytic curve, or a
-    Monte Carlo histogram with an across-repeat IQR band."""
+) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the posterior density CSV: the exact analytic
+    curve, or a Monte Carlo histogram with an across-repeat IQR band. The
+    caller writes them once every stage of the command has succeeded."""
     if density_method == ANALYTIC:
         grid, values = density_curve(
             BinaryCounts(counts.proper[0], counts.proper[1], counts.cs),
@@ -230,17 +232,39 @@ def _density_to_file(
             measure=measure,
             n_points=args.grid_points,
         )
-        _write_csv(
-            args.density,
-            ["a", "density"],
-            [[repr(float(a)), repr(float(v))] for a, v in zip(grid, values)],
-        )
-        return
+        return ["a", "density"], [[repr(float(a)), repr(float(v))] for a, v in zip(grid, values)]
     estimate = density_with_uncertainty(posterior, measure, args.mc_samples, seed)
-    _write_csv(args.density, _BAND_HEADER, _band_rows(estimate))
+    return _BAND_HEADER, _band_rows(estimate)
+
+
+def _mc_summary(
+    posterior: DirichletParams, measure: MeasureKind, mc_samples: int, seed: int, mass: float
+) -> dict:
+    """The "mc" block of `posterior`, from one sample of the root stream
+    (seed, ()): its mean, sd and mode as drawn, then one sort for its
+    quantiles and its equal-tailed credible interval."""
+    values = sample_transformed(posterior, (measure,), mc_samples, seed)[0]
+    mc = {"mean": float(values.mean()), "sd": float(values.std()), "mode": histogram_mode(values)}
+    values.sort()
+    tail = 0.5 * (1.0 - mass)
+    *quantiles, lo, hi = _sorted_quantiles(values, (*_QUANTILE_LEVELS, tail, 1.0 - tail)).tolist()
+    mc["quantiles"] = {str(k): v for k, v in zip(_QUANTILE_LEVELS, quantiles)}
+    mc["credible_interval"] = {"lo": lo, "hi": hi, "mass": mass}
+    return mc
 
 
 def _cmd_posterior(args: argparse.Namespace) -> int:
+    """Closed forms, the Monte Carlo block and, with --density, the density
+    file of one count vector's posterior.
+
+    The Monte Carlo block and the density rows read nothing of each other,
+    so they are two tasks of _run_tasks, the block first: from 8000 draws
+    up, on more than one usable CPU, they run side by side. Neither takes
+    a buffer from _run_tasks; the block allocates its own sample. The
+    density file is written only after both succeed, so a refused draw
+    leaves no file, and a failing block is reported before a failing
+    density, as in a plain loop. No output byte depends on the CPU count.
+    """
     seed = _resolve_seed(args)
     counts = _parse_counts(args.counts, args.cs_count)
     measure = MeasureKind.parse(args.measure)
@@ -256,26 +280,28 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     if args.grid_points < 3:
         raise DomainError("--grid-points must be at least 3")
     density_method = None if args.density is None else plan.density
-    values = sample_transformed(posterior, (measure,), args.mc_samples, seed)[0]
-    # Moments and mode of the sample as drawn, then one sort for every level.
-    mc = {"mean": float(values.mean()), "sd": float(values.std()), "mode": histogram_mode(values)}
-    values.sort()
-    tail = 0.5 * (1.0 - mass)
-    *quantiles, lo, hi = _sorted_quantiles(values, (*_QUANTILE_LEVELS, tail, 1.0 - tail)).tolist()
+    stages = [partial(_mc_summary, posterior, measure, args.mc_samples, seed, mass)]
+    if density_method is not None:
+        stages.append(
+            partial(_density_table, args, posterior, counts, measure, density_method, seed)
+        )
+    results: list = [None] * len(stages)
+
+    def run_stage(index: int, _empty) -> None:
+        results[index] = stages[index]()
+
+    _run_tasks(len(stages), run_stage, 0, args.mc_samples)
+    mc = results[0]
     method = "closed_form+mc" if closed is not None else "mc_only"
     if density_method is not None:
-        _density_to_file(args, posterior, counts, measure, density_method, seed)
+        _write_csv(args.density, *results[1])
 
     if args.json:
         payload = {
             "measure": measure.value,
             "method": method,
             "closed_form": closed,
-            "mc": {
-                **mc,
-                "quantiles": {str(k): v for k, v in zip(_QUANTILE_LEVELS, quantiles)},
-                "credible_interval": {"lo": lo, "hi": hi, "mass": mass},
-            },
+            "mc": mc,
             "metadata": _metadata(
                 seed,
                 beta=args.beta,
@@ -286,6 +312,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
         }
         _emit_json(payload)
     else:
+        interval = mc["credible_interval"]
         rows = [("measure", measure.value), ("method", method)]
         if closed is not None:
             rows.append(("closed_mean", _fmt6(closed["mean"])))
@@ -294,7 +321,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
             ("mc_mean", _fmt6(mc["mean"])),
             ("mc_sd", _fmt6(mc["sd"])),
             ("mc_mode", _fmt6(mc["mode"])),
-            (f"ci_{mass:g}", f"[{_fmt6(lo)}, {_fmt6(hi)}]"),
+            (f"ci_{mass:g}", f"[{_fmt6(interval['lo'])}, {_fmt6(interval['hi'])}]"),
             ("seed", str(seed)),
             ("beta", f"{args.beta:g}"),
         ]

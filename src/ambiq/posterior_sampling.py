@@ -27,9 +27,11 @@ density_with_uncertainty's repeats and frequentist.bias_curve's repeats)
 run on every CPU this process may use, one thread each, through
 _run_tasks, where each stream draws at least 8000 vectors. Each thread
 draws into one sample buffer of its own, handed to every task it runs,
-so memory grows by one buffer per extra thread. Each task draws only
-from its own stream and writes only its own result, so the output bytes
-do not depend on the CPU count.
+so memory grows by one buffer per extra thread. `ambiq posterior
+--density` runs its Monte Carlo summary and its density rows as two
+tasks the same way, with no buffer, and writes its file after both. Each
+task draws only from its own stream and writes only its own result, so
+the output bytes do not depend on the CPU count.
 
 One 256-bin count, _mode_bins, serves the mode and the density band:
 histogram_mode reads the midpoint of its fullest bin, and
@@ -241,7 +243,10 @@ def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, d
 
     Each thread allocates one np.empty((rows, draws)) before its first
     task and hands it to every task it runs, so no sample hands its memory
-    back to the system for the next to fault in again. Indexes are handed
+    back to the system for the next to fault in again. Tasks that allocate
+    what they need themselves (`ambiq posterior`'s summary and density)
+    are given no buffer: rows 0 hands each an empty one, and draws then
+    only sets the threading threshold. Indexes are handed
     out in increasing order, each to the next free thread. A task must
     write only its own result slot and draw only from its own stream; then
     nothing it computes depends on W or on which thread ran it. numpy

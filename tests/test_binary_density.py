@@ -669,6 +669,24 @@ class TestPanelRule:
             exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
             assert _KRONROD_WEIGHTS @ _NODES**degree == pytest.approx(exact, abs=1e-14)
 
+    @pytest.mark.parametrize("counts", [BinaryCounts(3, 1, 1), BinaryCounts(300, 200, 50)])
+    @pytest.mark.parametrize("measure", [MeasureKind.NEW, MeasureKind.MODIFIED])
+    @pytest.mark.parametrize("cdf", [False, True])
+    def test_a_grid_is_its_chunks_evaluated_alone(self, counts, measure, cdf):
+        # One _panels call serves the whole grid, and each chunk integrates
+        # its slice of it: the floats of evaluating every chunk on its own.
+        import ambiq.binary_density as bd
+
+        grid = np.linspace(0.01, 0.99, 3 * bd._CHUNK + 5)
+        values, errors, evaluations = bd._evaluate(grid, counts, 1.0, measure, cdf)
+        chunks = [
+            bd._evaluate(grid[start : start + bd._CHUNK], counts, 1.0, measure, cdf)
+            for start in range(0, grid.size, bd._CHUNK)
+        ]
+        assert values.tobytes() == np.concatenate([c[0] for c in chunks]).tobytes()
+        assert errors.tobytes() == np.concatenate([c[1] for c in chunks]).tobytes()
+        assert evaluations == sum(c[2] for c in chunks)
+
 
 class TestAgainstAdaptiveRoute:
     @pytest.mark.parametrize("counts", SMALL_COUNTS)

@@ -7,6 +7,7 @@ validation (2) versus file-access (3) failures.
 import csv
 import io
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -203,6 +204,35 @@ class TestPosteriorCommand:
         with open(band, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[1:] == ambiq.cli._band_rows(estimate)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--counts 40,25 --cs-count 10",
+            "--counts 40,25 --cs-count 10 --measure modified --beta 0.5",
+            "--counts 4,2,7 --cs-count 1 --mc-samples 8000",
+            "--counts 11,2 --cs-count 2 --measure old --mc-samples 8000",
+        ],
+    )
+    def test_density_bytes_do_not_depend_on_the_cpu_count(
+        self, capsys, tmp_path, usable_cpus, argv
+    ):
+        # The summary and the density (the analytic curve, or the band with
+        # its own repeats on threads) run side by side on 2 and 3 CPUs and
+        # one after the other on 1, and every thread is joined on return.
+        outputs = []
+        for cpus in (1, 2, 3):
+            usable_cpus(cpus)
+            density = tmp_path / f"density_{cpus}.csv"
+            threads = threading.active_count()
+            code, stdout, err = run(
+                capsys, "posterior", *argv.split(), "--density", str(density), "--json",
+                "--seed", "3",
+            )
+            assert (code, err, threading.active_count()) == (0, "", threads)
+            outputs.append((stdout, density.read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 # `posterior` stdout at four configurations, recorded before its Monte Carlo
@@ -510,6 +540,24 @@ class TestPosteriorMcBlock:
         assert json.loads(err) == {
             "error": "DomainError",
             "message": "211 of 2000 Dirichlet draws underflowed to all-zero gamma variates at"
+            " concentrations (0.001, 0.001, 0.001)",
+        }
+
+    def test_a_refused_draw_leaves_no_density_file(self, capsys, tmp_path, usable_cpus):
+        # At 8000 draws on two CPUs the summary's draw and the density run
+        # side by side. The draw is refused, and the density computed beside
+        # it is never written: the file is written only after both succeed.
+        usable_cpus(2)
+        out = tmp_path / "refused.csv"
+        code, stdout, err = run(
+            capsys, "posterior", "--counts", "0,0", "--beta", "0.001", "--mc-samples", "8000",
+            "--density", str(out), "--json",
+        )
+        assert (code, stdout) == (2, "")
+        assert not out.exists()
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "813 of 8000 Dirichlet draws underflowed to all-zero gamma variates at"
             " concentrations (0.001, 0.001, 0.001)",
         }
 
