@@ -259,10 +259,12 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
 
     The Monte Carlo block and the density rows read nothing of each other,
     so they are two tasks of _run_tasks, the block first: from 8000 draws
-    up, on more than one usable CPU, they run side by side. Neither takes
-    a buffer from _run_tasks; the block allocates its own sample. The
-    density file is written only after both succeed, so a refused draw
-    leaves no file, and a failing block is reported before a failing
+    up, on more than one usable CPU, they run side by side. Neither takes a
+    buffer from _run_tasks; the block allocates its own sample, and the band
+    runs its 100 repeats through a _run_tasks of its own, so on W >= 2
+    usable CPUs W + 1 threads, the calling one included, run while the block
+    draws. The density file is written only after both succeed, so a refused
+    draw leaves no file, and a failing block is reported before a failing
     density, as in a plain loop. No output byte depends on the CPU count.
     """
     seed = _resolve_seed(args)
@@ -285,16 +287,10 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
         stages.append(
             partial(_density_table, args, posterior, counts, measure, density_method, seed)
         )
-    results: list = [None] * len(stages)
-
-    def run_stage(index: int, _empty) -> None:
-        results[index] = stages[index]()
-
-    _run_tasks(len(stages), run_stage, 0, args.mc_samples)
-    mc = results[0]
+    mc, *density = _run_tasks(len(stages), lambda index, _: stages[index](), 0, args.mc_samples)
     method = "closed_form+mc" if closed is not None else "mc_only"
-    if density_method is not None:
-        _write_csv(args.density, *results[1])
+    if density:
+        _write_csv(args.density, *density[0])
 
     if args.json:
         payload = {

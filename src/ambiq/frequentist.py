@@ -288,9 +288,8 @@ def bias_curve(
         if bayes_names
     ]
     counts = np.array(draws, dtype=np.int64).reshape(-1, n_cat + 1)
-    estimates = {name: np.empty(len(counts)) for name in bayes_names}
 
-    def estimate_repeat(index: int, buffer: np.ndarray) -> None:
+    def estimate_repeat(index: int, buffer: np.ndarray) -> list[float]:
         post = posterior_update(prior, CountVector(counts[index, :n_cat], counts[index, n_cat]))
         values = scratch = None
         if need_sample:
@@ -298,16 +297,17 @@ def bias_curve(
                 post, (measure,), _MODE_SAMPLES, seed, divmod(index, mc_repeats), out=buffer
             )[0]
             scratch = buffer[0]
-        if "bayes_mean" in estimates:
-            estimates["bayes_mean"][index], _ = posterior_mean_sd(
-                post, measure, values, work=scratch
-            )
-        if "bayes_mode" in estimates:
-            estimates["bayes_mode"][index] = histogram_mode(values, _scratch=scratch)
+        estimate = {}
+        if "bayes_mean" in bayes_names:
+            estimate["bayes_mean"], _ = posterior_mean_sd(post, measure, values, work=scratch)
+        if "bayes_mode" in bayes_names:
+            estimate["bayes_mode"] = histogram_mode(values, _scratch=scratch)
+        return [estimate[name] for name in bayes_names]
 
-    _run_tasks(
+    table = _run_tasks(
         len(counts), estimate_repeat, _sample_rows(n_cat, 1), _MODE_SAMPLES if need_sample else 0
     )
+    estimates = dict(zip(bayes_names, np.array(table).T))
     bias: dict[str, tuple[float, ...]] = {}
     stderr: dict[str, tuple[float, ...]] = {}
     for name, label in labels.items():

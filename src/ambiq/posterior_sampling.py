@@ -30,8 +30,8 @@ draws into one sample buffer of its own, handed to every task it runs,
 so memory grows by one buffer per extra thread. `ambiq posterior
 --density` runs its Monte Carlo summary and its density rows as two
 tasks the same way, with no buffer, and writes its file after both. Each
-task draws only from its own stream and writes only its own result, so
-the output bytes do not depend on the CPU count.
+task draws only from its own stream and returns its result, so the
+output bytes do not depend on the CPU count.
 
 One 256-bin count, _mode_bins, serves the mode and the density band:
 histogram_mode reads the midpoint of its fullest bin, and
@@ -57,7 +57,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -234,9 +234,11 @@ def _usable_cpus() -> int:
 # posterior_summaries and density_with_uncertainty alike.
 _THREADED_MIN_DRAWS = 8000
 
+T = TypeVar("T")
 
-def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, draws: int) -> None:
-    """Call task(index, buffer) for each index in range(count), on W
+
+def _run_tasks(count: int, task: Callable[[int, np.ndarray], T], rows: int, draws: int) -> list[T]:
+    """[task(index, buffer) for index in range(count)], in index order, on W
     threads, the calling thread among them: as many as this process has
     usable CPUs, read on every call, and at most count; 1 where each task
     draws fewer than _THREADED_MIN_DRAWS vectors (draws).
@@ -246,12 +248,12 @@ def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, d
     back to the system for the next to fault in again. Tasks that allocate
     what they need themselves (`ambiq posterior`'s summary and density)
     are given no buffer: rows 0 hands each an empty one, and draws then
-    only sets the threading threshold. Indexes are handed
-    out in increasing order, each to the next free thread. A task must
-    write only its own result slot and draw only from its own stream; then
-    nothing it computes depends on W or on which thread ran it. numpy
-    releases the interpreter lock in its random fills and ufuncs, so the
-    draws of different tasks overlap.
+    only sets the threading threshold. Indexes are handed out in
+    increasing order, each to the next free thread, and each task's return
+    value is stored at its index. A task must draw only from its own
+    stream; then nothing it returns depends on W or on which thread ran
+    it. numpy releases the interpreter lock in its random fills and
+    ufuncs, so the draws of different tasks overlap.
 
     Once a task raises, no further task starts; the running ones finish,
     and the exception of the lowest failing index is raised. Every lower
@@ -262,6 +264,7 @@ def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, d
     workers = min(_usable_cpus(), count) if draws >= _THREADED_MIN_DRAWS else 1
     lock = threading.Lock()
     next_index = 0
+    results: list = [None] * count
     failures: dict[int, BaseException] = {}
 
     def work() -> None:
@@ -276,7 +279,7 @@ def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, d
             try:
                 if buffer is None:
                     buffer = np.empty((rows, draws))
-                task(index, buffer)
+                results[index] = task(index, buffer)
             except BaseException as error:  # raised again by the calling thread
                 with lock:
                     failures[index] = error
@@ -294,6 +297,7 @@ def _run_tasks(count: int, task: Callable[[int, np.ndarray], None], rows: int, d
             thread.join()
     if failures:
         raise failures[min(failures)]
+    return results
 
 
 def _type7_point(n: int, level: float) -> tuple[int, int, float]:
@@ -417,29 +421,27 @@ def posterior_summaries(
     }
     _check_categories(measures, min((c.n_proper for c in distinct), default=2))
     multisets = list(dict.fromkeys(distinct.values()))
-    # (mean, sd, lo, hi) of each measure, per count multiset, in its slot.
-    per_multiset: list[list[tuple[float, float, float, float]]] = [[] for _ in multisets]
 
-    def summarize_multiset(index: int, widest_buffer: np.ndarray) -> None:
+    def summarize_multiset(index: int, widest_buffer: np.ndarray) -> list[tuple[float, ...]]:
+        """(mean, sd, lo, hi) of each measure, for count multiset `index`."""
         canonical = multisets[index]
         n_proper = canonical.n_proper
         buffer = widest_buffer[: _sample_rows(n_proper, len(measures))]
         posterior = posterior_update(DirichletParams.symmetric(n_proper, prior_beta), canonical)
         stream = (n_proper, *canonical.proper, canonical.cs)
         rows = sample_transformed(posterior, measures, mc_samples, seed, stream, out=buffer)
+        fields = []
         for measure, values in zip(measures, rows):
             # Partitioned only after the moments: a Monte Carlo mean and sd
             # are pairwise sums, whose last bits depend on the order. The
             # sd squares its deviations in the free first draw row.
             mean, sd = posterior_mean_sd(posterior, measure, values, work=buffer[0])
-            lo, hi = _selected_interval(values, tail, 1.0 - tail)
-            per_multiset[index].append((mean, sd, lo, hi))
+            fields.append((mean, sd, *_selected_interval(values, tail, 1.0 - tail)))
+        return fields
 
-    widest = max((c.n_proper for c in multisets), default=1)
-    _run_tasks(
-        len(multisets), summarize_multiset, _sample_rows(widest, len(measures)), mc_samples
-    )
-    shared = dict(zip(multisets, per_multiset))
+    widest_rows = _sample_rows(max((c.n_proper for c in multisets), default=1), len(measures))
+    summaries = _run_tasks(len(multisets), summarize_multiset, widest_rows, mc_samples)
+    shared = dict(zip(multisets, summaries))
     return {
         counts: {
             measure.value: MeasureSummary(
@@ -466,19 +468,19 @@ def density_with_uncertainty(
     summarizes the per-bin spread across these independent, reproducible
     repeats. The repeats are run by _run_tasks on the usable CPUs from 8000
     draws up, each thread drawing into the one buffer _run_tasks gives it,
-    and the band is the same floats at any CPU count.
+    and the band is the same floats at any CPU count. Fewer than 1000
+    samples_per_repeat raise TooFewSamples before any draw.
     """
+    _check_mc_settings(samples_per_repeat)
     edges = np.linspace(0.0, 1.0, MODE_BINS + 1)
-    heights = np.empty((100, MODE_BINS))
 
-    def histogram_repeat(r: int, buffer: np.ndarray) -> None:
+    def histogram_repeat(r: int, buffer: np.ndarray) -> np.ndarray:
         values = sample_transformed(params, (measure,), samples_per_repeat, seed, (r,), out=buffer)
         counts = _mode_bins(values[0], buffer[0])
-        heights[r] = counts / np.diff(edges) / counts.sum()
+        return counts / np.diff(edges) / counts.sum()
 
-    _run_tasks(
-        len(heights), histogram_repeat, _sample_rows(params.n_proper, 1), samples_per_repeat
-    )
+    rows = _sample_rows(params.n_proper, 1)
+    heights = np.array(_run_tasks(100, histogram_repeat, rows, samples_per_repeat))
     lo, med, hi = np.percentile(heights, [25.0, 50.0, 75.0], axis=0)
     return DensityEstimate(
         bin_edges=edges,

@@ -254,7 +254,7 @@ class TestBiasCurve:
         # Other subsets, in orders other than the default: labels follow the
         # order given, and each column is the one the full curve has.
         full = reference_bias_curve(q, (1, 2), MeasureKind.NEW, mc_repeats=5, seed=0)
-        for estimators in [("bayes_mode", "plugin"), ("bayes_mean",)]:
+        for estimators in [("bayes_mode", "plugin"), ("bayes_mean",), ("bayes_mode", "bayes_mean")]:
             series = bias_curve(q, n_values=(1, 2), estimators=estimators, mc_repeats=5, seed=0)
             labels = tuple(name if name == "plugin" else f"{name}(1)" for name in estimators)
             assert series.labels == labels

@@ -2,8 +2,8 @@
 values for small symmetric cases, reduction to Beta formulas at C = 1, a
 scipy-digamma cross-check of the expected normalized entropy, Monte Carlo
 agreement within standard-error bands, the conjugate count update, the
-methods table against every call site that reads it, and the law of total
-expectation for every closed-form mean.
+methods table against every call site that reads it, and the laws of total
+expectation and total variance for every closed-form mean and sd.
 
 Hand oracles for Dir(proper=(1,1), cs=1), derived from the rising-factorial
 moment formulas and frozen here as exact fractions:
@@ -381,25 +381,32 @@ def dirichlet_multinomial_pmf(counts, beta):
         if defined(*entry) and methods(*entry).moments == "closed_form"
     ],
 )
-def test_closed_form_means_average_to_the_prior_mean(measure, n_proper):
-    # The law of total expectation: averaged over the prior predictive, the
-    # posterior mean is the prior mean. Every count vector of size n,
-    # can't-solve count last, weighted by its Dirichlet-multinomial
-    # probability.
+def test_closed_form_moments_obey_the_laws_of_total_expectation_and_variance(measure, n_proper):
+    # Averaged over the prior predictive, the posterior mean is the prior
+    # mean (total expectation), and the posterior variance plus the
+    # variance of the posterior mean is the prior variance (total
+    # variance). Every count vector of size n, can't-solve count last,
+    # weighted by its Dirichlet-multinomial probability.
     for beta in (0.5, 1.0, 2.0):
         prior = DirichletParams.symmetric(n_proper, beta)
-        prior_mean, _ = posterior_mean_sd(prior, measure)
+        prior_mean, prior_sd = posterior_mean_sd(prior, measure)
         for n in (1, 3, 8):
             vectors = [
                 v for v in itertools.product(range(n + 1), repeat=n_proper + 1) if sum(v) == n
             ]
             weights = [dirichlet_multinomial_pmf(v, beta) for v in vectors]
-            means = [
+            moments = [
                 posterior_mean_sd(
                     posterior_update(prior, CountVector(proper=v[:-1], cs=v[-1])), measure
-                )[0]
+                )
                 for v in vectors
             ]
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
-            average = math.fsum(w * m for w, m in zip(weights, means))
+            average = math.fsum(w * m for w, (m, _) in zip(weights, moments))
             assert abs(average - prior_mean) <= 1e-12, (beta, n)
+            variance = (
+                math.fsum(w * sd * sd for w, (_, sd) in zip(weights, moments))
+                + math.fsum(w * m * m for w, (m, _) in zip(weights, moments))
+                - average * average
+            )
+            assert abs(variance - prior_sd * prior_sd) <= 1e-12, (beta, n)

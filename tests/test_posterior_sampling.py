@@ -364,6 +364,12 @@ class TestDensityWithUncertainty:
         np.testing.assert_array_equal(a.median_density, b.median_density)
         np.testing.assert_array_equal(a.iqr_lo, b.iqr_lo)
 
+    def test_refuses_too_few_draws_before_any_draw(self, sfc64_streams):
+        # The package's 1000-draw rule, as every subcommand applies it.
+        with pytest.raises(TooFewSamples, match="^mc_samples must be at least 1000$"):
+            density_with_uncertainty(PARAMS, MeasureKind.NEW, samples_per_repeat=999)
+        assert sfc64_streams == []
+
     def test_estimate_type_validates_lengths(self):
         with pytest.raises(DomainError):
             DensityEstimate(
@@ -967,6 +973,23 @@ class TestRunTasks:
         owned = [buffer for used in buffers.values() for buffer in used.values()]
         assert len({id(buffer) for buffer in owned}) == len(buffers)
         assert all(buffer.shape == (3, _THREADED_MIN_DRAWS) for buffer in owned)
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_returns_each_tasks_value_in_index_order(self, usable_cpus, cpus):
+        # Index i sleeps longer than index i + 1, so on more than one
+        # thread the later indexes finish first.
+        usable_cpus(cpus)
+        count = 6
+
+        def task(index, buffer):
+            time.sleep(0.02 * (count - index))
+            return index, buffer.shape
+
+        shape = (1, _THREADED_MIN_DRAWS)
+        assert _run_tasks(count, task, 1, _THREADED_MIN_DRAWS) == [
+            (index, shape) for index in range(count)
+        ]
+        assert _run_tasks(0, task, 1, _THREADED_MIN_DRAWS) == []
 
     def test_one_task_or_short_tasks_run_in_the_calling_thread(self, usable_cpus):
         usable_cpus(7)
